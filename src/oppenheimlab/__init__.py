@@ -1,7 +1,7 @@
 """Numerical laboratory for series-expansion digit laws, exact weak laws,
 and index-1 stable limit laws."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     AccuracyError,
@@ -15,6 +15,7 @@ from .specfun import (
     EULER_GAMMA,
     QuadratureSpec,
     c2_discrete,
+    c2_discrete_quad,
     cin,
     cosine_integral,
     gauss_2f1_unit,

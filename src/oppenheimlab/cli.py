@@ -31,8 +31,8 @@ from .experiments import (
     save_record,
 )
 from .limitlaw import StableLimitLaw, cdf, ks_distance, levy_cf_law
-from .specfun import EULER_GAMMA, c2_discrete, cin, cosine_integral, \
-    gauss_2f1_unit, lemma_a1
+from .specfun import EULER_GAMMA, c2_discrete, c2_discrete_quad, cin, \
+    cosine_integral, gauss_2f1_unit, lemma_a1
 
 DEFAULT_SEED = 20260823
 
@@ -84,11 +84,9 @@ def _verify_checks(tolerance):
     yield ("c2_discrete_half", abs(c2_discrete(0.5) - math.log(2.0)),
            tolerance or 1e-8)
 
-    from scipy.special import psi
-    beta = 0.9
-    oracle = (1.0 - beta) * (psi(1.0) - psi(1.0 - beta))
-    yield ("c2_discrete_digamma", abs(c2_discrete(beta) - oracle),
-           tolerance or 1e-8)
+    betas = np.linspace(0.0, 0.95, 20)
+    worst = max(abs(c2_discrete(b) - c2_discrete_quad(b)) for b in betas)
+    yield ("c2_discrete_quadrature", worst, tolerance or 1e-10)
 
     yield ("gamma_recovery", abs(gamma_from_harmonic(10**6) + EULER_GAMMA),
            tolerance or 1e-6)
@@ -109,13 +107,19 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _cdf_csv(law: StableLimitLaw, x_min: float, x_max: float,
+             points: int) -> str:
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise DomainError("x_min and x_max must be finite")
+    xs = np.linspace(x_min, x_max, points)
+    lines = ["x,F"] + [f"{x:.10g},{cdf(law, float(x)):.10g}" for x in xs]
+    return "\n".join(lines)
+
+
 def cmd_limit_cdf(args) -> int:
     law = levy_cf_law() if args.law == "levy" else \
         StableLimitLaw(c=args.c, delta=args.delta)
-    xs = np.linspace(args.x_min, args.x_max, args.points)
-    lines = ["x,F"]
-    lines += [f"{x:.10g},{cdf(law, float(x)):.10g}" for x in xs]
-    _emit("\n".join(lines), args.out)
+    _emit(_cdf_csv(law, args.x_min, args.x_max, args.points), args.out)
     return 0
 
 
@@ -159,12 +163,9 @@ def cmd_run(args) -> int:
             law = levy_cf_law() if doc.get("law") == "levy" else \
                 StableLimitLaw(c=float(doc["c"]),
                                delta=float(doc.get("delta", 0.0)))
-            xs = np.linspace(float(doc.get("x_min", -5.0)),
-                             float(doc.get("x_max", 20.0)),
-                             int(doc.get("points", 200)))
-            lines = ["x,F"] + [f"{x:.10g},{cdf(law, float(x)):.10g}"
-                               for x in xs]
-            _emit("\n".join(lines), args.out)
+            _emit(_cdf_csv(law, float(doc.get("x_min", -5.0)),
+                           float(doc.get("x_max", 20.0)),
+                           int(doc.get("points", 200))), args.out)
             return 0
         if experiment not in ("weak_law", "distributional"):
             raise DomainError(f"unknown experiment {experiment!r}")

@@ -30,11 +30,15 @@ CONTINUOUS_KINDS = {"uniform", "mobius_clamped", "mobius_remark2", "custom"}
 DISCRETE_KINDS = {"discrete_beta"}
 
 
-def make_sequence(spec) -> Callable[[int], float]:
-    """Turn a sequence tag into an index function (1-based).
+def make_sequence(spec) -> Callable:
+    """Turn a sequence tag into a vectorised index function (1-based).
 
-    Accepted forms: a number, "constant:c", "linear:n" (optionally scaled as
-    "linear:0.5"), or an explicit list (extended by its last value).
+    The function maps an index to a float and an index array to a float
+    array of the same shape, except that a constant returns its one float
+    for any argument and broadcasts.  Accepted forms: a number,
+    "constant:c", "linear:n" (optionally scaled as "linear:0.5"), an explicit
+    list (extended by its last value), or a callable, which must accept
+    index arrays itself.
     """
     if callable(spec):
         return spec
@@ -50,33 +54,58 @@ def make_sequence(spec) -> Callable[[int], float]:
             scale = float(arg) if arg and arg != "n" else 1.0
             return lambda n: scale * n
         raise DomainError(f"unknown sequence tag {spec!r}")
-    values = [float(v) for v in spec]
-    if not values:
+    table = np.asarray(list(spec), dtype=float)
+    if table.size == 0:
         raise DomainError("empty sequence")
-    return lambda n: values[min(n, len(values)) - 1]
+    return lambda n: table[np.minimum(n, table.size) - 1]
+
+
+def member_values(seq: Callable, ks: np.ndarray) -> np.ndarray:
+    """seq evaluated on an index array, as a float array of its shape (a
+    sequence that returns one scalar for every index broadcasts)."""
+    return np.broadcast_to(np.asarray(seq(ks), dtype=float), np.shape(ks))
+
+
+def discrete_digits(beta, v):
+    """The digit Z = max(ceil(b + (1-b)/v), 2) of the discrete-beta family
+    for v in (0, 1]; beta and v broadcast."""
+    return np.maximum(np.ceil(beta + (1.0 - beta) / v), 2.0)
 
 
 @dataclass(frozen=True)
 class DistributionFamily:
     """An indexed family of distribution functions on [0, 1] with F_n(0) = 0.
 
-    ``cdf``, ``alpha``, ``sampler`` are indexed by n >= 1; samplers draw
-    vectors from a caller-owned numpy Generator.  Continuous kinds carry a
-    density and the supremum of their support; the discrete kind carries its
-    atom layout instead.
+    ``cdf`` and ``density`` are indexed by n >= 1.  ``alpha``, ``beta``,
+    ``param`` and ``support_max`` also accept index arrays, and
+    ``sampler(ks, rng, size)`` draws ``size`` values from a caller-owned numpy
+    Generator: from member ks if it is an index, or one from each member if
+    it is an index array of length ``size``.  ``param`` maps n to the number
+    that fixes member n, so equal values mean equal laws.  Continuous kinds
+    carry a density and the supremum of their support; the discrete kind
+    carries its atom layout instead.
     """
 
     kind: str
     cdf: Callable[[int, float], float]
-    alpha: Callable[[int], float]
-    sampler: Callable[[int, np.random.Generator, int], np.ndarray]
+    alpha: Callable
+    sampler: Callable[..., np.ndarray]
     density: Optional[Callable[[int, float], float]] = None
-    support_max: Callable[[int], float] = lambda n: 1.0
-    beta: Optional[Callable[[int], float]] = None  # discrete_beta only
+    support_max: Callable = lambda n: 1.0
+    beta: Optional[Callable] = None  # discrete_beta only
+    param: Optional[Callable] = None  # None: members differ by index only
     params: dict = field(default_factory=dict)
 
     def is_discrete(self) -> bool:
         return self.kind in DISCRETE_KINDS
+
+    def reciprocals(self, ks, rng: np.random.Generator,
+                    size: int) -> np.ndarray:
+        """Draws of Y = 1/U, indexed as ``sampler``.  The discrete kind
+        returns its integer digits exactly, which 1/(1/Z) would round."""
+        if self.is_discrete():
+            return discrete_digits(self.beta(ks), 1.0 - rng.random(size))
+        return 1.0 / self.sampler(ks, rng, size)
 
     def atoms(self, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """First ``count`` atoms (points, masses) of a discrete member."""
@@ -99,13 +128,15 @@ class FamilyConstants:
 
 
 def uniform_family() -> DistributionFamily:
+    one = make_sequence(1.0)
     return DistributionFamily(
         kind="uniform",
         cdf=lambda n, t: min(max(t, 0.0), 1.0),
-        alpha=lambda n: 1.0,
-        sampler=lambda n, rng, size: 1.0 - rng.random(size),
+        alpha=one,
+        sampler=lambda ks, rng, size: 1.0 - rng.random(size),
         density=lambda n, u: 1.0 if 0.0 <= u <= 1.0 else 0.0,
-        support_max=lambda n: 1.0,
+        support_max=one,
+        param=one,
     )
 
 
@@ -127,15 +158,14 @@ def mobius_clamped_family(c_n="constant:1") -> DistributionFamily:
             return c / (1.0 - c * u) ** 2
         return 0.0
 
-    def sampler(n, rng, size):
-        c = cseq(n)
+    def sampler(ks, rng, size):
         p = 1.0 - rng.random(size)  # p in (0, 1]
-        return p / (c * (1.0 + p))
+        return p / (cseq(ks) * (1.0 + p))
 
     return DistributionFamily(
         kind="mobius_clamped", cdf=cdf, alpha=cseq, sampler=sampler,
         density=density, support_max=lambda n: 1.0 / (2.0 * cseq(n)),
-        params={"c_n": c_n},
+        param=cseq, params={"c_n": c_n},
     )
 
 
@@ -157,15 +187,14 @@ def mobius_remark2_family(c_n="constant:1") -> DistributionFamily:
             return c / (1.0 - u) ** 2
         return 0.0
 
-    def sampler(n, rng, size):
-        c = cseq(n)
+    def sampler(ks, rng, size):
         p = 1.0 - rng.random(size)
-        return p / (c + p)
+        return p / (cseq(ks) + p)
 
     return DistributionFamily(
         kind="mobius_remark2", cdf=cdf, alpha=cseq, sampler=sampler,
         density=density, support_max=lambda n: 1.0 / (1.0 + cseq(n)),
-        params={"c_n": c_n},
+        param=cseq, params={"c_n": c_n},
     )
 
 
@@ -189,18 +218,16 @@ def discrete_beta_family(beta_n="constant:0") -> DistributionFamily:
             return 1.0
         return (1.0 - b) / (k - 1.0 - b)
 
-    def sampler(n, rng, size):
-        b = bseq(n)
-        v = 1.0 - rng.random(size)
-        z = np.maximum(np.ceil(b + (1.0 - b) / v), 2.0)
-        return 1.0 / z
+    def sampler(ks, rng, size):
+        return 1.0 / discrete_digits(bseq(ks), 1.0 - rng.random(size))
 
     def alpha(n):
         return 1.0 - bseq(n)
 
     return DistributionFamily(
         kind="discrete_beta", cdf=cdf, alpha=alpha, sampler=sampler,
-        beta=bseq, support_max=lambda n: 0.5, params={"beta_n": beta_n},
+        beta=bseq, support_max=lambda n: 0.5, param=bseq,
+        params={"beta_n": beta_n},
     )
 
 
@@ -266,7 +293,7 @@ def _validate_grid(t_grid) -> np.ndarray:
 
 
 def _alpha_stats(family: DistributionFamily, n_max: int):
-    alphas = np.array([family.alpha(n) for n in range(1, n_max + 1)])
+    alphas = member_values(family.alpha, np.arange(1, n_max + 1))
     divergent = False
     if n_max >= 8:
         # monotone, large spread => the alpha sequence is not bounded

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .distributions import (
     family_constants,
     family_from_config,
     char_components,
-    make_sequence,
+    member_values,
     uniform_family,
 )
 from .errors import ConditionCheckError, DomainError
@@ -40,6 +42,8 @@ from .weights import (
     power_alpha_scheme,
     weights_row,
 )
+
+logger = logging.getLogger(__name__)
 
 WEAK_LAW_SCHEMES = ("direct", "luroth", "engel", "sylvester")
 DISTRIBUTIONAL_MODES = ("classical_1_2", "general_4_1", "cor_4_2", "cor_4_3")
@@ -65,10 +69,16 @@ class ExperimentConfig:
         ng = tuple(int(n) for n in self.n_grid)
         if any(b <= a for a, b in zip(ng, ng[1:])):
             raise DomainError("n_grid must be increasing")
+        if any(n < 2 for n in ng):  # the statistics divide by log n
+            raise DomainError("n_grid entries must be >= 2")
         object.__setattr__(self, "n_grid", ng)
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
+        if not self.epsilon > 0:
+            raise DomainError("epsilon must be > 0")
+        if self.workers < 1:
+            raise DomainError("workers must be >= 1")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -121,17 +131,36 @@ class RunRecord:
 
 
 def save_record(record: RunRecord, directory) -> Path:
+    """Write the record atomically: a reader sees the old file or the whole
+    new one, never a partial write."""
     path = Path(directory) / f"{record.config_digest}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(record.to_json())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(record.to_json())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
 def load_record(digest: str, directory) -> Optional[RunRecord]:
+    """The cached record for ``digest``, or None (a cache miss) when there is
+    none, it cannot be parsed, or another package version wrote it."""
     path = Path(directory) / f"{digest}.json"
     if not path.exists():
         return None
-    return RunRecord.from_json(path.read_text())
+    try:
+        record = RunRecord.from_json(path.read_text())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        logger.warning("cache miss for %s: unreadable record (%s)",
+                       digest[:12], exc)
+        return None
+    if record.version != _pkg_version:
+        logger.info("cache miss for %s: record version %s, package %s",
+                    digest[:12], record.version, _pkg_version)
+        return None
+    return record
 
 
 def replication_rng(master_seed: int, n_index: int,
@@ -157,21 +186,6 @@ def _family(cfg) -> DistributionFamily:
     return family_from_config(cfg)
 
 
-def _is_constant_family(family: DistributionFamily) -> bool:
-    tags = [v for v in family.params.values() if isinstance(v, str)]
-    return family.kind == "uniform" or all(
-        t.startswith("constant") for t in tags)
-
-
-def _sample_y(family: DistributionFamily, rng: np.random.Generator,
-              n: int) -> np.ndarray:
-    """Y_k = 1/U_k for k = 1..n from one stream."""
-    if _is_constant_family(family):
-        return 1.0 / family.sampler(1, rng, n)
-    return np.array([1.0 / family.sampler(k, rng, 1)[0]
-                     for k in range(1, n + 1)])
-
-
 # ---------------------------------------------------------------------------
 # Exact weak laws
 # ---------------------------------------------------------------------------
@@ -186,8 +200,9 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     family = _family(config.family)
     scheme = _weight_scheme(config.weights)
 
-    report = check_theorem_3_2_conditions(scheme, family.alpha,
-                                          max(config.n_grid))
+    n_max = max(config.n_grid)
+    alphas = member_values(family.alpha, np.arange(1, n_max + 1))
+    report = check_theorem_3_2_conditions(scheme, alphas, n_max)
     if not report.passed:
         failing = [k for k, (_, v) in report.conditions.items() if v != "pass"]
         raise ConditionCheckError(
@@ -197,12 +212,15 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     per_n = []
     for i, n in enumerate(config.n_grid):
         a = weights_row(scheme, n)
+        # member indices, for the direct scheme only (the digit chains draw
+        # their own ratios, and an index row of n = 1e5 costs 0.8 MB)
+        ks = np.arange(1, n + 1) if config.scheme == "direct" else None
         denom = scheme.rho(n) * math.log(n)
         stats = np.empty(config.replications)
         for rep in range(config.replications):
             rng = replication_rng(config.master_seed, i, rep)
             if config.scheme == "direct":
-                x = _sample_y(family, rng, n)
+                x = family.reciprocals(ks, rng, n)
             else:
                 x = ratio_path(config.scheme, rng, n)
             stats[rep] = float(np.dot(a, x)) / denom
@@ -219,6 +237,36 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
 # Distributional limits
 # ---------------------------------------------------------------------------
 
+def _summand_family(mode: str,
+                    family_or_beta) -> Optional[DistributionFamily]:
+    """The family whose reciprocals are the summands of the mode (the
+    discrete-beta family for cor_4_3), or None for the classical digit law."""
+    if mode == "classical_1_2":
+        return None
+    if mode in ("cor_4_2", "general_4_1"):
+        return _family(family_or_beta)
+    if mode == "cor_4_3":
+        return discrete_beta_family(family_or_beta)
+    raise DomainError(f"unknown mode {mode!r}")
+
+
+def _mode_source(config: ExperimentConfig):
+    return config.beta if config.mode == "cor_4_3" else config.family
+
+
+def _c2_values(family: DistributionFamily, ks: np.ndarray) -> np.ndarray:
+    """c_{2,k} of members ks: the digamma closed form for the discrete kind,
+    else c_{F_k} - 1 with one quadrature per distinct member."""
+    if family.is_discrete():
+        return c2_discrete(member_values(family.beta, ks))
+    keys = ks if family.param is None else member_values(family.param, ks)
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    c2 = np.array([family_constants(family, int(ks[i])).c - 1.0
+                   for i in first])
+    return c2[inverse]
+
+
 def centering_constants(mode: str, family_or_beta, scheme: WeightScheme,
                         n: int) -> tuple[float, float]:
     """(subtractor, log_term) of the centered statistic V_n.
@@ -228,62 +276,16 @@ def centering_constants(mode: str, family_or_beta, scheme: WeightScheme,
     with (c1, c2) = (alpha_k, c_{F_k} - 1) for the reciprocal mode and
     ((1 - beta_k), c2_discrete(beta_k)) for the discrete-digit mode.
     """
+    family = _summand_family(mode, family_or_beta)
     a = weights_row(scheme, n)
     log_a = np.log(a)
-    if mode == "classical_1_2":
+    if family is None:
         # digit law Z = ceil(1/U): c1 = 1, c2 = 0
         return float(a.sum()), float(np.sum(a * log_a))
-    if mode in ("cor_4_2", "general_4_1"):
-        family = _family(family_or_beta)
-        c1 = np.array([family.alpha(k) for k in range(1, n + 1)])
-        if family.is_discrete():
-            c2 = np.array([c2_discrete(family.beta(k))
-                           for k in range(1, n + 1)])
-        else:
-            c2 = np.array([family_constants(family, k).c - 1.0
-                           for k in range(1, n + 1)])
-        return float(a.sum() + np.sum(a * c2)), float(np.sum(a * c1 * log_a))
-    if mode == "cor_4_3":
-        bseq = make_sequence(family_or_beta)
-        betas = np.array([bseq(k) for k in range(1, n + 1)])
-        c1 = 1.0 - betas
-        c2 = np.array([c2_discrete(b) for b in betas])
-        return float(a.sum() + np.sum(a * c2)), float(np.sum(a * c1 * log_a))
-    raise DomainError(f"unknown mode {mode!r}")
-
-
-def _mode_c1(config: ExperimentConfig) -> Callable[[int], float]:
-    if config.mode == "classical_1_2":
-        return lambda k: 1.0
-    if config.mode in ("cor_4_2", "general_4_1"):
-        family = _family(config.family)
-        return family.alpha
-    if config.mode == "cor_4_3":
-        bseq = make_sequence(config.beta)
-        return lambda k: 1.0 - bseq(k)
-    raise DomainError(f"unknown mode {config.mode!r}")
-
-
-def _sample_z(config: ExperimentConfig, rng: np.random.Generator,
-              n: int) -> np.ndarray:
-    """The summand variables Z_1..Z_n of the configured mode."""
-    if config.mode == "classical_1_2":
-        u = 1.0 - rng.random(n)
-        return np.floor(1.0 / u) + 1.0
-    if config.mode in ("cor_4_2", "general_4_1"):
-        # Z_k = 1/U_k; for discrete families the reciprocal is the digit
-        return _sample_y(_family(config.family), rng, n)
-    if config.mode == "cor_4_3":
-        bseq = make_sequence(config.beta)
-        family = discrete_beta_family(config.beta)
-        if isinstance(config.beta, str) and \
-                config.beta.startswith("constant"):
-            b = bseq(1)
-            v = 1.0 - rng.random(n)
-            return np.maximum(np.ceil(b + (1.0 - b) / v), 2.0)
-        return np.array([1.0 / family.sampler(k, rng, 1)[0]
-                         for k in range(1, n + 1)])
-    raise DomainError(f"unknown mode {config.mode!r}")
+    ks = np.arange(1, n + 1)
+    c1 = member_values(family.alpha, ks)
+    c2 = _c2_values(family, ks)
+    return float(a.sum() + np.sum(a * c2)), float(np.sum(a * c1 * log_a))
 
 
 def v_samples(config: ExperimentConfig, n: int,
@@ -291,13 +293,17 @@ def v_samples(config: ExperimentConfig, n: int,
     """All replications of the centered statistic V_n at one grid point."""
     scheme = _weight_scheme(config.weights)
     a = weights_row(scheme, n)
-    subtractor, log_term = centering_constants(
-        config.mode, config.beta if config.mode == "cor_4_3" else config.family,
-        scheme, n)
+    source = _mode_source(config)
+    subtractor, log_term = centering_constants(config.mode, source, scheme, n)
+    family = _summand_family(config.mode, source)
+    ks = np.arange(1, n + 1)
     out = np.empty(config.replications)
     for rep in range(config.replications):
         rng = replication_rng(config.master_seed, n_index, rep)
-        z = _sample_z(config, rng, n)
+        if family is None:  # classical digit law Z = floor(1/U) + 1
+            z = np.floor(1.0 / (1.0 - rng.random(n))) + 1.0
+        else:
+            z = family.reciprocals(ks, rng, n)
         out[rep] = float(np.dot(a, z)) - subtractor + log_term
     return out
 
@@ -306,8 +312,11 @@ def limit_law_for(config: ExperimentConfig) -> StableLimitLaw:
     """Limit law of the configured mode: scale ell = lim sum_k a_{k,n} c_{1,k},
     no drift."""
     scheme = _weight_scheme(config.weights)
-    report = check_theorem_4_1_conditions(scheme, _mode_c1(config),
-                                          max(config.n_grid))
+    family = _summand_family(config.mode, _mode_source(config))
+    ks = np.arange(1, max(config.n_grid) + 1)
+    c1 = np.ones(ks.size) if family is None else \
+        member_values(family.alpha, ks)
+    report = check_theorem_4_1_conditions(scheme, c1, ks.size)
     if not report.passed:
         failing = [k for k, (_, v) in report.conditions.items() if v != "pass"]
         raise ConditionCheckError(

@@ -33,6 +33,8 @@ class StableLimitLaw:
     delta: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.c) and math.isfinite(self.delta)):
+            raise DomainError("c and delta must be finite")
         if self.c < 0:
             raise DomainError("scale c must be nonnegative")
 
@@ -231,6 +233,8 @@ def ks_distance(samples, law: StableLimitLaw) -> float:
     xs = np.sort(np.asarray(samples, dtype=float))
     if xs.size == 0:
         raise DomainError("samples must be nonempty")
+    if not np.isfinite(xs[0]) or not np.isfinite(xs[-1]):  # nan sorts last
+        raise DomainError("samples must be finite")
     n = xs.size
     f = cdf_many(law, xs)
     upper = np.arange(1, n + 1) / n - f

@@ -1,6 +1,7 @@
 """Special-function kernel: cosine integrals, the A/B constants whose sum is
 1 - gamma, the (1, 1-beta, 2-beta) slice of the Gauss hypergeometric function,
-and the discrete-family centering integral.
+and the discrete-family centering constant (closed form, with its quadrature
+kept as an independent cross-check).
 
 Everything here is deterministic and pure; oscillatory infinite integrals are
 summed over half-period chunks with Euler (alternating-series) acceleration.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import AccuracyError, DomainError, PoleError
 
@@ -28,14 +29,10 @@ class QuadratureSpec:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 10**6
-    oscillation_chunking: bool = True
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -123,7 +120,7 @@ def cin(x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
 
     val, err = integrate.quad(
         integrand, 0.0, x, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=min(spec.max_subdivisions, 500),
+        limit=500,
     )
     if err > 100 * spec.abs_tol:
         raise AccuracyError("cin quadrature missed tolerance", err)
@@ -143,7 +140,7 @@ def lemma_a1(spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float, float]:
 
     a_val, a_err = integrate.quad(
         a_integrand, 0.0, 1.0, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=min(spec.max_subdivisions, 500),
+        limit=500,
     )
     # B: head [1, pi] then half-period chunks aligned to the zeros of sin.
     head = _gl_integrate(lambda t: np.sin(t) / t**2, 1.0, math.pi)
@@ -185,7 +182,7 @@ def gauss_2f1_unit(beta: float, z: complex,
         return (1.0 / (1.0 - np.power(s, p) * z)).imag
 
     kwargs = dict(epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                  limit=min(spec.max_subdivisions, 500))
+                  limit=500)
     re, re_err = integrate.quad(real_part, 0.0, 1.0, **kwargs)
     im, im_err = integrate.quad(imag_part, 0.0, 1.0, **kwargs)
     if max(re_err, im_err) > 1e3 * spec.abs_tol:
@@ -194,15 +191,31 @@ def gauss_2f1_unit(beta: float, z: complex,
     return complex(re, im)
 
 
-def c2_discrete(beta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def c2_discrete(beta):
+    """(1-beta)(psi(1) - psi(1-beta)) for beta in [0, 1), elementwise.
+
+    Closed form of the discrete-family centering integral that
+    ``c2_discrete_quad`` evaluates by quadrature.  Accepts a scalar (returns
+    a float) or an array of betas (returns an array of the same shape).
+    """
+    b = np.asarray(beta, dtype=float)
+    if not np.all((b >= 0.0) & (b < 1.0)):
+        raise DomainError("c2_discrete requires beta in [0, 1)")
+    c1 = 1.0 - b
+    out = c1 * (special.digamma(1.0) - special.digamma(c1))
+    return float(out) if out.ndim == 0 else out
+
+
+def c2_discrete_quad(beta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """(1-beta) * int_0^1 (1 - x^beta) / (x^beta (1-x)) dx for beta in [0, 1).
 
     The x^(-beta) endpoint singularity is removed by x = s^(1/(1-beta)),
     after which the factor (1 - x^beta)/(1 - x) is bounded (it tends to beta
-    at x = 1).
+    at x = 1).  The independent cross-check of the closed form
+    ``c2_discrete``.
     """
     if not 0.0 <= beta < 1.0:
-        raise DomainError("c2_discrete requires beta in [0, 1)")
+        raise DomainError("c2_discrete_quad requires beta in [0, 1)")
     if beta == 0.0:
         return 0.0
     p = 1.0 / (1.0 - beta)
@@ -217,8 +230,8 @@ def c2_discrete(beta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
 
     val, err = integrate.quad(
         integrand, 0.0, 1.0, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=min(spec.max_subdivisions, 500),
+        limit=500,
     )
     if err > 100 * spec.abs_tol:
-        raise AccuracyError("c2_discrete quadrature missed tolerance", err)
+        raise AccuracyError("c2_discrete_quad quadrature missed tolerance", err)
     return val

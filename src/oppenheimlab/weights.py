@@ -159,6 +159,20 @@ def max_weight(scheme: WeightScheme, n: int) -> float:
 # Profiles, extrapolation, and condition checkers
 # ---------------------------------------------------------------------------
 
+def index_row(values, n: int) -> np.ndarray:
+    """values_1..values_n as a float array.
+
+    ``values`` is an array whose first n entries are values_1..values_n, or a
+    callable k -> values_k, which is called once for each k.
+    """
+    if callable(values):
+        return np.array([values(k) for k in range(1, n + 1)], dtype=float)
+    row = np.asarray(values, dtype=float)
+    if row.ndim != 1 or row.size < n:
+        raise DomainError(f"need a row of at least {n} values")
+    return row[:n]
+
+
 def richardson_log_limit(n_values: Sequence[int],
                          values: Sequence[float]) -> float:
     """Extrapolated limit of a profile converging like ell + poly(1/log n),
@@ -179,16 +193,18 @@ class EllProfile:
     ell: float
 
 
-def ell_profile(scheme: WeightScheme, alphas: Callable[[int], float],
+def ell_profile(scheme: WeightScheme, alphas,
                 n_grid: Sequence[int]) -> EllProfile:
     """Profile of -sum_k alpha_k a_{k,n} log(alpha_k a_{k,n}) / (rho_n log n)
-    and its extrapolated limit ell."""
+    and its extrapolated limit ell.  ``alphas`` is a per-index row (see
+    ``index_row``) covering k <= max(n_grid)."""
+    if any(n < 2 for n in n_grid):
+        raise DomainError("n_grid entries must be >= 2")
+    al_all = index_row(alphas, max(n_grid))
     rows = []
     for n in n_grid:
-        if n < 2:
-            raise DomainError("n_grid entries must be >= 2")
         a = weights_row(scheme, n)
-        al = np.array([alphas(k) for k in range(1, n + 1)])
+        al = al_all[:n]
         if np.any(al <= 0):
             raise DomainError("alphas must be positive")
         x = al * a
@@ -259,22 +275,23 @@ def _trend_verdict(values, target: str, tol: float = 1e-9) -> str:
 
 
 def check_theorem_3_2_conditions(scheme: WeightScheme,
-                                 alphas: Callable[[int], float],
+                                 alphas,
                                  n_max: int) -> ConditionReport:
     """Checks the exact-weak-law weight conditions on a geometric n-grid:
     the normalized entropy-like sum has a limit -ell, its absolute version is
     bounded, sum_k alpha_k a_{k,n} is bounded, rho_n log n -> infinity, and
-    sup_n max_k a_{k,n} < infinity (the extra corollary condition)."""
+    sup_n max_k a_{k,n} < infinity (the extra corollary condition).
+    ``alphas`` is a per-index row (see ``index_row``) covering k <= n_max."""
     if n_max < 10:
         raise DomainError("n_max must be >= 10")
     grid = _geometric_grid(n_max)
+    al_all = index_row(alphas, grid[-1])
     conds = {}
 
     ell_rows, abs_rows, sum_rows, rholog_rows, mw_rows = [], [], [], [], []
     for n in grid:
         a = weights_row(scheme, n)
-        al = np.array([alphas(k) for k in range(1, n + 1)])
-        x = al * a
+        x = al_all[:n] * a
         denom = scheme.rho(n) * math.log(n)
         ell_rows.append((n, -float(np.sum(x * np.log(x))) / denom))
         abs_rows.append((n, float(np.sum(x * np.abs(np.log(x)))) / denom))
@@ -305,22 +322,23 @@ def check_theorem_3_2_conditions(scheme: WeightScheme,
 
 
 def check_theorem_4_1_conditions(scheme: WeightScheme,
-                                 c1: Callable[[int], float],
+                                 c1,
                                  n_max: int) -> ConditionReport:
     """Checks the distributional-limit weight conditions: sum_k a_{k,n} has a
-    limit kappa, m_n -> 0, and sum_k a_{k,n} c_{1,k} has a limit ell."""
+    limit kappa, m_n -> 0, and sum_k a_{k,n} c_{1,k} has a limit ell.
+    ``c1`` is a per-index row (see ``index_row``) covering k <= n_max."""
     if n_max < 10:
         raise DomainError("n_max must be >= 10")
     grid = _geometric_grid(n_max)
+    c1_all = index_row(c1, grid[-1])
     conds = {}
 
     k_rows, m_rows, l_rows = [], [], []
     for n in grid:
         a = weights_row(scheme, n)
-        c1v = np.array([c1(k) for k in range(1, n + 1)])
         k_rows.append((n, float(a.sum())))
         m_rows.append((n, float(a.max())))
-        l_rows.append((n, float(np.sum(a * c1v))))
+        l_rows.append((n, float(np.sum(a * c1_all[:n]))))
 
     conds["kappa_limit"] = (tuple(k_rows),
                             _trend_verdict([r[1] for r in k_rows], "limit"))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from oppenheimlab import __version__
 from oppenheimlab.cli import bundled_config_path, main
 from oppenheimlab.limitlaw import StableLimitLaw, sample_many
 
@@ -73,6 +74,15 @@ class TestLimitCdf:
         fs = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert all(b >= a for a, b in zip(fs, fs[1:]))
 
+    @pytest.mark.parametrize("argv", [
+        ("--x-min", "nan"), ("--x-max", "inf"), ("--c", "nan"),
+        ("--delta=-inf",)])
+    def test_non_finite_input_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "limit-cdf", *argv)
+        assert code == 2
+        assert "finite" in err
+        assert out == ""
+
 
 class TestRun:
     def test_bundled_configs_exist(self):
@@ -121,6 +131,59 @@ class TestRun:
         assert code == 0
         assert out.splitlines()[0] == "x,F"
 
+    @staticmethod
+    def _tiny_weak_law(tmp_path):
+        cfg = tmp_path / "ok.yaml"
+        cfg.write_text(
+            "experiment: weak_law\nmaster_seed: 5\n"
+            "n_grid: [50, 200]\nreplications: 60\nepsilon: 0.5\n")
+        return cfg, tmp_path / "results"
+
+    def test_truncated_record_is_recomputed(self, capsys, caplog, tmp_path):
+        cfg, results = self._tiny_weak_law(tmp_path)
+        code, first, _ = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(results))
+        assert code == 0
+        (record,) = results.iterdir()
+        text = record.read_text()
+        record.write_text(text[: len(text) // 2])
+        code, out, _ = run_cli(capsys, "run", str(cfg), "--out",
+                               str(results))
+        assert code == 0
+        assert "cached record" not in out
+        assert out == first
+        assert "unreadable record" in caplog.text
+        assert json.loads(record.read_text())["per_n"]
+
+    def test_other_version_record_not_served(self, capsys, tmp_path):
+        cfg, results = self._tiny_weak_law(tmp_path)
+        code, first, _ = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(results))
+        assert code == 0
+        (record,) = results.iterdir()
+        doc = json.loads(record.read_text())
+        doc["version"] = "0.1.0"
+        doc["per_n"][0]["exceedance"] = -1.0  # what old code "computed"
+        record.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "run", str(cfg), "--out",
+                               str(results))
+        assert code == 0
+        assert "cached record" not in out
+        assert out == first
+        assert json.loads(record.read_text())["version"] == __version__
+
+    @pytest.mark.parametrize("line", [
+        "n_grid: [1, 100]", "n_grid: [50, 200]\nepsilon: 0",
+        "n_grid: [50, 200]\nworkers: 0"])
+    def test_invalid_config_values_exit_2(self, capsys, tmp_path, line):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("experiment: weak_law\nreplications: 60\n"
+                       + line + "\n")
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out",
+                               str(tmp_path / "results"))
+        assert code == 2
+        assert "config error" in err
+
     def test_bad_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("experiment: teleport\n")
@@ -142,6 +205,14 @@ class TestKsTest:
         code2, _, _ = run_cli(capsys, "ks-test", str(f), "--c", "1.0",
                               "--tolerance", "0.0001")
         assert code2 == 1
+
+    def test_non_finite_sample_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "samples.txt"
+        f.write_text("0.5\nnan\n1.5\n")
+        code, out, err = run_cli(capsys, "ks-test", str(f), "--c", "1.0")
+        assert code == 2
+        assert "finite" in err
+        assert "ks=" not in out
 
 
 class TestParser:

@@ -14,9 +14,11 @@ from oppenheimlab.distributions import (
     condition_ii_profile,
     discrete_beta_family,
     discrete_beta_pmf,
+    discrete_digits,
     family_constants,
     family_from_config,
     make_sequence,
+    member_values,
     mobius_clamped_family,
     mobius_remark2_family,
     proposition_2_4_profile,
@@ -47,6 +49,83 @@ class TestMakeSequence:
     def test_bad_tag(self):
         with pytest.raises(DomainError):
             make_sequence("quadratic:n")
+
+    def test_index_arrays(self):
+        ks = np.arange(1, 6)
+        assert np.array_equal(make_sequence([1.0, 2.0, 3.0])(ks),
+                              [1.0, 2.0, 3.0, 3.0, 3.0])
+        assert np.array_equal(make_sequence("linear:0.5")(ks),
+                              0.5 * ks)
+        # a constant stays one scalar and broadcasts where an array is needed
+        assert make_sequence("constant:0.5")(ks) == 0.5
+        assert np.array_equal(member_values(make_sequence(0.5), ks),
+                              np.full(5, 0.5))
+
+    @pytest.mark.parametrize("spec", [[1.0, 4.0, 2.0], "linear:0.5",
+                                      "constant:3"])
+    def test_array_matches_scalar_calls(self, spec):
+        f = make_sequence(spec)
+        ks = np.arange(1, 8)
+        assert np.array_equal(member_values(f, ks),
+                              [f(int(k)) for k in ks])
+
+
+class _FixedStream:
+    """Stands in for a Generator: random(size) returns preset values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values.copy()
+
+
+class TestIndexSampling:
+    def test_list_family_draws_its_own_members(self):
+        # member 2 of c_n = [1, 4] has support (0, 1/8], so Y_2 = 1/U_2 >= 8
+        fam = mobius_clamped_family([1.0, 4.0])
+        ks = np.arange(1, 3)
+        for seed in range(200):
+            y = fam.reciprocals(ks, np.random.default_rng(seed), 2)
+            assert y[1] >= 8.0
+            assert y[0] >= 2.0  # member 1 (c = 1) lives on (0, 1/2]
+
+    def test_index_array_equals_per_member_draws(self):
+        # one random(n) gives the same doubles as n calls of random(1)
+        fam = mobius_remark2_family([1.0, 2.0, 5.0])
+        ks = np.arange(1, 6)
+        joint = fam.sampler(ks, np.random.default_rng(3), ks.size)
+        rng = np.random.default_rng(3)
+        single = [fam.sampler(int(k), rng, 1)[0] for k in ks]
+        assert np.array_equal(joint, single)
+
+    def test_scalar_index_draws_one_member(self):
+        fam = mobius_clamped_family([1.0, 4.0])
+        xs = fam.sampler(2, np.random.default_rng(0), 1000)
+        assert xs.max() <= fam.support_max(2)
+
+    def test_discrete_reciprocals_are_exact_digits(self):
+        # v = 1/48.5 gives the digit 49, and 1/(1/49) is not 49 in doubles
+        assert 1.0 / (1.0 / 49.0) != 49.0
+        fam = discrete_beta_family([0.0, 0.0])
+        v = np.array([1.0 / 48.5, 1.0 / 92.5])
+        z = fam.reciprocals(np.arange(1, 3), _FixedStream(1.0 - v), 2)
+        assert z.tolist() == [49.0, 93.0]
+
+    def test_discrete_list_family_per_member_beta(self):
+        fam = discrete_beta_family([0.0, 0.9])
+        ks = np.arange(1, 3)
+        rng = np.random.default_rng(5)
+        z = fam.reciprocals(ks, rng, 2)
+        v = 1.0 - np.random.default_rng(5).random(2)
+        assert np.array_equal(z, discrete_digits(np.array([0.0, 0.9]), v))
+        assert np.all(z == np.floor(z)) and np.all(z >= 2.0)
+
+    def test_digit_rule(self):
+        assert discrete_digits(0.0, 1.0) == 2.0  # clamped to 2
+        assert discrete_digits(0.5, 0.25) == 3.0  # ceil(0.5 + 2)
+        assert discrete_digits(0.5, 0.2) == 3.0  # ceil(3.0)
 
 
 class TestCdfSamplerAgreement:

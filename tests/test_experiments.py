@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from oppenheimlab.distributions import discrete_beta_family, uniform_family
+from oppenheimlab import __version__, experiments
+from oppenheimlab.distributions import (
+    discrete_beta_family,
+    family_constants,
+    mobius_clamped_family,
+    uniform_family,
+)
 from oppenheimlab.errors import ConditionCheckError, DomainError
 from oppenheimlab.experiments import (
     ExperimentConfig,
@@ -22,7 +28,7 @@ from oppenheimlab.experiments import (
     save_record,
     v_samples,
 )
-from oppenheimlab.specfun import EULER_GAMMA
+from oppenheimlab.specfun import EULER_GAMMA, c2_discrete_quad
 from oppenheimlab.weights import cesaro_scheme
 
 
@@ -47,6 +53,14 @@ class TestConfig:
             small_config(n_grid=(200, 50))
         with pytest.raises(DomainError):
             small_config(replications=0)
+        with pytest.raises(DomainError):
+            small_config(n_grid=(1, 100))
+        with pytest.raises(DomainError):
+            small_config(epsilon=0.0)
+        with pytest.raises(DomainError):
+            small_config(epsilon=float("nan"))
+        with pytest.raises(DomainError):
+            small_config(workers=0)
 
     def test_to_dict_roundtrips_json(self):
         d = small_config().to_dict()
@@ -60,6 +74,31 @@ class TestRecordIO:
         back = load_record("abc123", tmp_path)
         assert back == rec
         assert load_record("missing", tmp_path) is None
+
+    def test_other_version_is_a_miss(self, tmp_path):
+        rec = RunRecord("abc123", "weak_law", ({"n": 10},), 0.1,
+                        version="0.1.0")
+        save_record(rec, tmp_path)
+        assert load_record("abc123", tmp_path) is None
+        current = RunRecord("abc123", "weak_law", ({"n": 10},), 0.1)
+        assert current.version == __version__
+        save_record(current, tmp_path)
+        assert load_record("abc123", tmp_path) == current
+
+    def test_unreadable_record_is_a_miss(self, tmp_path):
+        rec = RunRecord("abc123", "weak_law", ({"n": 10, "x": 1.5},), 0.1)
+        path = save_record(rec, tmp_path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])  # truncated mid-string
+        assert load_record("abc123", tmp_path) is None
+        path.write_text("[1, 2]")  # valid JSON, not a record
+        assert load_record("abc123", tmp_path) is None
+
+    def test_save_leaves_no_temporary_files(self, tmp_path):
+        rec = RunRecord("abc123", "weak_law", ({"n": 10},), 0.1)
+        save_record(rec, tmp_path)
+        save_record(rec, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["abc123.json"]
 
     def test_equality_ignores_wall_time(self):
         r1 = RunRecord("d", "weak_law", ({"n": 1},), 0.5)
@@ -150,6 +189,64 @@ class TestCentering:
             centering_constants("cor_9_9", {"kind": "uniform"},
                                 cesaro_scheme(), 10)
 
+    @staticmethod
+    def _per_k_reference(c1, c2, n):
+        """The centering from per-k scalar evaluations."""
+        a = cesaro_scheme().a_row(n)
+        c1v = np.array([c1(k) for k in range(1, n + 1)])
+        c2v = np.array([c2(k) for k in range(1, n + 1)])
+        return (float(a.sum() + np.sum(a * c2v)),
+                float(np.sum(a * c1v * np.log(a))))
+
+    def test_cor43_list_beta_matches_per_k_quadrature(self):
+        betas = [0.3, 0.1, 0.45, 0.2]
+        n = 7
+        got = centering_constants("cor_4_3", betas, cesaro_scheme(), n)
+
+        def beta(k):
+            return betas[min(k, len(betas)) - 1]
+
+        ref = self._per_k_reference(lambda k: 1.0 - beta(k),
+                                    lambda k: c2_discrete_quad(beta(k)), n)
+        assert got == pytest.approx(ref, abs=1e-10)
+
+    def test_cor42_list_family_matches_per_k(self):
+        fam = mobius_clamped_family([1.0, 2.0, 1.5])
+        n = 6
+        got = centering_constants("cor_4_2", fam, cesaro_scheme(), n)
+        ref = self._per_k_reference(
+            fam.alpha, lambda k: family_constants(fam, k).c - 1.0, n)
+        assert got == ref
+
+    def test_c2_discrete_called_once_per_n(self, monkeypatch):
+        calls = []
+        original = experiments.c2_discrete
+
+        def counting(beta):
+            calls.append(np.size(beta))
+            return original(beta)
+
+        monkeypatch.setattr(experiments, "c2_discrete", counting)
+        centering_constants("cor_4_3", [0.3, 0.1, 0.5], cesaro_scheme(),
+                            1000)
+        assert calls == [1000]
+
+    @pytest.mark.parametrize("c_n, expected", [
+        ("constant:1", 1), ([1.0, 4.0], 2), ([1.0, 2.0, 1.0, 2.0], 2)])
+    def test_family_constants_once_per_distinct_member(self, monkeypatch,
+                                                       c_n, expected):
+        members = []
+        original = experiments.family_constants
+
+        def counting(family, n, *args, **kwargs):
+            members.append(n)
+            return original(family, n, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "family_constants", counting)
+        centering_constants("cor_4_2", mobius_clamped_family(c_n),
+                            cesaro_scheme(), 1000)
+        assert len(members) == expected
+
 
 class TestDistributional:
     def test_limit_law_classical(self):
@@ -176,6 +273,13 @@ class TestDistributional:
         cfg = small_config(n_grid=(2000,), replications=400)
         v = v_samples(cfg, 2000, 0)
         assert 0.8 < np.median(v) < 2.2
+
+    def test_cor43_one_element_list_equals_constant(self):
+        base = dict(n_grid=(100, 400), mode="cor_4_3")
+        listed = distributional_run(small_config(beta=[0.5], **base))
+        constant = distributional_run(small_config(beta="constant:0.5",
+                                                   **base))
+        assert listed.per_n == constant.per_n
 
     def test_replication_floor(self):
         with pytest.raises(DomainError):

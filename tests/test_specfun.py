@@ -12,6 +12,7 @@ from oppenheimlab.specfun import (
     EULER_GAMMA,
     QuadratureSpec,
     c2_discrete,
+    c2_discrete_quad,
     chunked_oscillatory_integral,
     cin,
     cosine_integral,
@@ -105,19 +106,43 @@ class TestC2Discrete:
         assert c2_discrete(0.5) == pytest.approx(math.log(2.0), abs=1e-8)
 
     def test_digamma_identity(self):
-        # c2(beta) = (1-beta)(psi(1) - psi(1-beta))
+        # the quadrature of the centering integral equals the closed form
+        # (1-beta)(psi(1) - psi(1-beta))
         for beta in (0.1, 0.25, 0.75, 0.9):
             oracle = (1.0 - beta) * (psi(1.0) - psi(1.0 - beta))
-            assert c2_discrete(beta) == pytest.approx(oracle, abs=1e-8)
+            assert c2_discrete_quad(beta) == pytest.approx(oracle, abs=1e-8)
+            assert c2_discrete(beta) == pytest.approx(oracle, abs=1e-15)
+
+    def test_closed_form_matches_quadrature_on_grid(self):
+        betas = np.linspace(0.0, 0.95, 96)
+        worst = max(abs(c2_discrete(b) - c2_discrete_quad(b)) for b in betas)
+        assert worst <= 1e-10
+
+    def test_half_matches_quadrature_bitwise(self):
+        assert c2_discrete(0.5) == c2_discrete_quad(0.5)
+
+    def test_array_input(self):
+        betas = np.array([[0.0, 0.25], [0.5, 0.9]])
+        out = c2_discrete(betas)
+        assert out.shape == betas.shape
+        for b, v in zip(betas.ravel(), out.ravel()):
+            assert v == c2_discrete(float(b))
+        assert isinstance(c2_discrete(0.25), float)
 
     def test_beta_zero(self):
-        assert c2_discrete(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert c2_discrete(0.0) == 0.0
+        assert c2_discrete_quad(0.0) == 0.0
 
     def test_domain(self):
+        for f in (c2_discrete, c2_discrete_quad):
+            with pytest.raises(DomainError):
+                f(1.0)
+            with pytest.raises(DomainError):
+                f(-0.2)
+            with pytest.raises(DomainError):
+                f(float("nan"))
         with pytest.raises(DomainError):
-            c2_discrete(1.0)
-        with pytest.raises(DomainError):
-            c2_discrete(-0.2)
+            c2_discrete(np.array([0.2, 1.0]))
 
 
 class TestSummationHelpers:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oppenheimlab.distributions import make_sequence
 from oppenheimlab.errors import DomainError
 from oppenheimlab.weights import (
     cesaro_scheme,
@@ -14,6 +15,7 @@ from oppenheimlab.weights import (
     custom_table_scheme,
     ell_profile,
     iterated_mean,
+    index_row,
     iterated_scheme,
     kappa,
     make_rho,
@@ -156,3 +158,27 @@ class TestConditionCheckers:
     def test_n_max_validation(self):
         with pytest.raises(DomainError):
             check_theorem_3_2_conditions(cesaro_scheme(), lambda k: 1.0, 5)
+
+    def test_array_rows_match_per_k_callable(self):
+        # a precomputed row and a per-k callable give identical reports
+        seq = make_sequence([0.9, 0.7, 0.5])
+        row = seq(np.arange(1, 1001))
+        sch = power_alpha_scheme(0.5)
+
+        def per_k(n):
+            return np.array([seq(k) for k in range(1, n + 1)])
+
+        for check in (check_theorem_3_2_conditions,
+                      check_theorem_4_1_conditions):
+            assert check(sch, row, 1000) == check(sch, seq, 1000)
+        rep41 = check_theorem_4_1_conditions(sch, row, 1000)
+        for n, value in rep41.conditions["ell_limit"][0]:
+            assert value == float(np.sum(weights_row(sch, n) * per_k(n)))
+        assert ell_profile(sch, row, [100, 1000]) == \
+            ell_profile(sch, seq, [100, 1000])
+
+    def test_short_row_rejected(self):
+        with pytest.raises(DomainError):
+            check_theorem_4_1_conditions(cesaro_scheme(), np.ones(50), 100)
+        with pytest.raises(DomainError):
+            index_row(np.ones((2, 50)), 10)
