@@ -30,7 +30,8 @@ from .experiments import (
     load_record,
     save_record,
 )
-from .limitlaw import StableLimitLaw, cdf, ks_distance, levy_cf_law
+from .limitlaw import StableLimitLaw, cdf, ks_distance, levy_cf_law, \
+    table_error
 from .specfun import EULER_GAMMA, c2_discrete, c2_discrete_quad, cin, \
     cosine_integral, gauss_2f1_unit, lemma_a1
 
@@ -88,6 +89,8 @@ def _verify_checks(tolerance):
     worst = max(abs(c2_discrete(b) - c2_discrete_quad(b)) for b in betas)
     yield ("c2_discrete_quadrature", worst, tolerance or 1e-10)
 
+    yield ("cdf_table_midpoints", table_error(), tolerance or 2e-5)
+
     yield ("gamma_recovery", abs(gamma_from_harmonic(10**6) + EULER_GAMMA),
            tolerance or 1e-6)
 
@@ -116,9 +119,17 @@ def _cdf_csv(law: StableLimitLaw, x_min: float, x_max: float,
     return "\n".join(lines)
 
 
+def _law(kind, c, delta) -> StableLimitLaw:
+    """The continued-fraction law for kind "levy", else S(c, delta)."""
+    if kind == "levy":
+        return levy_cf_law()
+    if c is None:
+        raise DomainError("a custom law needs its scale c")
+    return StableLimitLaw(c=float(c), delta=float(delta))
+
+
 def cmd_limit_cdf(args) -> int:
-    law = levy_cf_law() if args.law == "levy" else \
-        StableLimitLaw(c=args.c, delta=args.delta)
+    law = _law(args.law, args.c, args.delta)
     _emit(_cdf_csv(law, args.x_min, args.x_max, args.points), args.out)
     return 0
 
@@ -136,7 +147,6 @@ def _config_from_mapping(doc: dict, seed_override=None) -> ExperimentConfig:
         beta=doc.get("beta", "constant:0"),
         epsilon=float(doc.get("epsilon", 0.3)),
         t_grid=tuple(doc.get("t_grid", (0.5, 1.0, 2.0))),
-        workers=int(doc.get("workers", 1)),
     )
 
 
@@ -160,19 +170,14 @@ def cmd_run(args) -> int:
                               "'experiment' key")
         experiment = doc["experiment"]
         if experiment == "limit_cdf":
-            law = levy_cf_law() if doc.get("law") == "levy" else \
-                StableLimitLaw(c=float(doc["c"]),
-                               delta=float(doc.get("delta", 0.0)))
-            _emit(_cdf_csv(law, float(doc.get("x_min", -5.0)),
+            law = _law(doc.get("law"), doc.get("c"), doc.get("delta", 0.0))
+            print(_cdf_csv(law, float(doc.get("x_min", -5.0)),
                            float(doc.get("x_max", 20.0)),
-                           int(doc.get("points", 200))), args.out)
+                           int(doc.get("points", 200))))
             return 0
         if experiment not in ("weak_law", "distributional"):
             raise DomainError(f"unknown experiment {experiment!r}")
         config = _config_from_mapping(doc, args.seed)
-        if args.threads:
-            config = _config_from_mapping({**doc, "workers": args.threads},
-                                          args.seed)
     except (DomainError, KeyError, ValueError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -200,8 +205,7 @@ def cmd_run(args) -> int:
 
 def cmd_ks_test(args) -> int:
     samples = np.loadtxt(args.samples, ndmin=1)
-    law = levy_cf_law() if args.law == "levy" else \
-        StableLimitLaw(c=args.c, delta=args.delta)
+    law = _law(args.law, args.c, args.delta)
     d = ks_distance(samples, law)
     print(f"ks={d:.6g} n={samples.size}")
     return 0 if d <= args.tolerance else 1
@@ -239,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("run", help="run an experiment config")
     pr.add_argument("config", help="YAML path or bundled config name")
     pr.add_argument("--seed", type=int, default=None)
-    pr.add_argument("--threads", type=int, default=None)
     pr.add_argument("--format", default="csv", choices=("csv", "json"))
     pr.add_argument("--out", help="results directory (default: results)")
     pr.add_argument("--force", action="store_true")

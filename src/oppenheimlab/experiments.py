@@ -3,7 +3,7 @@
 Reproducibility contract: every replication j of the grid point with index i
 draws from its own stream seeded as SeedSequence(master_seed,
 spawn_key=(i, j)); statistics are reduced in replication order, so a record
-is bit-identical across reruns and worker counts.
+is bit-identical across reruns.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class ExperimentConfig:
     beta: object = "constant:0"  # discrete-family beta tag (cor_4_3)
     epsilon: float = 0.3
     t_grid: tuple = (0.5, 1.0, 2.0)
-    workers: int = 1
 
     def __post_init__(self):
         ng = tuple(int(n) for n in self.n_grid)
@@ -77,8 +76,6 @@ class ExperimentConfig:
             raise DomainError("replications must be >= 1")
         if not self.epsilon > 0:
             raise DomainError("epsilon must be > 0")
-        if self.workers < 1:
-            raise DomainError("workers must be >= 1")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -97,7 +94,7 @@ class RunRecord:
     """Persisted outcome of one experiment.
 
     Equality compares the reproducible payload (digest, kind, per-n results,
-    version, worker count) and ignores the wall time.
+    version) and ignores the wall time.
     """
 
     config_digest: str
@@ -105,7 +102,6 @@ class RunRecord:
     per_n: tuple  # one mapping per grid point
     wall_time: float
     version: str = _pkg_version
-    worker_count: int = 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunRecord):
@@ -113,13 +109,12 @@ class RunRecord:
         return (self.config_digest == other.config_digest
                 and self.kind == other.kind
                 and self.per_n == other.per_n
-                and self.version == other.version
-                and self.worker_count == other.worker_count)
+                and self.version == other.version)
 
     def to_json(self) -> str:
         d = {"config_digest": self.config_digest, "kind": self.kind,
              "per_n": list(self.per_n), "wall_time": self.wall_time,
-             "version": self.version, "worker_count": self.worker_count}
+             "version": self.version}
         return json.dumps(d, sort_keys=True, indent=2)
 
     @staticmethod
@@ -127,7 +122,7 @@ class RunRecord:
         d = json.loads(text)
         return RunRecord(d["config_digest"], d["kind"],
                          tuple(d["per_n"]), d["wall_time"],
-                         d.get("version", "?"), d.get("worker_count", 1))
+                         d.get("version", "?"))
 
 
 def save_record(record: RunRecord, directory) -> Path:
@@ -229,8 +224,7 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
                       "t_median": float(np.median(stats)),
                       "t_mean": float(np.mean(stats)), "ell": float(ell)})
     return RunRecord(config.digest(), "weak_law", tuple(per_n),
-                     time.perf_counter() - t_start,
-                     worker_count=config.workers)
+                     time.perf_counter() - t_start)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +341,7 @@ def distributional_run(config: ExperimentConfig) -> RunRecord:
             "ell": float(law.c),
         })
     return RunRecord(config.digest(), "distributional", tuple(per_n),
-                     time.perf_counter() - t_start,
-                     worker_count=config.workers)
+                     time.perf_counter() - t_start)
 
 
 # ---------------------------------------------------------------------------

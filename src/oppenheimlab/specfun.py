@@ -225,7 +225,8 @@ def c2_discrete_quad(beta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
         x = np.power(s, p)
         near_one = x > 1.0 - 1e-9
         x_safe = np.where(near_one, 0.5, x)
-        ratio = -np.expm1(beta * np.log(x_safe)) / (1.0 - x_safe)
+        # x^beta = s^(p beta), whose log stays finite where s^p underflows
+        ratio = -np.expm1(beta * p * np.log(s)) / (1.0 - x_safe)
         return np.where(near_one, beta, ratio)
 
     val, err = integrate.quad(

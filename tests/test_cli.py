@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -53,8 +54,9 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         lines = [ln for ln in out.splitlines() if ln]
-        assert len(lines) == 7
+        assert len(lines) == 8
         assert all(ln.startswith("PASS") for ln in lines)
+        assert any(ln.startswith("PASS cdf_table_midpoints") for ln in lines)
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--tolerance", "1e-30")
@@ -73,6 +75,20 @@ class TestLimitCdf:
         assert len(lines) == 6
         fs = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert all(b >= a for a, b in zip(fs, fs[1:]))
+
+    @pytest.mark.parametrize("c", [1e-4, 1e4])
+    def test_extreme_scales(self, capsys, c):
+        # x spans the body of the law: z = x/c - log c from -3 to 20
+        code, out, _ = run_cli(capsys, "limit-cdf", "--c", repr(c),
+                               "--x-min", repr(c * (math.log(c) - 3.0)),
+                               "--x-max", repr(c * (math.log(c) + 20.0)))
+        assert code == 0
+        fs = np.array([float(ln.split(",")[1])
+                       for ln in out.strip().splitlines()[1:]])
+        assert fs.size == 200
+        assert np.all(np.isfinite(fs))
+        assert np.all(np.diff(fs) >= 0.0)
+        assert fs[0] < 0.01 and fs[-1] > 0.9
 
     @pytest.mark.parametrize("argv", [
         ("--x-min", "nan"), ("--x-max", "inf"), ("--c", "nan"),
@@ -131,6 +147,15 @@ class TestRun:
         assert code == 0
         assert out.splitlines()[0] == "x,F"
 
+    def test_limit_cdf_config_with_results_dir(self, capsys, tmp_path):
+        # --out names the results directory for every experiment; the
+        # table still goes to stdout
+        code, out, _ = run_cli(capsys, "run", "levy-cf", "--out",
+                               str(tmp_path))
+        assert code == 0
+        assert out.splitlines()[0] == "x,F"
+        assert len(out.splitlines()) == 201
+
     @staticmethod
     def _tiny_weak_law(tmp_path):
         cfg = tmp_path / "ok.yaml"
@@ -173,8 +198,7 @@ class TestRun:
         assert json.loads(record.read_text())["version"] == __version__
 
     @pytest.mark.parametrize("line", [
-        "n_grid: [1, 100]", "n_grid: [50, 200]\nepsilon: 0",
-        "n_grid: [50, 200]\nworkers: 0"])
+        "n_grid: [1, 100]", "n_grid: [50, 200]\nepsilon: 0"])
     def test_invalid_config_values_exit_2(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("experiment: weak_law\nreplications: 60\n"

@@ -59,8 +59,6 @@ class TestConfig:
             small_config(epsilon=0.0)
         with pytest.raises(DomainError):
             small_config(epsilon=float("nan"))
-        with pytest.raises(DomainError):
-            small_config(workers=0)
 
     def test_to_dict_roundtrips_json(self):
         d = small_config().to_dict()

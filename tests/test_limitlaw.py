@@ -1,10 +1,16 @@
 """Stable limit laws: characteristic function, CDF inversion, sampling."""
 
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import levy_stable
 
+from oppenheimlab import limitlaw
 from oppenheimlab.errors import DomainError
 from oppenheimlab.limitlaw import (
     StableLimitLaw,
@@ -69,10 +75,54 @@ class TestCdf:
     def test_rotated_matches_realaxis_overlap(self):
         # the two inversion routes agree where both apply
         from oppenheimlab.limitlaw import _cdf_realaxis, _cdf_rotated
-        for c in (0.5, 1.0, 1.0 / math.log(2.0)):
-            for z in (1.0, 1.5, 2.5, 4.0):
-                assert _cdf_rotated(c, z) == pytest.approx(
-                    _cdf_realaxis(c, z), abs=5e-6)
+        for z in (1.0, 1.5, 2.5, 4.0):
+            assert _cdf_rotated(z) == pytest.approx(_cdf_realaxis(z),
+                                                    abs=5e-6)
+
+    @pytest.mark.parametrize("c", [0.05, 1.0 / math.log(2.0), 5.0, 50.0])
+    def test_scaling_identity_against_scipy(self, c):
+        # scipy's S1 law with scale c pi/2 and loc -delta is S(c, delta);
+        # it is an independent route to F_c(x) = F_1((x + delta)/c - log c)
+        law = StableLimitLaw(c, 0.7)
+        xs = -law.delta + c * np.linspace(-2.0, 10.0, 13)
+        saved = levy_stable.parameterization
+        try:
+            levy_stable.parameterization = "S1"
+            ref = levy_stable.cdf(xs, 1.0, 1.0, loc=-law.delta,
+                                  scale=c * math.pi / 2.0)
+        finally:
+            levy_stable.parameterization = saved
+        assert np.max(np.abs(cdf_many(law, xs) - ref)) < 2e-5
+
+    def test_one_table_for_every_scale(self):
+        for c in (1e-4, 0.3, 7.0, 1e4):
+            cdf(StableLimitLaw(c, 1.0), 2.0)
+        info = limitlaw._table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_import_builds_no_table(self):
+        src = str(Path(limitlaw.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r})\n"
+                "import oppenheimlab.cli\n"
+                "from oppenheimlab.limitlaw import _table\n"
+                "print(_table.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "0"
+
+    def test_non_finite_points(self):
+        law = StableLimitLaw(1.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cdf(law, math.inf) == 1.0
+            assert cdf(law, -math.inf) == 0.0
+            assert cdf_many(law, [-math.inf, math.inf]).tolist() == [0.0, 1.0]
+            assert cdf(StableLimitLaw(1e-4), 1e308) == 1.0
+            for f in (cdf, cdf_many, cdf_exact):
+                with pytest.raises(DomainError):
+                    f(law, math.nan)
+            with pytest.raises(DomainError):
+                cdf(StableLimitLaw(0.0), math.nan)
 
     def test_delta_is_pure_shift(self):
         base = StableLimitLaw(1.0, 0.0)
@@ -90,6 +140,8 @@ class TestCdf:
     def test_left_tail_thin(self):
         law = StableLimitLaw(1.0)
         assert cdf(law, -12.0) < 1e-6
+        # the table is 0 below z = -5, which needs the mass there negligible
+        assert cdf_exact(law, -5.0) < 1e-11
 
     def test_degenerate_c_zero(self):
         law = StableLimitLaw(0.0, 1.0)
