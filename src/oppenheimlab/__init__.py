@@ -1,7 +1,7 @@
 """Numerical laboratory for series-expansion digit laws, exact weak laws,
 and index-1 stable limit laws."""
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 from .errors import (
     AccuracyError,
@@ -39,15 +39,11 @@ from .distributions import (
 from .expansions import (
     DigitSequence,
     OppenheimScheme,
-    continued_fraction_digits,
-    engel_digits,
     engel_scheme,
     extract_digits,
-    luroth_digits,
     ratio_path,
     ratios,
     sample_oppenheim,
-    sylvester_digits,
     sylvester_scheme,
 )
 from .weights import (

@@ -114,6 +114,8 @@ def _cdf_csv(law: StableLimitLaw, x_min: float, x_max: float,
              points: int) -> str:
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise DomainError("x_min and x_max must be finite")
+    if points < 1:
+        raise DomainError("points must be >= 1")
     xs = np.linspace(x_min, x_max, points)
     lines = ["x,F"] + [f"{x:.10g},{cdf(law, float(x)):.10g}" for x in xs]
     return "\n".join(lines)
@@ -178,7 +180,8 @@ def cmd_run(args) -> int:
         if experiment not in ("weak_law", "distributional"):
             raise DomainError(f"unknown experiment {experiment!r}")
         config = _config_from_mapping(doc, args.seed)
-    except (DomainError, KeyError, ValueError, yaml.YAMLError) as exc:
+    except (DomainError, KeyError, TypeError, ValueError,
+            yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -57,27 +57,13 @@ class DigitSequence:
         """Exact value of the partial series plus the remainder tail."""
         if self.origin != "deterministic":
             raise DomainError("resum requires a deterministic extraction")
-        r = self.remainder if self.remainder is not None else Fraction(0)
-        if self.kind == "luroth":
-            total, prod = Fraction(0), Fraction(1)
-            for d in self.digits:
-                total += Fraction(1, d) / prod
-                prod *= d * (d - 1)
-            return total + r / prod
-        if self.kind == "engel":
-            total, prod = Fraction(0), Fraction(1)
-            for q in self.digits:
-                prod *= q
-                total += Fraction(1, 1) / prod
-            return total + r / prod
-        if self.kind == "sylvester":
-            return sum((Fraction(1, q) for q in self.digits), Fraction(0)) + r
-        if self.kind == "continued_fraction":
-            value = r
-            for a in reversed(self.digits):
-                value = Fraction(1, 1) / (a + value)
-            return value
-        raise DomainError(f"resum not defined for kind {self.kind!r}")
+        if self.kind not in _CODECS:
+            raise DomainError(f"resum not defined for kind {self.kind!r}")
+        inverse = _CODECS[self.kind][2]
+        value = self.remainder if self.remainder is not None else Fraction(0)
+        for d in reversed(self.digits):
+            value = inverse(value, d)
+        return value
 
 
 def _as_fraction(x) -> Fraction:
@@ -92,107 +78,53 @@ def _as_fraction(x) -> Fraction:
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
 
 
-def luroth_digits(x, count: int) -> DigitSequence:
-    """Digits d_1..d_count with d = k iff the remainder lies in (1/k, 1/(k-1)].
-
-    Remainder update x' = d(d-1)x - (d-1); the left-open convention keeps the
-    remainder in (0, 1], so the recurrence is total.
-    """
-    r = _as_fraction(x)
-    if not 0 < r <= 1:
-        raise DomainError("luroth_digits requires x in (0, 1]")
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    digits = []
-    terminated = False
-    for _ in range(count):
-        if r == 0:
-            terminated = True
-            break
-        d = (1 / r).__floor__() + 1
-        digits.append(d)
-        r = d * (d - 1) * r - (d - 1)
-    return DigitSequence("luroth", tuple(digits), "deterministic",
-                         x=_as_fraction(x), remainder=r,
-                         terminated=terminated)
+def _oppenheim_digit(r: Fraction) -> int:
+    """d = k iff r lies in (1/k, 1/(k-1)]: the left-open convention keeps
+    every Oppenheim remainder in (0, 1], so the recurrence is total."""
+    return (1 / r).__floor__() + 1
 
 
-def engel_digits(x, count: int) -> DigitSequence:
-    """Digits q_n = floor(1/x_n) + 1 with remainder x_{n+1} = q_n x_n - 1."""
-    r = _as_fraction(x)
-    if not 0 < r <= 1:
-        raise DomainError("engel_digits requires x in (0, 1]")
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    digits = []
-    terminated = False
-    for _ in range(count):
-        if r == 0:
-            terminated = True
-            break
-        q = (1 / r).__floor__() + 1
-        digits.append(q)
-        r = q * r - 1
-    return DigitSequence("engel", tuple(digits), "deterministic",
-                         x=_as_fraction(x), remainder=r,
-                         terminated=terminated)
-
-
-def sylvester_digits(x, count: int) -> DigitSequence:
-    """Digits q_n = floor(1/x_n) + 1 with remainder x_{n+1} = x_n - 1/q_n."""
-    r = _as_fraction(x)
-    if not 0 < r <= 1:
-        raise DomainError("sylvester_digits requires x in (0, 1]")
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    digits = []
-    terminated = False
-    for _ in range(count):
-        if r == 0:
-            terminated = True
-            break
-        q = (1 / r).__floor__() + 1
-        digits.append(q)
-        r = r - Fraction(1, q)
-    return DigitSequence("sylvester", tuple(digits), "deterministic",
-                         x=_as_fraction(x), remainder=r,
-                         terminated=terminated)
-
-
-def continued_fraction_digits(x, count: int) -> DigitSequence:
-    """Gauss-map digits a_n = floor(1/x_n), x_{n+1} = 1/x_n - a_n."""
-    r = _as_fraction(x)
-    if not 0 < r < 1:
-        raise DomainError("continued_fraction_digits requires x in (0, 1)")
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    digits = []
-    terminated = False
-    for _ in range(count):
-        if r == 0:
-            terminated = True
-            break
-        inv = 1 / r
-        a = inv.__floor__()
-        digits.append(a)
-        r = inv - a
-    return DigitSequence("continued_fraction", tuple(digits), "deterministic",
-                         x=_as_fraction(x), remainder=r,
-                         terminated=terminated)
-
-
-_EXTRACTORS = {
-    "luroth": luroth_digits,
-    "engel": engel_digits,
-    "sylvester": sylvester_digits,
-    "continued_fraction": continued_fraction_digits,
+# kind -> (digit rule, remainder map r -> r', its inverse r' -> r)
+_CODECS = {
+    "luroth": (_oppenheim_digit,
+               lambda r, d: d * (d - 1) * r - (d - 1),
+               lambda r, d: (r + d - 1) / (d * (d - 1))),
+    "engel": (_oppenheim_digit,
+              lambda r, d: d * r - 1,
+              lambda r, d: (r + 1) / d),
+    "sylvester": (_oppenheim_digit,
+                  lambda r, d: r - Fraction(1, d),
+                  lambda r, d: r + Fraction(1, d)),
+    # Gauss map on (0, 1)
+    "continued_fraction": (lambda r: (1 / r).__floor__(),
+                           lambda r, d: 1 / r - d,
+                           lambda r, d: 1 / (d + r)),
 }
 
 
 def extract_digits(kind: str, x, count: int) -> DigitSequence:
-    if kind not in _EXTRACTORS:
+    """The first ``count`` digits of x and the exact remainder after them.
+
+    The expansion stops early, ``terminated``, when the remainder hits zero
+    (only continued fractions of rationals do).
+    """
+    if kind not in _CODECS:
         raise DomainError(f"no deterministic extractor for kind {kind!r}")
-    return _EXTRACTORS[kind](x, count)
+    digit, step, _ = _CODECS[kind]
+    x = _as_fraction(x)
+    if kind == "continued_fraction" and not 0 < x < 1:
+        raise DomainError("continued_fraction digits require x in (0, 1)")
+    if not 0 < x <= 1:
+        raise DomainError(f"{kind} digits require x in (0, 1]")
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    digits, r = [], x
+    while len(digits) < count and r != 0:
+        d = digit(r)
+        digits.append(d)
+        r = step(r, d)
+    return DigitSequence(kind, tuple(digits), "deterministic", x=x,
+                         remainder=r, terminated=len(digits) < count)
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +207,31 @@ def sample_oppenheim(scheme: OppenheimScheme, n: int,
     return seq, ratios_out
 
 
+# chain state phi(D): given D_k, the next digit is D_{k+1} = floor(phi/U) + 1
+# for U uniform on (0, 1], and the ratio variable is R_k = (D_{k+1} - 1)/phi
+_PHI = {
+    "luroth": lambda d: 1,
+    "engel": lambda d: d - 1,
+    "sylvester": lambda d: d * (d - 1),
+}
+
+
 def ratios(kind: str, digits: Sequence[int]) -> list:
-    """Ratio variables attached to a digit sequence, as exact rationals.
+    """Ratio variables R_k = (D_{k+1} - 1)/phi(D_k) of a digit sequence, as
+    exact rationals.
 
     luroth: R_k = D_{k+1} - 1; engel: (D_{k+1} - 1)/(D_k - 1);
     sylvester: (D_{k+1} - 1)/(D_k (D_k - 1)).
     """
-    ds = list(digits)
-    if len(ds) < 2:
-        return []
-    if kind == "luroth":
-        return [Fraction(d - 1) for d in ds[1:]]
-    if kind == "engel":
-        if any(d == 1 for d in ds[:-1]):
-            raise SchemeError("engel ratio degenerate at digit 1")
-        return [Fraction(b - 1, a - 1) for a, b in zip(ds, ds[1:])]
-    if kind == "sylvester":
-        return [Fraction(b - 1, a * (a - 1)) for a, b in zip(ds, ds[1:])]
-    raise DomainError(f"no ratio law for kind {kind!r}")
+    if kind not in _PHI:
+        raise DomainError(f"no ratio law for kind {kind!r}")
+    out = []
+    for a, b in zip(digits, digits[1:]):
+        s = _PHI[kind](a)
+        if s == 0:
+            raise SchemeError(f"{kind} ratio degenerate at digit {a}")
+        out.append(Fraction(b - 1, s))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,92 +243,33 @@ def ratios(kind: str, digits: Sequence[int]) -> list:
 _EXACT_STATE_LIMIT = 1e12
 
 
-def luroth_ratio_matrix(rng: np.random.Generator, n: int,
-                        size: int) -> np.ndarray:
-    """(size, n) matrix of i.i.d. ratios R = D - 1 = floor(1/U), U uniform."""
-    u = 1.0 - rng.random((size, n))
-    return np.floor(1.0 / u)
+def ratio_path(kind: str, u: np.ndarray) -> np.ndarray:
+    """(m, n) ratios R_1..R_n of m digit chains driven by an (m, n + 1)
+    array of uniforms in (0, 1], one chain per row.
 
-
-def first_digit_samples(rng: np.random.Generator, size: int) -> np.ndarray:
-    """First digits D_1 = floor(1/x) + 1 of uniform x (law 1/(k(k-1)))."""
-    u = 1.0 - rng.random(size)
-    return np.floor(1.0 / u) + 1.0
-
-
-def engel_ratio_matrix(rng: np.random.Generator, n: int,
-                       size: int) -> np.ndarray:
-    """(size, n) ratios (D_{k+1}-1)/(D_k-1) along Engel digit chains.
-
-    Chain step D_{k+1} = floor((D_k - 1)/U) + 1; once the state exceeds the
-    exact-arithmetic window the floor is irrelevant and R = 1/U.
+    Lüroth ratios are i.i.d. floor(1/U) over the first n columns.  The
+    Engel and Sylvester chains start at D_1 = floor(1/u_0) + 1 and step
+    D_{k+1} = floor(phi(D_k)/u_k) + 1 with exact floors while phi(D_k) is
+    below the exact-arithmetic window; beyond it the floor is below float
+    resolution, so the rest of the row is 1/u.  Each column touches only
+    the rows still inside the window.
     """
-    d = first_digit_samples(rng, size)
-    out = np.empty((size, n))
-    for k in range(n):
-        u = 1.0 - rng.random(size)
-        small = d - 1.0 < _EXACT_STATE_LIMIT
-        r = 1.0 / u
-        r_small = np.floor((d - 1.0) / u) / (d - 1.0)
-        r = np.where(small, r_small, r)
-        out[:, k] = r
-        d = np.where(small, r * (d - 1.0) + 1.0, d)
-    return out
-
-
-def sylvester_ratio_matrix(rng: np.random.Generator, n: int,
-                           size: int) -> np.ndarray:
-    """(size, n) ratios (D_{k+1}-1)/(D_k(D_k-1)) along Sylvester chains.
-
-    Chain step D_{k+1} = floor(D_k(D_k - 1)/U) + 1; the state grows
-    doubly exponentially, so the exact window closes after a few steps.
-    """
-    d = first_digit_samples(rng, size)
-    out = np.empty((size, n))
-    for k in range(n):
-        u = 1.0 - rng.random(size)
-        s = d * (d - 1.0)
-        small = s < _EXACT_STATE_LIMIT
-        r = 1.0 / u
-        r_small = np.floor(s / u) / s
-        r = np.where(small, r_small, r)
-        out[:, k] = r
-        d = np.where(small, r * s + 1.0, d * r * d)  # growth tracking only
-        d = np.minimum(d, 1e300)
-    return out
-
-
-def ratio_path(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
-    """One replication's ratio vector R_1..R_n from a single RNG stream.
-
-    The digit chain is walked with exact floors while the state is small; the
-    state leaves the exact window after a few dozen steps, beyond which the
-    ratio draw is exactly 1/U at float resolution, so the remainder of the
-    path is vectorized.
-    """
-    u = 1.0 - rng.random(n + 1)
     if kind == "luroth":
-        return np.floor(1.0 / u[:n])
-    if kind not in ("engel", "sylvester"):
+        r = 1.0 / u[:, :-1]
+        return np.floor(r, out=r)
+    if kind not in _PHI:
         raise DomainError(f"no ratio chain for kind {kind!r}")
-    d = math.floor(1.0 / u[0]) + 1.0
-    out = np.empty(n)
-    k = 0
-    while k < n:
-        s = d - 1.0 if kind == "engel" else d * (d - 1.0)
-        if s >= _EXACT_STATE_LIMIT:
+    phi = _PHI[kind]
+    out = 1.0 / u[:, 1:]
+    rows = np.arange(u.shape[0])
+    d = np.floor(1.0 / u[:, 0]) + 1.0
+    for k in range(out.shape[1]):
+        s = phi(d)
+        live = s < _EXACT_STATE_LIMIT
+        rows, s = rows[live], s[live]
+        if rows.size == 0:
             break
-        nxt = math.floor(s / u[k + 1]) + 1.0
-        out[k] = (nxt - 1.0) / s
-        d = nxt
-        k += 1
-    if k < n:
-        out[k:] = 1.0 / u[k + 1:n + 1]
+        f = np.floor(s / u[rows, k + 1])
+        out[rows, k] = f / s
+        d = f + 1.0
     return out
-
-
-RATIO_MATRICES = {
-    "luroth": luroth_ratio_matrix,
-    "engel": engel_ratio_matrix,
-    "sylvester": sylvester_ratio_matrix,
-}

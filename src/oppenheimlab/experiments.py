@@ -31,7 +31,7 @@ from .distributions import (
     uniform_family,
 )
 from .errors import ConditionCheckError, DomainError
-from .expansions import RATIO_MATRICES, ratio_path
+from .expansions import ratio_path
 from .limitlaw import StableLimitLaw, char_fn, ks_distance
 from .specfun import EULER_GAMMA, c2_discrete
 from .weights import (
@@ -47,6 +47,8 @@ logger = logging.getLogger(__name__)
 
 WEAK_LAW_SCHEMES = ("direct", "luroth", "engel", "sylvester")
 DISTRIBUTIONAL_MODES = ("classical_1_2", "general_4_1", "cor_4_2", "cor_4_3")
+# uniforms per ratio_path call in a weak-law run (256 kB of doubles)
+_CHAIN_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -207,18 +209,26 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     per_n = []
     for i, n in enumerate(config.n_grid):
         a = weights_row(scheme, n)
-        # member indices, for the direct scheme only (the digit chains draw
-        # their own ratios, and an index row of n = 1e5 costs 0.8 MB)
-        ks = np.arange(1, n + 1) if config.scheme == "direct" else None
         denom = scheme.rho(n) * math.log(n)
         stats = np.empty(config.replications)
-        for rep in range(config.replications):
-            rng = replication_rng(config.master_seed, i, rep)
-            if config.scheme == "direct":
+        if config.scheme == "direct":
+            ks = np.arange(1, n + 1)
+            for rep in range(config.replications):
+                rng = replication_rng(config.master_seed, i, rep)
                 x = family.reciprocals(ks, rng, n)
-            else:
-                x = ratio_path(config.scheme, rng, n)
-            stats[rep] = float(np.dot(a, x)) / denom
+                stats[rep] = float(np.dot(a, x)) / denom
+        else:
+            # one ratio_path call walks a block of chains, one per row of
+            # n + 1 uniforms drawn from that replication's own stream
+            block = max(1, _CHAIN_BLOCK // (n + 1))
+            for start in range(0, config.replications, block):
+                reps = range(start, min(start + block, config.replications))
+                u = np.empty((len(reps), n + 1))
+                for rep, row in zip(reps, u):
+                    rng = replication_rng(config.master_seed, i, rep)
+                    rng.random(out=row)
+                for rep, x in zip(reps, ratio_path(config.scheme, 1.0 - u)):
+                    stats[rep] = float(np.dot(a, x)) / denom
         exceed = float(np.mean(np.abs(stats - ell) > config.epsilon))
         per_n.append({"n": int(n), "exceedance": exceed,
                       "t_median": float(np.median(stats)),
@@ -364,11 +374,9 @@ def char_distance_check(n: int, t_vector: Sequence[float], m: int,
         raise DomainError("t_vector must have length n")
     if m < 10**5:
         raise DomainError("need at least 1e5 replications")
-    if scheme_kind not in RATIO_MATRICES:
-        raise DomainError(f"unknown scheme kind {scheme_kind!r}")
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(master_seed)))
-    r = RATIO_MATRICES[scheme_kind](rng, n, m)
+    r = ratio_path(scheme_kind, 1.0 - rng.random((m, n + 1)))
     ecf = complex(np.mean(np.exp(1j * (r @ t))))
 
     family = uniform_family()

@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from oppenheimlab.errors import DomainError
-from oppenheimlab.expansions import first_digit_samples
+from oppenheimlab.expansions import ratio_path
 from oppenheimlab.experiments import (
     ExperimentConfig,
     char_distance_check,
@@ -92,7 +92,10 @@ def test_05_hypergeometric_slice(capsys):
 
 def test_06_first_digit_frequencies(capsys):
     t0 = time.perf_counter()
-    d = first_digit_samples(np.random.default_rng(20260823), 10**6)
+    # Lüroth digits are i.i.d., so the 1e6 digits of one chain sample the
+    # first-digit law
+    u = 1.0 - np.random.default_rng(20260823).random((1, 10**6 + 1))
+    d = 1.0 + ratio_path("luroth", u)[0]
     worst_sigmas = 0.0
     for k in range(2, 11):
         p = 1.0 / (k * (k - 1.0))

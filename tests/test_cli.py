@@ -90,6 +90,13 @@ class TestLimitCdf:
         assert np.all(np.diff(fs) >= 0.0)
         assert fs[0] < 0.01 and fs[-1] > 0.9
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_exit_2(self, capsys, points):
+        code, out, err = run_cli(capsys, "limit-cdf", "--points", points)
+        assert code == 2
+        assert "points" in err
+        assert out == ""
+
     @pytest.mark.parametrize("argv", [
         ("--x-min", "nan"), ("--x-max", "inf"), ("--c", "nan"),
         ("--delta=-inf",)])
@@ -198,7 +205,7 @@ class TestRun:
         assert json.loads(record.read_text())["version"] == __version__
 
     @pytest.mark.parametrize("line", [
-        "n_grid: [1, 100]", "n_grid: [50, 200]\nepsilon: 0"])
+        "n_grid: [1, 100]", "n_grid: [50, 200]\nepsilon: 0", "n_grid: 5"])
     def test_invalid_config_values_exit_2(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("experiment: weak_law\nreplications: 60\n"
@@ -207,6 +214,16 @@ class TestRun:
                                str(tmp_path / "results"))
         assert code == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize("line", ["c: [1]", "c: 1\npoints: 0",
+                                      "c: 1\npoints: -3"])
+    def test_invalid_limit_cdf_config_exit_2(self, capsys, tmp_path, line):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("experiment: limit_cdf\n" + line + "\n")
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == 2
+        assert "config error" in err
+        assert out == ""
 
     def test_bad_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.yaml"
