@@ -207,7 +207,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_ks_test(args) -> int:
-    samples = np.loadtxt(args.samples, ndmin=1)
+    try:
+        samples = np.loadtxt(args.samples, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"unreadable samples file: {exc}") from exc
+    if samples.ndim != 1:
+        raise DomainError("unreadable samples file: expected one sample per "
+                          "line")
     law = _law(args.law, args.c, args.delta)
     d = ks_distance(samples, law)
     print(f"ks={d:.6g} n={samples.size}")

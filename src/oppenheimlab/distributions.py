@@ -67,9 +67,10 @@ def member_values(seq: Callable, ks: np.ndarray) -> np.ndarray:
 
 
 def discrete_digits(beta, v):
-    """The digit Z = max(ceil(b + (1-b)/v), 2) of the discrete-beta family
-    for v in (0, 1]; beta and v broadcast."""
-    return np.maximum(np.ceil(beta + (1.0 - beta) / v), 2.0)
+    """The digit Z = floor(b + (1-b)/v) + 1 of the discrete-beta family for v
+    in (0, 1], the Oppenheim rule floor(1/r) + 1 at b = 0; beta and v
+    broadcast."""
+    return np.floor(beta + (1.0 - beta) / v) + 1.0
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,12 @@ class DistributionFamily:
 
     ``cdf`` and ``density`` are indexed by n >= 1.  ``alpha``, ``beta``,
     ``param`` and ``support_max`` also accept index arrays, and
-    ``sampler(ks, rng, size)`` draws ``size`` values from a caller-owned numpy
-    Generator: from member ks if it is an index, or one from each member if
-    it is an index array of length ``size``.  ``param`` maps n to the number
-    that fixes member n, so equal values mean equal laws.  Continuous kinds
-    carry a density and the supremum of their support; the discrete kind
-    carries its atom layout instead.
+    ``sampler(ks, v)`` maps uniforms v in (0, 1] to draws: of member ks if it
+    is an index, or of member ks[j] from v[..., j] if it is an index array
+    (ks and v broadcast, so v may be a block of rows).  ``param`` maps n to
+    the number that fixes member n, so equal values mean equal laws.
+    Continuous kinds carry a density and the supremum of their support; the
+    discrete kind carries its atom layout instead.
     """
 
     kind: str
@@ -99,13 +100,13 @@ class DistributionFamily:
     def is_discrete(self) -> bool:
         return self.kind in DISCRETE_KINDS
 
-    def reciprocals(self, ks, rng: np.random.Generator,
-                    size: int) -> np.ndarray:
-        """Draws of Y = 1/U, indexed as ``sampler``.  The discrete kind
-        returns its integer digits exactly, which 1/(1/Z) would round."""
+    def reciprocals(self, ks, v) -> np.ndarray:
+        """Draws of Y = 1/U from uniforms v, indexed as ``sampler``.  The
+        discrete kind returns its integer digits exactly, which 1/(1/Z) would
+        round."""
         if self.is_discrete():
-            return discrete_digits(self.beta(ks), 1.0 - rng.random(size))
-        return 1.0 / self.sampler(ks, rng, size)
+            return discrete_digits(self.beta(ks), v)
+        return 1.0 / self.sampler(ks, v)
 
     def atoms(self, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """First ``count`` atoms (points, masses) of a discrete member."""
@@ -133,7 +134,7 @@ def uniform_family() -> DistributionFamily:
         kind="uniform",
         cdf=lambda n, t: min(max(t, 0.0), 1.0),
         alpha=one,
-        sampler=lambda ks, rng, size: 1.0 - rng.random(size),
+        sampler=lambda ks, v: v,
         density=lambda n, u: 1.0 if 0.0 <= u <= 1.0 else 0.0,
         support_max=one,
         param=one,
@@ -158,9 +159,8 @@ def mobius_clamped_family(c_n="constant:1") -> DistributionFamily:
             return c / (1.0 - c * u) ** 2
         return 0.0
 
-    def sampler(ks, rng, size):
-        p = 1.0 - rng.random(size)  # p in (0, 1]
-        return p / (cseq(ks) * (1.0 + p))
+    def sampler(ks, v):
+        return v / (cseq(ks) * (1.0 + v))
 
     return DistributionFamily(
         kind="mobius_clamped", cdf=cdf, alpha=cseq, sampler=sampler,
@@ -187,9 +187,8 @@ def mobius_remark2_family(c_n="constant:1") -> DistributionFamily:
             return c / (1.0 - u) ** 2
         return 0.0
 
-    def sampler(ks, rng, size):
-        p = 1.0 - rng.random(size)
-        return p / (cseq(ks) + p)
+    def sampler(ks, v):
+        return v / (cseq(ks) + v)
 
     return DistributionFamily(
         kind="mobius_remark2", cdf=cdf, alpha=cseq, sampler=sampler,
@@ -218,8 +217,8 @@ def discrete_beta_family(beta_n="constant:0") -> DistributionFamily:
             return 1.0
         return (1.0 - b) / (k - 1.0 - b)
 
-    def sampler(ks, rng, size):
-        return 1.0 / discrete_digits(bseq(ks), 1.0 - rng.random(size))
+    def sampler(ks, v):
+        return 1.0 / discrete_digits(bseq(ks), v)
 
     def alpha(n):
         return 1.0 - bseq(n)

@@ -190,7 +190,7 @@ def sample_oppenheim(scheme: OppenheimScheme, n: int,
             raise SchemeError(
                 "phi = 0 at a reachable digit; use the direct digit sampler")
         qv = scheme.q(j, tuple(digits))
-        u = float(scheme.digit_family.sampler(j, rng, 1)[0])
+        u = float(scheme.digit_family.sampler(j, 1.0 - rng.random()))
         k_min = max(1, math.ceil(phi_h))
         k = max(k_min, math.floor(phi_h * (1.0 + qv) / u - phi_h * qv))
         if k < 2**53:

@@ -3,7 +3,8 @@
 Reproducibility contract: every replication j of the grid point with index i
 draws from its own stream seeded as SeedSequence(master_seed,
 spawn_key=(i, j)); statistics are reduced in replication order, so a record
-is bit-identical across reruns.
+is bit-identical across reruns.  Every Monte Carlo sum is drawn and reduced
+by ``_replication_sums``.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ logger = logging.getLogger(__name__)
 
 WEAK_LAW_SCHEMES = ("direct", "luroth", "engel", "sylvester")
 DISTRIBUTIONAL_MODES = ("classical_1_2", "general_4_1", "cor_4_2", "cor_4_3")
-# uniforms per ratio_path call in a weak-law run (256 kB of doubles)
-_CHAIN_BLOCK = 2**15
+# uniforms per block of replications mapped in one call (256 kB of doubles)
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,10 @@ class ExperimentConfig:
         return d
 
     def digest(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True,
-                             separators=(",", ":"))
+        """Cache key of the config under this package version, so records of
+        different versions sit side by side."""
+        payload = json.dumps({**self.to_dict(), "version": _pkg_version},
+                             sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -167,6 +170,27 @@ def replication_rng(master_seed: int, n_index: int,
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _replication_sums(config: ExperimentConfig, n_index: int,
+                      a: np.ndarray, width: int, summands) -> np.ndarray:
+    """sum_k a_k X_k for every replication of grid point ``n_index``.
+
+    Row j of a block holds ``width`` uniforms from replication j's own
+    stream; ``summands`` maps the whole block of uniforms in (0, 1] to rows
+    of X in one call, and each row is reduced by its own dot product in
+    replication order.
+    """
+    sums = np.empty(config.replications)
+    block = max(1, _BLOCK // width)
+    for start in range(0, config.replications, block):
+        reps = range(start, min(start + block, config.replications))
+        u = np.empty((len(reps), width))
+        for rep, row in zip(reps, u):
+            replication_rng(config.master_seed, n_index, rep).random(out=row)
+        for rep, x in zip(reps, summands(1.0 - u)):
+            sums[rep] = float(np.dot(a, x))
+    return sums
+
+
 def _weight_scheme(cfg: dict) -> WeightScheme:
     kind = cfg.get("kind", "cesaro")
     if kind == "cesaro":
@@ -209,26 +233,14 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     per_n = []
     for i, n in enumerate(config.n_grid):
         a = weights_row(scheme, n)
-        denom = scheme.rho(n) * math.log(n)
-        stats = np.empty(config.replications)
         if config.scheme == "direct":
             ks = np.arange(1, n + 1)
-            for rep in range(config.replications):
-                rng = replication_rng(config.master_seed, i, rep)
-                x = family.reciprocals(ks, rng, n)
-                stats[rep] = float(np.dot(a, x)) / denom
-        else:
-            # one ratio_path call walks a block of chains, one per row of
-            # n + 1 uniforms drawn from that replication's own stream
-            block = max(1, _CHAIN_BLOCK // (n + 1))
-            for start in range(0, config.replications, block):
-                reps = range(start, min(start + block, config.replications))
-                u = np.empty((len(reps), n + 1))
-                for rep, row in zip(reps, u):
-                    rng = replication_rng(config.master_seed, i, rep)
-                    rng.random(out=row)
-                for rep, x in zip(reps, ratio_path(config.scheme, 1.0 - u)):
-                    stats[rep] = float(np.dot(a, x)) / denom
+            sums = _replication_sums(config, i, a, n,
+                                     lambda v: family.reciprocals(ks, v))
+        else:  # a chain of n ratios walks n + 1 uniforms
+            sums = _replication_sums(config, i, a, n + 1,
+                                     lambda v: ratio_path(config.scheme, v))
+        stats = sums / (scheme.rho(n) * math.log(n))
         exceed = float(np.mean(np.abs(stats - ell) > config.epsilon))
         per_n.append({"n": int(n), "exceedance": exceed,
                       "t_median": float(np.median(stats)),
@@ -241,12 +253,12 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
 # Distributional limits
 # ---------------------------------------------------------------------------
 
-def _summand_family(mode: str,
-                    family_or_beta) -> Optional[DistributionFamily]:
-    """The family whose reciprocals are the summands of the mode (the
-    discrete-beta family for cor_4_3), or None for the classical digit law."""
+def _summand_family(mode: str, family_or_beta) -> DistributionFamily:
+    """The family whose reciprocals are the summands of the mode: the
+    discrete-beta family for cor_4_3, and its beta = 0 member, the classical
+    digit law, for classical_1_2."""
     if mode == "classical_1_2":
-        return None
+        return discrete_beta_family()
     if mode in ("cor_4_2", "general_4_1"):
         return _family(family_or_beta)
     if mode == "cor_4_3":
@@ -283,9 +295,6 @@ def centering_constants(mode: str, family_or_beta, scheme: WeightScheme,
     family = _summand_family(mode, family_or_beta)
     a = weights_row(scheme, n)
     log_a = np.log(a)
-    if family is None:
-        # digit law Z = ceil(1/U): c1 = 1, c2 = 0
-        return float(a.sum()), float(np.sum(a * log_a))
     ks = np.arange(1, n + 1)
     c1 = member_values(family.alpha, ks)
     c2 = _c2_values(family, ks)
@@ -301,15 +310,9 @@ def v_samples(config: ExperimentConfig, n: int,
     subtractor, log_term = centering_constants(config.mode, source, scheme, n)
     family = _summand_family(config.mode, source)
     ks = np.arange(1, n + 1)
-    out = np.empty(config.replications)
-    for rep in range(config.replications):
-        rng = replication_rng(config.master_seed, n_index, rep)
-        if family is None:  # classical digit law Z = floor(1/U) + 1
-            z = np.floor(1.0 / (1.0 - rng.random(n))) + 1.0
-        else:
-            z = family.reciprocals(ks, rng, n)
-        out[rep] = float(np.dot(a, z)) - subtractor + log_term
-    return out
+    sums = _replication_sums(config, n_index, a, n,
+                             lambda v: family.reciprocals(ks, v))
+    return sums - subtractor + log_term
 
 
 def limit_law_for(config: ExperimentConfig) -> StableLimitLaw:
@@ -318,8 +321,7 @@ def limit_law_for(config: ExperimentConfig) -> StableLimitLaw:
     scheme = _weight_scheme(config.weights)
     family = _summand_family(config.mode, _mode_source(config))
     ks = np.arange(1, max(config.n_grid) + 1)
-    c1 = np.ones(ks.size) if family is None else \
-        member_values(family.alpha, ks)
+    c1 = member_values(family.alpha, ks)
     report = check_theorem_4_1_conditions(scheme, c1, ks.size)
     if not report.passed:
         failing = [k for k, (_, v) in report.conditions.items() if v != "pass"]

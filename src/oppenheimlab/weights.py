@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -51,57 +50,39 @@ def cesaro_scheme(rho="constant") -> WeightScheme:
                         make_rho(rho), {})
 
 
-@lru_cache(maxsize=64)
-def _power_weights(alpha: float, n: int) -> tuple:
-    w = np.arange(1, n + 1, dtype=float) ** (-alpha)
-    return tuple(w / w.sum())
-
-
 def power_alpha_scheme(alpha: float, rho="constant") -> WeightScheme:
     """a_{k,n} = k^(-alpha) / sum_{j<=n} j^(-alpha), alpha < 1."""
     if alpha >= 1.0:
         raise DomainError("power_alpha requires alpha < 1")
-    return WeightScheme(
-        "power_alpha",
-        lambda n: np.array(_power_weights(alpha, n)),
-        make_rho(rho), {"alpha": alpha},
-    )
+
+    def a_row(n):
+        w = np.arange(1, n + 1, dtype=float) ** (-alpha)
+        return w / w.sum()
+
+    return WeightScheme("power_alpha", a_row, make_rho(rho),
+                        {"alpha": alpha})
 
 
-@lru_cache(maxsize=8)
-def _iterated_rows(alpha: float, r: int, n_max: int) -> tuple:
-    """All weight rows up to n_max for the r-iterated mean operator.
+def iterated_scheme(alpha: float, r: int, rho="constant") -> WeightScheme:
+    """Effective weights of the r-iterated alpha-weighted mean.
 
-    Row identity: the n-th entry of the r-iterated mean equals
-    sum_k a^{(r)}_{k,n} x_k; rows are built by averaging the previous order's
-    rows with the k^(-alpha) weights.
+    One mean step is (M x)_m = sum_{k<=m} w_k x_k / cw_m with w_k = k^(-alpha)
+    and cw its partial sums, so row n of M^r is e_n pushed r times through
+    the transpose map v -> w * revcumsum(v / cw).
     """
-    w = np.arange(1, n_max + 1, dtype=float) ** (-alpha)
-    cw = np.cumsum(w)
-    rows = [np.concatenate([np.zeros(n), [1.0], np.zeros(n_max - n - 1)])
-            for n in range(n_max)]  # order 0: identity
-    for _ in range(r):
-        acc = np.zeros(n_max)
-        new_rows = []
-        for n in range(n_max):
-            acc = acc + w[n] * rows[n]
-            new_rows.append(acc / cw[n])
-        rows = new_rows
-    return tuple(tuple(row[:n + 1]) for n, row in enumerate(rows))
-
-
-def iterated_scheme(alpha: float, r: int, rho="constant",
-                    n_cap: int = 20000) -> WeightScheme:
-    """Effective weights of the r-iterated alpha-weighted mean."""
     if alpha >= 1.0:
         raise DomainError("iterated scheme requires alpha < 1")
     if r < 0:
         raise DomainError("r must be >= 0")
 
     def a_row(n):
-        if n > n_cap:
-            raise DomainError(f"iterated rows capped at n = {n_cap}")
-        return np.array(_iterated_rows(alpha, r, n)[n - 1])
+        w = np.arange(1, n + 1, dtype=float) ** (-alpha)
+        cw = np.cumsum(w)
+        row = np.zeros(n)
+        row[-1] = 1.0
+        for _ in range(r):
+            row = w * np.cumsum((row / cw)[::-1])[::-1]
+        return row
 
     return WeightScheme("iterated", a_row, make_rho(rho),
                         {"alpha": alpha, "r": r})

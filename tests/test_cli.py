@@ -247,6 +247,18 @@ class TestKsTest:
                               "--tolerance", "0.0001")
         assert code2 == 1
 
+    @pytest.mark.parametrize(
+        "text", [None, "0.5\nabc\n", "0.1 0.2\n0.3\n", "0.1 0.2\n0.3 0.4\n"],
+        ids=["missing", "non-numeric", "ragged", "two-columns"])
+    def test_unreadable_samples_exit_2(self, capsys, tmp_path, text):
+        f = tmp_path / "samples.txt"
+        if text is not None:
+            f.write_text(text)
+        code, out, err = run_cli(capsys, "ks-test", str(f), "--c", "1.0")
+        assert code == 2
+        assert "unreadable samples file" in err
+        assert out == ""
+
     def test_non_finite_sample_exit_2(self, capsys, tmp_path):
         f = tmp_path / "samples.txt"
         f.write_text("0.5\nnan\n1.5\n")

@@ -70,15 +70,9 @@ class TestMakeSequence:
                               [f(int(k)) for k in ks])
 
 
-class _FixedStream:
-    """Stands in for a Generator: random(size) returns preset values."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def random(self, size):
-        assert size == self.values.size
-        return self.values.copy()
+def _uniforms(seed, shape):
+    """Uniforms in (0, 1], as the Monte Carlo runs feed the samplers."""
+    return 1.0 - np.random.default_rng(seed).random(shape)
 
 
 class TestIndexSampling:
@@ -87,22 +81,24 @@ class TestIndexSampling:
         fam = mobius_clamped_family([1.0, 4.0])
         ks = np.arange(1, 3)
         for seed in range(200):
-            y = fam.reciprocals(ks, np.random.default_rng(seed), 2)
+            y = fam.reciprocals(ks, _uniforms(seed, 2))
             assert y[1] >= 8.0
             assert y[0] >= 2.0  # member 1 (c = 1) lives on (0, 1/2]
 
     def test_index_array_equals_per_member_draws(self):
-        # one random(n) gives the same doubles as n calls of random(1)
+        # a block of rows over an index array maps each uniform exactly as
+        # the scalar call of its own member does
         fam = mobius_remark2_family([1.0, 2.0, 5.0])
         ks = np.arange(1, 6)
-        joint = fam.sampler(ks, np.random.default_rng(3), ks.size)
-        rng = np.random.default_rng(3)
-        single = [fam.sampler(int(k), rng, 1)[0] for k in ks]
+        v = _uniforms(3, (4, ks.size))
+        joint = fam.sampler(ks, v)
+        single = [[fam.sampler(int(k), x) for k, x in zip(ks, row)]
+                  for row in v]
         assert np.array_equal(joint, single)
 
     def test_scalar_index_draws_one_member(self):
         fam = mobius_clamped_family([1.0, 4.0])
-        xs = fam.sampler(2, np.random.default_rng(0), 1000)
+        xs = fam.sampler(2, _uniforms(0, 1000))
         assert xs.max() <= fam.support_max(2)
 
     def test_discrete_reciprocals_are_exact_digits(self):
@@ -110,22 +106,31 @@ class TestIndexSampling:
         assert 1.0 / (1.0 / 49.0) != 49.0
         fam = discrete_beta_family([0.0, 0.0])
         v = np.array([1.0 / 48.5, 1.0 / 92.5])
-        z = fam.reciprocals(np.arange(1, 3), _FixedStream(1.0 - v), 2)
+        z = fam.reciprocals(np.arange(1, 3), v)
         assert z.tolist() == [49.0, 93.0]
 
     def test_discrete_list_family_per_member_beta(self):
         fam = discrete_beta_family([0.0, 0.9])
         ks = np.arange(1, 3)
-        rng = np.random.default_rng(5)
-        z = fam.reciprocals(ks, rng, 2)
-        v = 1.0 - np.random.default_rng(5).random(2)
+        v = _uniforms(5, 2)
+        z = fam.reciprocals(ks, v)
         assert np.array_equal(z, discrete_digits(np.array([0.0, 0.9]), v))
         assert np.all(z == np.floor(z)) and np.all(z >= 2.0)
 
     def test_digit_rule(self):
-        assert discrete_digits(0.0, 1.0) == 2.0  # clamped to 2
-        assert discrete_digits(0.5, 0.25) == 3.0  # ceil(0.5 + 2)
-        assert discrete_digits(0.5, 0.2) == 3.0  # ceil(3.0)
+        assert discrete_digits(0.0, 1.0) == 2.0  # floor(1) + 1
+        assert discrete_digits(0.5, 0.25) == 3.0  # floor(2.5) + 1
+        # b + (1-b)/v = 3 sits on an atom boundary: atoms are left-open,
+        # (p_4, p_3] maps to 4
+        assert discrete_digits(0.5, 0.2) == 4.0
+
+    def test_beta_zero_is_the_oppenheim_digit(self):
+        # at b = 0 the rule is floor(1/v) + 1, also at the boundaries 2^-j
+        j = np.arange(0, 40)
+        assert np.array_equal(discrete_digits(0.0, 2.0 ** -j), 2.0 ** j + 1)
+        assert discrete_digits(0.0, 0.5) == 3.0
+        u = _uniforms(9, 10_000)
+        assert np.array_equal(discrete_digits(0.0, u), np.floor(1.0 / u) + 1.0)
 
 
 class TestCdfSamplerAgreement:
@@ -138,8 +143,7 @@ class TestCdfSamplerAgreement:
         mobius_remark2_family("constant:1"),
     ], ids=["uniform", "mc1", "mc2", "mr2"])
     def test_ks_small(self, family):
-        rng = np.random.default_rng(42)
-        xs = np.sort(family.sampler(1, rng, 200_000))
+        xs = np.sort(family.sampler(1, _uniforms(42, 200_000)))
         f_vals = np.array([family.cdf(1, x) for x in xs])
         emp_hi = np.arange(1, xs.size + 1) / xs.size
         gap = np.max(np.abs(emp_hi - f_vals))
@@ -148,8 +152,7 @@ class TestCdfSamplerAgreement:
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_discrete_atom_frequencies(self, beta):
         fam = discrete_beta_family(f"constant:{beta}")
-        rng = np.random.default_rng(42)
-        xs = fam.sampler(1, rng, 200_000)
+        xs = fam.sampler(1, _uniforms(42, 200_000))
         z = np.rint(1.0 / xs).astype(int)
         for k in range(2, 12):
             p = discrete_beta_pmf(beta, k)
@@ -158,9 +161,8 @@ class TestCdfSamplerAgreement:
             assert abs(freq - p) < 4.0 * sigma + 1e-9
 
     def test_support_bounds(self):
-        rng = np.random.default_rng(0)
         fam = mobius_clamped_family("constant:2")
-        xs = fam.sampler(1, rng, 10_000)
+        xs = fam.sampler(1, _uniforms(0, 10_000))
         assert xs.max() <= fam.support_max(1) + 1e-12
         assert xs.min() > 0.0
 

@@ -60,6 +60,20 @@ class TestConfig:
         with pytest.raises(DomainError):
             small_config(epsilon=float("nan"))
 
+    def test_digest_includes_version(self, monkeypatch, tmp_path):
+        # a record of another version sits beside the current one
+        cfg = small_config()
+        current = RunRecord(cfg.digest(), "weak_law", ({"n": 10},), 0.1)
+        monkeypatch.setattr(experiments, "_pkg_version", "0.0.0")
+        other = RunRecord(cfg.digest(), "weak_law", ({"n": 10},), 0.1,
+                          version="0.0.0")
+        assert other.config_digest != current.config_digest
+        save_record(other, tmp_path)
+        monkeypatch.undo()
+        save_record(current, tmp_path)
+        assert len(list(tmp_path.iterdir())) == 2
+        assert load_record(cfg.digest(), tmp_path) == current
+
     def test_to_dict_roundtrips_json(self):
         d = small_config().to_dict()
         assert json.loads(json.dumps(d)) == d
@@ -132,6 +146,27 @@ class TestReproducibility:
         r2 = distributional_run(cfg)
         assert r1 == r2
 
+    @pytest.mark.parametrize("runner, kw", [
+        (exact_weak_law_run, dict(scheme="direct")),
+        (exact_weak_law_run, dict(scheme="engel")),
+        (distributional_run, dict(n_grid=(100, 400))),
+        (distributional_run, dict(n_grid=(100, 400), mode="cor_4_3",
+                                  beta="constant:0.5")),
+    ], ids=["direct", "engel", "classical", "cor43-half"])
+    def test_records_do_not_depend_on_block_size(self, monkeypatch, runner,
+                                                 kw):
+        cfg = small_config(**kw)
+        default = runner(cfg)
+        for block in (1, 1000):  # one replication per block; ragged blocks
+            monkeypatch.setattr(experiments, "_BLOCK", block)
+            assert runner(cfg) == default
+
+    def test_classical_is_cor43_beta_zero(self):
+        classical = v_samples(small_config(), 200, 1)
+        cor43 = v_samples(small_config(mode="cor_4_3", beta="constant:0"),
+                          200, 1)
+        assert np.array_equal(classical, cor43)
+
 
 class TestWeakLaw:
     def test_direct_run_structure(self):
@@ -170,8 +205,7 @@ class TestCentering:
         s1, l1 = centering_constants("classical_1_2", {"kind": "uniform"},
                                      sch, 100)
         s2, l2 = centering_constants("cor_4_3", "constant:0", sch, 100)
-        assert s1 == pytest.approx(s2, abs=1e-12)
-        assert l1 == pytest.approx(l2, abs=1e-12)
+        assert (s1, l1) == (s2, l2)  # the same beta = 0 family
         # cesaro: kappa = 1 and sum a log a = -log n
         assert s1 == pytest.approx(1.0, abs=1e-12)
         assert l1 == pytest.approx(-math.log(100.0), abs=1e-9)

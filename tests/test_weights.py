@@ -86,6 +86,13 @@ class TestSchemes:
             assert float(weights_row(sch, n) @ xs[:n]) == pytest.approx(
                 direct[n - 1], abs=1e-12)
 
+    def test_iterated_row_at_large_n(self):
+        # one row of the transpose recurrence, far beyond an n x n table
+        xs = np.random.default_rng(1).normal(size=10**5)
+        row = weights_row(iterated_scheme(0.4, 3), xs.size)
+        assert float(row @ xs) == pytest.approx(
+            iterated_mean(xs, 0.4, 3)[-1], abs=1e-12)
+
     def test_custom_table(self):
         sch = custom_table_scheme({2: [0.5, 0.5], 3: [0.2, 0.3, 0.5]})
         assert np.allclose(weights_row(sch, 3), [0.2, 0.3, 0.5])
