@@ -26,7 +26,6 @@ from .specfun import (
     gauss_2f1_unit,
 )
 
-CONTINUOUS_KINDS = {"uniform", "mobius_clamped", "mobius_remark2", "custom"}
 DISCRETE_KINDS = {"discrete_beta"}
 
 
@@ -141,60 +140,40 @@ def uniform_family() -> DistributionFamily:
     )
 
 
-def mobius_clamped_family(c_n="constant:1") -> DistributionFamily:
-    """F_n(t) = c t / (1 - c t) below 1/(2c), clamped to 1 afterwards."""
+def _mobius_family(kind: str, c_n, edge, core, sampler) -> DistributionFamily:
+    """F_n(t) = c t / core(c, t) below edge(c), clamped to 1 afterwards,
+    with c = c_n; ``sampler(c, v)`` maps uniforms to draws."""
     cseq = make_sequence(c_n)
 
     def cdf(n, t):
         c = cseq(n)
         if t <= 0.0:
             return 0.0
-        if t >= 1.0 / (2.0 * c):
-            return 1.0
-        return c * t / (1.0 - c * t)
+        return 1.0 if t >= edge(c) else c * t / core(c, t)
 
     def density(n, u):
         c = cseq(n)
-        if 0.0 <= u < 1.0 / (2.0 * c):
-            return c / (1.0 - c * u) ** 2
-        return 0.0
-
-    def sampler(ks, v):
-        return v / (cseq(ks) * (1.0 + v))
+        return c / core(c, u) ** 2 if 0.0 <= u < edge(c) else 0.0
 
     return DistributionFamily(
-        kind="mobius_clamped", cdf=cdf, alpha=cseq, sampler=sampler,
-        density=density, support_max=lambda n: 1.0 / (2.0 * cseq(n)),
-        param=cseq, params={"c_n": c_n},
+        kind=kind, cdf=cdf, alpha=cseq,
+        sampler=lambda ks, v: sampler(cseq(ks), v), density=density,
+        support_max=lambda n: edge(cseq(n)), param=cseq,
+        params={"c_n": c_n},
     )
+
+
+def mobius_clamped_family(c_n="constant:1") -> DistributionFamily:
+    """F_n(t) = c t / (1 - c t) below 1/(2c), clamped to 1 afterwards."""
+    return _mobius_family("mobius_clamped", c_n, lambda c: 1.0 / (2.0 * c),
+                          lambda c, t: 1.0 - c * t,
+                          lambda c, v: v / (c * (1.0 + v)))
 
 
 def mobius_remark2_family(c_n="constant:1") -> DistributionFamily:
     """F_n(t) = c t / (1 - t) below 1/(1+c), clamped to 1 afterwards."""
-    cseq = make_sequence(c_n)
-
-    def cdf(n, t):
-        c = cseq(n)
-        if t <= 0.0:
-            return 0.0
-        if t >= 1.0 / (1.0 + c):
-            return 1.0
-        return c * t / (1.0 - t)
-
-    def density(n, u):
-        c = cseq(n)
-        if 0.0 <= u < 1.0 / (1.0 + c):
-            return c / (1.0 - u) ** 2
-        return 0.0
-
-    def sampler(ks, v):
-        return v / (cseq(ks) + v)
-
-    return DistributionFamily(
-        kind="mobius_remark2", cdf=cdf, alpha=cseq, sampler=sampler,
-        density=density, support_max=lambda n: 1.0 / (1.0 + cseq(n)),
-        param=cseq, params={"c_n": c_n},
-    )
+    return _mobius_family("mobius_remark2", c_n, lambda c: 1.0 / (1.0 + c),
+                          lambda c, t: 1.0 - t, lambda c, v: v / (c + v))
 
 
 def discrete_beta_family(beta_n="constant:0") -> DistributionFamily:

@@ -146,18 +146,22 @@ class OppenheimScheme:
     name: str = "custom"
 
 
-def engel_scheme(family: Optional[DistributionFamily] = None) -> OppenheimScheme:
-    return OppenheimScheme(phi=lambda j, h: float(h),
+def _chain_scheme(kind: str, family) -> OppenheimScheme:
+    """The digit chain of ``kind`` as a general scheme.  Its state is
+    Theta = D - 1, so phi(Theta) = _PHI[kind](Theta + 1): Theta for Engel,
+    Theta(Theta + 1) for Sylvester."""
+    return OppenheimScheme(phi=lambda j, h: float(_PHI[kind](h + 1)),
                            q=lambda n, hist: 0.0,
                            digit_family=family or uniform_family(),
-                           name="engel")
+                           name=kind)
+
+
+def engel_scheme(family: Optional[DistributionFamily] = None) -> OppenheimScheme:
+    return _chain_scheme("engel", family)
 
 
 def sylvester_scheme(family: Optional[DistributionFamily] = None) -> OppenheimScheme:
-    return OppenheimScheme(phi=lambda j, h: float(h * (h - 1)),
-                           q=lambda n, hist: 0.0,
-                           digit_family=family or uniform_family(),
-                           name="sylvester")
+    return _chain_scheme("sylvester", family)
 
 
 def delta(phi_h: float, k: int, q: float) -> float:

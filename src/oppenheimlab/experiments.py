@@ -54,7 +54,8 @@ _BLOCK = 2**15
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to rerun one experiment deterministically."""
+    """Everything needed to rerun one experiment deterministically; the
+    ``weight_scheme`` built from ``weights`` is not a field."""
 
     master_seed: int
     n_grid: tuple
@@ -79,6 +80,8 @@ class ExperimentConfig:
             raise DomainError("replications must be >= 1")
         if not self.epsilon > 0:
             raise DomainError("epsilon must be > 0")
+        object.__setattr__(self, "weight_scheme",
+                           _weight_scheme(self.weights))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -191,14 +194,20 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
     return sums
 
 
-def _weight_scheme(cfg: dict) -> WeightScheme:
+def _weight_scheme(cfg) -> WeightScheme:
+    if not isinstance(cfg, dict):
+        raise DomainError(f"weights must be a mapping, got {cfg!r}")
     kind = cfg.get("kind", "cesaro")
     if kind == "cesaro":
         return cesaro_scheme(cfg.get("rho", "constant"))
-    if kind == "power_alpha":
-        return power_alpha_scheme(float(cfg["alpha"]),
-                                  cfg.get("rho", "constant"))
-    raise DomainError(f"unsupported weight kind {kind!r} in configs")
+    if kind != "power_alpha":
+        raise DomainError(f"unsupported weight kind {kind!r} in configs")
+    try:
+        alpha = float(cfg["alpha"])
+    except (KeyError, TypeError, ValueError):
+        raise DomainError("power_alpha weights need a numeric alpha, got "
+                          f"{cfg.get('alpha')!r}") from None
+    return power_alpha_scheme(alpha, cfg.get("rho", "constant"))
 
 
 def _family(cfg) -> DistributionFamily:
@@ -219,7 +228,7 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     if config.scheme not in WEAK_LAW_SCHEMES:
         raise DomainError(f"unknown weak-law scheme {config.scheme!r}")
     family = _family(config.family)
-    scheme = _weight_scheme(config.weights)
+    scheme = config.weight_scheme
 
     n_max = max(config.n_grid)
     alphas = member_values(family.alpha, np.arange(1, n_max + 1))
@@ -304,7 +313,7 @@ def centering_constants(mode: str, family_or_beta, scheme: WeightScheme,
 def v_samples(config: ExperimentConfig, n: int,
               n_index: int) -> np.ndarray:
     """All replications of the centered statistic V_n at one grid point."""
-    scheme = _weight_scheme(config.weights)
+    scheme = config.weight_scheme
     a = weights_row(scheme, n)
     source = _mode_source(config)
     subtractor, log_term = centering_constants(config.mode, source, scheme, n)
@@ -318,7 +327,7 @@ def v_samples(config: ExperimentConfig, n: int,
 def limit_law_for(config: ExperimentConfig) -> StableLimitLaw:
     """Limit law of the configured mode: scale ell = lim sum_k a_{k,n} c_{1,k},
     no drift."""
-    scheme = _weight_scheme(config.weights)
+    scheme = config.weight_scheme
     family = _summand_family(config.mode, _mode_source(config))
     ks = np.arange(1, max(config.n_grid) + 1)
     c1 = member_values(family.alpha, ks)

@@ -2,31 +2,43 @@
 
 StableLimitLaw(c, delta) is the law with characteristic function
 xi(t) = exp(-(pi/2) c |t| - i c t log|t| - i delta t), written S(c, delta)
-below.  Every law's CDF is read off one interpolation table of S(1, 0)
-through the index-1 scaling identity; the table comes from Gil-Pelaez
-inversion (with a rotated-contour evaluation where the real-axis integrand
-oscillates too much).  Sampling uses the classical index-1
-Chambers-Mallows-Stuck transform; the two routes are independent, so their
-agreement cross-validates both.
+below.  Every law's CDF is read off one table of S(1, 0) through the
+index-1 scaling identity.  Its one direct route is Zolotarev's integral
+(Zolotarev 1986, sec. 2.2; Nolan 1997, Thm 1) for S(1, 0) = Nolan's
+S(1, 1, pi/2, 0; 1): with pi x/2 = z - log(pi/2),
+
+    F(z) = (1/pi) int_{-pi/2}^{pi/2} exp(-exp(-pi x/2) V(theta)) dtheta,
+    V(theta) = (2/pi) ((pi/2 + theta)/cos theta) exp((pi/2 + theta) tan theta).
+
+The integrand falls from at most 1 to 0 without oscillating, with one
+feature where exp(-pi x/2) V = 1, and 1 - exp(-.) gives 1 - F, so both
+tails are relatively accurate.  ``cdf_reference.json`` (mpmath real-axis
+Gil-Pelaez, from ``tools/make_cdf_reference.py``) certifies it.  Sampling
+uses the index-1 Chambers-Mallows-Stuck transform, an independent route.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
-import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline
+from scipy.special import expit
 
 from .errors import AccuracyError, DomainError
 from .specfun import EULER_GAMMA
 
-_QUAD_KW = dict(epsabs=1e-11, epsrel=1e-11, limit=3000)
-# real-axis cutoff T of S(1, 0): exp(-(pi/2) T)/(pi T) < 1e-12
-_T_MAX = 20.279027704797283
+# table nodes: F(-5) ~ 1e-25 and 1 - F(1e10) ~ 1e-10; the geometric part
+# starts at the linear part's last node, so no wide interval sits at z = 2
+_NODES = np.concatenate([np.linspace(-5.0, 2.0, 200),
+                         np.geomspace(2.0, 1e10, 361)[1:]])
+_S_MAX = 60.0  # each side of theta* is integrated down to exp(-60) from it
+_Y_MAX = 300.0  # exp(-exp(y)) is exactly 0 in float well before y = 300
 
 
 @dataclass(frozen=True)
@@ -62,114 +74,99 @@ def char_fn(law: StableLimitLaw, t):
 
 
 # ---------------------------------------------------------------------------
-# Gil-Pelaez inversion of the standard law S(1, 0)
+# Zolotarev's integral for the standard law S(1, 0)
 # ---------------------------------------------------------------------------
 
-def _cdf_realaxis(z: float) -> float:
-    """F(z) by Gil-Pelaez on the real axis:
-    F = 1/2 + (1/pi) int_0^inf exp(-(pi/2) t) sin(z t + t log t)/t dt."""
-    t0 = 1e-6
-    head = z * t0 + t0 * (math.log(t0) - 1.0)
-
-    def integrand(t):
-        return math.exp(-(math.pi / 2.0) * t) * \
-            math.sin(z * t + t * math.log(t)) / t
-
-    with warnings.catch_warnings():
-        # quad's extrapolation flags roundoff on the t log t phase; the
-        # returned estimate is still well inside the table's needs
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, t0, _T_MAX, **_QUAD_KW)
-    if err > 5e-6:
-        raise AccuracyError("Gil-Pelaez body quadrature missed tolerance",
-                            err)
-    return 0.5 + (head + val) / math.pi
+def _log_v(eps, u):
+    """log V at theta = eps - pi/2 = pi/2 - u; the sine is taken of the
+    smaller distance to an end, so neither end loses digits."""
+    s = np.sin(np.minimum(eps, u))
+    return math.log(2.0 / math.pi) + np.log(eps / s) - eps * np.cos(eps) / s
 
 
-def _cdf_rotated(z: float) -> float:
-    """F(z) via the contour t = s exp(-i psi), valid for z >= 0:
-    F = 1/2 + psi/pi - (1/pi) Im int_0^inf (exp(E(s e^{-i psi})) - 1)/s ds
-    with E(t) = -(pi/2) t - i z t - i t log t.  The psi/pi term is the arc
-    contribution of the subtracted 1/t pole; the rotated integrand does not
-    oscillate and decays at rate ~ z sin(psi)."""
-    psi = math.pi / 4.0
-    rot = complex(math.cos(psi), -math.sin(psi))
+def _cdf_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, 1 - F) of S(1, 0) at the finite points z, in one quad_vec pass.
 
-    def big_e(s):
-        t = s * rot
-        return (-(math.pi / 2.0) - 1j * z) * t - 1j * t * np.log(t)
+    theta* comes from bisection in log(pi/2 - theta) for all points at once
+    (-pi/2 in the far left tail).  Each side of theta* is integrated in s at
+    distance (side length) exp(-s) from it, with the lengths factored out
+    and F's integrand above theta* divided by its value there, so every
+    integrand is at most 1 and the tolerances hold in both tails."""
+    target = z - math.log(math.pi / 2.0)
+    lo = np.full(z.shape, math.log(1e-300))
+    hi = np.full(z.shape, math.log(math.pi) - 1e-15)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        above = _log_v(math.pi - np.exp(mid), np.exp(mid)) > target
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    u_star = np.exp(hi)
+    e_star = math.pi - u_star
+    y_star = np.minimum(_log_v(e_star, u_star) - target, _Y_MAX)
 
-    s0 = 1e-10
-    # series head: int_0^{s0} E(t)/s ds, exact to O(s0^2)
-    head = rot * ((-(math.pi / 2.0) - 1j * z - psi) * s0
-                  - 1j * (s0 * math.log(s0) - s0))
-    rate = (z + 1.0) * math.sin(psi) + (math.pi / 2.0) * math.cos(psi)
-    s_max = max(4.0, 60.0 / rate)
+    def integrand(s):
+        w, v = math.exp(-s), -math.expm1(-s)
+        y_lo = _log_v(e_star * v, u_star + e_star * w) - target
+        y_hi = _log_v(e_star + u_star * w, u_star * v) - target  # >= y*
+        e_lo, e_hi = (np.exp(np.minimum(y, _Y_MAX)) for y in (y_lo, y_hi))
+        scaled = np.exp(-np.exp(y_star)
+                        * np.expm1(np.clip(y_hi - y_star, 0.0, _Y_MAX)))
+        return w * np.concatenate([np.exp(-e_lo), -np.expm1(-e_lo),
+                                   scaled, -np.expm1(-e_hi)])
 
-    # substitute s = e^w so the feature near the origin keeps a fixed width
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val_im, err = integrate.quad(
-            lambda w: (np.exp(big_e(math.exp(w))) - 1.0).imag,
-            math.log(s0), math.log(s_max), **_QUAD_KW)
-    if err > 1e-6:
-        raise AccuracyError("rotated-contour quadrature missed tolerance",
-                            err)
-    return 0.5 + psi / math.pi - (head.imag + val_im) / math.pi
-
-
-def _cdf_exact(z: float) -> float:
-    """F(z) of S(1, 0) by direct inversion."""
-    if math.isinf(z):
-        return float(z > 0.0)
-    value = _cdf_rotated(z) if z >= 1.0 else _cdf_realaxis(z)
-    return min(max(value, 0.0), 1.0)
+    res, err = integrate.quad_vec(integrand, 0.0, _S_MAX, epsabs=1e-14,
+                                  epsrel=1e-12, norm="max")
+    if err > 1e-11:
+        raise AccuracyError("Zolotarev quadrature missed tolerance", err)
+    cdf_lo, sf_lo, cdf_hi, sf_hi = res.reshape(4, -1)
+    cdf = e_star * cdf_lo + u_star * np.exp(-np.exp(y_star)) * cdf_hi
+    return cdf / math.pi, (e_star * sf_lo + u_star * sf_hi) / math.pi
 
 
-class _CdfTable:
-    """Monotone interpolation of the CDF of S(1, 0) on [z_lo, z_hi] with a
-    fitted right tail beyond; F(z_lo) < 1e-11, so F is 0 below z_lo."""
-
-    z_lo, z_hi = -5.0, 1e4
-
-    def __init__(self):
-        # the geometric part starts at the linear part's last node: a gap
-        # between the two would leave one wide interval at z ~ 2
-        body = np.concatenate([np.linspace(self.z_lo, 2.0, 260),
-                               np.geomspace(2.0, self.z_hi, 301)[1:]])
-        values = np.maximum.accumulate([_cdf_exact(zz) for zz in body])
-        self.interp = PchipInterpolator(body, values, extrapolate=False)
-        # right-tail model: z (1 - F(z)) = 1 + (a log z + b)/z
-        zt = np.geomspace(2e3, 1e5, 8)
-        gt = np.array([zz * (1.0 - _cdf_exact(zz)) for zz in zt])
-        basis = np.column_stack([np.log(zt) / zt, 1.0 / zt])
-        self.tail_ab, *_ = np.linalg.lstsq(basis, gt - 1.0, rcond=None)
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape)
-        hi = z >= self.z_hi
-        mid = (z > self.z_lo) & ~hi
-        # the cap keeps z = inf out of inf/inf (F is 1.0 well before 1e300)
-        zh = np.minimum(z[hi], 1e300)
-        a, b = self.tail_ab
-        out[hi] = 1.0 - (1.0 + (a * np.log(zh) + b) / zh) / zh
-        out[mid] = self.interp(z[mid])
-        return np.clip(out, 0.0, 1.0)
+def _cdf_direct(z) -> np.ndarray:
+    """F of S(1, 0) from the smaller of F and 1 - F (z = +-1e300 stands in
+    for +-inf, where F is already 1 or 0 in float)."""
+    z = np.clip(np.asarray(z, dtype=float), -1e300, 1e300)
+    cdf, sf = _cdf_pair(z.ravel())
+    return np.where(cdf <= sf, cdf, 1.0 - sf).reshape(z.shape)
 
 
 @functools.cache
-def _table() -> _CdfTable:
-    """The one table, built on first use; every law maps onto it."""
-    return _CdfTable()
+def _table() -> CubicSpline:
+    """The one table, built on first use: logit F = log F - log(1 - F) of
+    S(1, 0) as a cubic spline in asinh z, so both tails stay relative."""
+    cdf, sf = _cdf_pair(_NODES)
+    return CubicSpline(np.arcsinh(_NODES), np.log(cdf) - np.log(sf))
+
+
+def _cdf_table(z) -> np.ndarray:
+    """F of S(1, 0): 0 below the table, the direct route above it."""
+    z = np.asarray(z, dtype=float)
+    out = np.zeros(z.shape)
+    hi = z > _NODES[-1]
+    mid = (z >= _NODES[0]) & ~hi
+    out[mid] = expit(_table()(np.arcsinh(z[mid])))
+    if hi.any():
+        out[hi] = _cdf_direct(z[hi])
+    return out
 
 
 def table_error() -> float:
-    """Worst |table - direct inversion| at the midpoints of the table's
+    """Worst |table - direct route| at the midpoints of the table's
     intervals: the interpolation error every law's ``cdf`` inherits."""
-    table = _table()
-    mid = 0.5 * (table.interp.x[1:] + table.interp.x[:-1])
-    return float(np.max(np.abs(table(mid) - [_cdf_exact(z) for z in mid])))
+    mid = 0.5 * (_NODES[1:] + _NODES[:-1])
+    return float(np.max(np.abs(_cdf_table(mid) - _cdf_direct(mid))))
+
+
+def reference_error() -> tuple[float, float]:
+    """(worst absolute error of F, worst relative error of min(F, 1 - F))
+    of the direct route against the committed mpmath reference."""
+    ref = json.loads(Path(__file__).with_name("cdf_reference.json")
+                     .read_text())
+    cdf, sf = _cdf_pair(np.array(ref["z"], dtype=float))
+    left = np.array(ref["F"]) <= np.array(ref["sf"])
+    mine, small = np.where(left, cdf, sf), np.where(left, ref["F"], ref["sf"])
+    return (float(np.max(np.abs(cdf - ref["F"]))),
+            float(np.max(np.abs(mine - small) / small)))
 
 
 def _at_scale(law: StableLimitLaw, x, standard_cdf) -> np.ndarray:
@@ -189,16 +186,16 @@ def _at_scale(law: StableLimitLaw, x, standard_cdf) -> np.ndarray:
 
 def cdf(law: StableLimitLaw, x: float) -> float:
     """F(x) from the one table; x = -inf gives 0 and x = inf gives 1."""
-    return float(_at_scale(law, x, lambda z: _table()(z)))
+    return float(_at_scale(law, x, _cdf_table))
 
 
 def cdf_many(law: StableLimitLaw, x) -> np.ndarray:
-    return _at_scale(law, x, lambda z: _table()(z))
+    return _at_scale(law, x, _cdf_table)
 
 
 def cdf_exact(law: StableLimitLaw, x: float) -> float:
-    """Direct inversion without the table (slower; for cross-checks)."""
-    return float(_at_scale(law, x, _cdf_exact))
+    """The direct route without the table (slower; for cross-checks)."""
+    return float(_at_scale(law, x, _cdf_direct))
 
 
 # ---------------------------------------------------------------------------

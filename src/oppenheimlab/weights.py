@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import DomainError
 
-WEIGHT_KINDS = ("cesaro", "power_alpha", "iterated", "custom_table")
-RHO_TAGS = ("constant", "loglog")
-
 
 def make_rho(tag) -> Callable[[int], float]:
     """rho_n from a tag: "constant" (default 1, or "constant:c"), "loglog"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,9 +55,11 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         lines = [ln for ln in out.splitlines() if ln]
-        assert len(lines) == 8
+        assert len(lines) == 9
         assert all(ln.startswith("PASS") for ln in lines)
         assert any(ln.startswith("PASS cdf_table_midpoints") for ln in lines)
+        (ref,) = [ln for ln in lines if ln.startswith("PASS cdf_reference")]
+        assert "abs_error=" in ref
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--tolerance", "1e-30")
@@ -205,7 +208,11 @@ class TestRun:
         assert json.loads(record.read_text())["version"] == __version__
 
     @pytest.mark.parametrize("line", [
-        "n_grid: [1, 100]", "n_grid: [50, 200]\nepsilon: 0", "n_grid: 5"])
+        "n_grid: [1, 100]", "n_grid: [50, 200]\nepsilon: 0", "n_grid: 5",
+        "n_grid: [50, 200]\nweights: {kind: power_alpha}",
+        "n_grid: [50, 200]\nweights: {kind: power_alpha, alpha: abc}",
+        "n_grid: [50, 200]\nweights: {kind: nope}",
+        "n_grid: [50, 200]\nweights: cesaro"])
     def test_invalid_config_values_exit_2(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("experiment: weak_law\nreplications: 60\n"
@@ -257,6 +264,20 @@ class TestKsTest:
         code, out, err = run_cli(capsys, "ks-test", str(f), "--c", "1.0")
         assert code == 2
         assert "unreadable samples file" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("text", ["", "# header only\n\n"],
+                             ids=["empty", "comments"])
+    def test_empty_samples_exit_2(self, capsys, tmp_path, text):
+        # one error line; numpy's "input contained no data" warning would
+        # turn into an exit-1 failure here
+        f = tmp_path / "samples.txt"
+        f.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "ks-test", str(f))
+        assert code == 2
+        assert err == "error: samples must be nonempty\n"
         assert out == ""
 
     def test_non_finite_sample_exit_2(self, capsys, tmp_path):

@@ -143,14 +143,40 @@ class TestGeneralScheme:
         rng = np.random.default_rng(11)
         seq, _ = sample_oppenheim(sylvester_scheme(), 8, rng, theta1=2)
         # digit support starts where the survival function delta reaches 1,
-        # i.e. at phi(h) = h(h-1)
+        # i.e. at phi(h) = h(h+1): the state is Theta = D - 1
         for a, b in zip(seq.digits, seq.digits[1:]):
-            assert b >= a * (a - 1)
+            assert b >= a * (a + 1)
 
-    def test_sylvester_scheme_needs_theta_at_least_two(self):
+    def test_sylvester_scheme_needs_positive_theta(self):
+        # theta1 = 1 is the digit D_1 = 2; theta1 = 0 makes phi vanish
         rng = np.random.default_rng(3)
+        seq, _ = sample_oppenheim(sylvester_scheme(), 3, rng, theta1=1)
+        assert seq.digits[1] >= 2
         with pytest.raises(SchemeError):
-            sample_oppenheim(sylvester_scheme(), 3, rng, theta1=1)
+            sample_oppenheim(sylvester_scheme(), 3, rng, theta1=0)
+
+    @pytest.mark.parametrize("kind", ["engel", "sylvester"])
+    def test_scheme_matches_ratio_chain(self, kind):
+        # the same uniforms walk the same digits, Theta_k = D_k - 1, and the
+        # same ratios, while the chain is inside its exact window
+        scheme = {"engel": engel_scheme, "sylvester": sylvester_scheme}[kind]
+        # phi of the state Theta = D - 1: D - 1 and D(D - 1)
+        phi = {"engel": lambda t: t, "sylvester": lambda t: t * (t + 1)}[kind]
+        for seed in range(20):
+            u = 1.0 - np.random.default_rng(seed).random(4)
+            r = ratio_path(kind, u[None, :])[0]
+            theta = [math.floor(1.0 / u[0])]
+            for ratio in r:
+                s = float(phi(theta[-1]))
+                if s >= 1e12 or len(theta) > 3:
+                    break
+                theta.append(round(ratio * s))
+            rng = np.random.default_rng(seed)
+            rng.random()  # u[0] is the first digit, passed as theta1
+            seq, rs = sample_oppenheim(scheme(), len(theta) - 1, rng,
+                                       theta1=theta[0])
+            assert list(seq.digits) == theta
+            assert rs == pytest.approx(list(r[:len(rs)]), rel=1e-15)
 
     def test_engel_scheme_matches_digit_chain_law(self):
         # conditional digit law under the scheme equals the Engel chain law:

@@ -1,5 +1,6 @@
 """Stable limit laws: characteristic function, CDF inversion, sampling."""
 
+import json
 import math
 import subprocess
 import sys
@@ -24,6 +25,49 @@ from oppenheimlab.limitlaw import (
     sample_many,
 )
 from oppenheimlab.specfun import EULER_GAMMA
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def relative_small_side(cdf, sf, ref_cdf, ref_sf):
+    """Relative error of min(F, 1 - F), the side the reference calls
+    smaller, where that side is at least 1e-10."""
+    left = ref_cdf <= ref_sf
+    mine, small = np.where(left, cdf, sf), np.where(left, ref_cdf, ref_sf)
+    keep = small >= 1e-10
+    return np.abs(mine - small)[keep] / small[keep]
+
+
+def mp_zolotarev(z):
+    """(F, 1 - F) of S(1, 0) at 30 digits for z in the right tail (theta* >
+    0): Zolotarev's integral in mpmath, in the distance to theta = -pi/2
+    below 0 and to pi/2 above, split where exp(-pi x/2) V = 1."""
+    import mpmath as mp
+    with mp.workdps(30):
+        target = mp.mpf(z) - mp.log(mp.pi / 2)
+
+        def y_left(e):  # theta = e - pi/2
+            return (mp.log(2 / mp.pi) + mp.log(e / mp.sin(e))
+                    - e * mp.cot(e) - target)
+
+        def y_right(u):  # theta = pi/2 - u
+            return (mp.log(2 / mp.pi) + mp.log((mp.pi - u) / mp.sin(u))
+                    + (mp.pi - u) * mp.cot(u) - target)
+
+        half = mp.pi / 2
+        u_star = mp.exp(mp.findroot(
+            lambda w: y_right(mp.exp(w)),
+            (mp.log(mp.mpf(10) ** -25), mp.log(half)), solver="bisect"))
+        halves = [u_star * mp.mpf(2) ** -k for k in range(5, 0, -1)]
+        u_pts = [0] + halves + [u_star, half]
+
+        def side(fun):
+            return (mp.quad(lambda e: fun(y_left(e)), [0, half])
+                    + mp.quad(lambda u: fun(y_right(u)), u_pts)) / mp.pi
+
+        cdf = side(lambda y: 0 if y > 200 else mp.exp(-mp.exp(y)))
+        sf = side(lambda y: 1 if y > 200 else -mp.expm1(-mp.exp(y)))
+        return float(cdf), float(sf)
 
 
 class TestCharFn:
@@ -67,17 +111,77 @@ class TestCdf:
         assert np.all(np.diff(fs) >= -1e-12)
         assert np.all((fs >= 0.0) & (fs <= 1.0))
 
+    def test_direct_route_matches_reference(self):
+        # the committed mpmath real-axis Gil-Pelaez reference, z in
+        # [-4.5, 1e4]: both tails relative, the body absolute
+        ref = json.loads((Path(limitlaw.__file__).with_name(
+            "cdf_reference.json")).read_text())
+        cdf, sf = limitlaw._cdf_pair(np.array(ref["z"]))
+        ref_cdf, ref_sf = np.array(ref["F"]), np.array(ref["sf"])
+        assert np.max(np.abs(cdf - ref_cdf)) < 1e-12
+        assert np.max(relative_small_side(cdf, sf, ref_cdf, ref_sf)) < 1e-9
+        # what ``verify`` reports, over every point of the reference
+        abs_err, rel_err = limitlaw.reference_error()
+        assert abs_err < 1e-12 and rel_err < 1e-9
+
+    def test_direct_route_matches_benchmark_reference(self):
+        # 954 points at eight scales and the Levy law, each mapped to z
+        ref = json.loads((ROOT / "perfbench" / "cdf_reference.json")
+                         .read_text())
+        zs, fs = [], []
+        for law in ref["laws"].values():
+            for grid in ("body", "tail"):
+                x = np.array(law[grid]["x"])
+                zs.append((x + law["delta"]) / law["c"] - math.log(law["c"]))
+                fs.append(law[grid]["F"])
+        direct = limitlaw._cdf_direct(np.concatenate(zs))
+        assert np.max(np.abs(direct - np.concatenate(fs))) < 1e-12
+
+    @pytest.mark.parametrize("z", [1e6, 1e8, 1e10])
+    def test_direct_route_right_tail_relative(self, z):
+        cdf, sf = limitlaw._cdf_pair(np.array([z]))
+        ref_cdf, ref_sf = mp_zolotarev(z)
+        assert sf[0] == pytest.approx(ref_sf, rel=1e-9)
+        assert cdf[0] == pytest.approx(ref_cdf, abs=1e-15)
+
+    def test_direct_route_extreme_points(self):
+        zs = [-50.0, -5.0, -3.5, 0.0, 1e3, 1e4, 1e6, 1e10, 1e300,
+              math.inf, -math.inf]
+        law = StableLimitLaw(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = [cdf_exact(law, z) for z in zs]
+            many = limitlaw._cdf_direct(np.array(zs))
+        assert many == pytest.approx(single, rel=1e-12, abs=1e-300)
+        assert all(math.isfinite(f) and 0.0 <= f <= 1.0 for f in single)
+        assert single[-2:] == [1.0, 0.0]
+
+    def test_table_tracks_direct_route(self):
+        # ten points per table interval
+        nodes = limitlaw._NODES
+        grid = (nodes[:-1, None] + np.outer(np.diff(nodes),
+                                            np.arange(10) / 10)).ravel()
+        cdf, sf = limitlaw._cdf_pair(grid)
+        logit = limitlaw._table()(np.arcsinh(grid))
+        table = cdf_many(StableLimitLaw(1.0), grid)
+        assert np.max(np.abs(table - cdf)) < 1e-8
+        rel = relative_small_side(1.0 / (1.0 + np.exp(-logit)),
+                                  1.0 / (1.0 + np.exp(logit)), cdf, sf)
+        assert np.max(rel) < 1e-6
+        assert np.all(np.diff(table) >= 0.0)
+
+    def test_table_right_tail(self):
+        # z (1 - F(z)) = 1 + (log z - (1 - gamma))/z + ... for S(1, 0)
+        z = np.geomspace(1e4, 1e7, 200)
+        excess = z * (1.0 - cdf_many(StableLimitLaw(1.0), z)) - 1.0
+        assert np.all(excess > 0.0)
+        assert np.all(excess < np.log(z) / z)
+
     def test_cached_matches_exact(self):
         law = StableLimitLaw(1.0)
         for x in (-2.0, -0.5, 0.0, 0.7, 1.0, 3.0, 10.0, 200.0):
             assert cdf(law, x) == pytest.approx(cdf_exact(law, x), abs=2e-5)
 
-    def test_rotated_matches_realaxis_overlap(self):
-        # the two inversion routes agree where both apply
-        from oppenheimlab.limitlaw import _cdf_realaxis, _cdf_rotated
-        for z in (1.0, 1.5, 2.5, 4.0):
-            assert _cdf_rotated(z) == pytest.approx(_cdf_realaxis(z),
-                                                    abs=5e-6)
 
     @pytest.mark.parametrize("c", [0.05, 1.0 / math.log(2.0), 5.0, 50.0])
     def test_scaling_identity_against_scipy(self, c):
