@@ -102,22 +102,23 @@ def _cdf_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u_star = np.exp(hi)
     e_star = math.pi - u_star
     y_star = np.minimum(_log_v(e_star, u_star) - target, _Y_MAX)
+    n, targets = z.size, np.concatenate([target, target])
 
     def integrand(s):
         w, v = math.exp(-s), -math.expm1(-s)
-        y_lo = _log_v(e_star * v, u_star + e_star * w) - target
-        y_hi = _log_v(e_star + u_star * w, u_star * v) - target  # >= y*
-        e_lo, e_hi = (np.exp(np.minimum(y, _Y_MAX)) for y in (y_lo, y_hi))
+        # both sides in one call: below theta*, then above it (y >= y*)
+        y = _log_v(np.concatenate([e_star * v, e_star + u_star * w]),
+                   np.concatenate([u_star + e_star * w, u_star * v])) - targets
+        ey = np.exp(np.minimum(y, _Y_MAX))
         scaled = np.exp(-np.exp(y_star)
-                        * np.expm1(np.clip(y_hi - y_star, 0.0, _Y_MAX)))
-        return w * np.concatenate([np.exp(-e_lo), -np.expm1(-e_lo),
-                                   scaled, -np.expm1(-e_hi)])
+                        * np.expm1(np.clip(y[n:] - y_star, 0.0, _Y_MAX)))
+        return w * np.concatenate([np.exp(-ey[:n]), scaled, -np.expm1(-ey)])
 
     res, err = integrate.quad_vec(integrand, 0.0, _S_MAX, epsabs=1e-14,
                                   epsrel=1e-12, norm="max")
     if err > 1e-11:
         raise AccuracyError("Zolotarev quadrature missed tolerance", err)
-    cdf_lo, sf_lo, cdf_hi, sf_hi = res.reshape(4, -1)
+    cdf_lo, cdf_hi, sf_lo, sf_hi = res.reshape(4, -1)
     cdf = e_star * cdf_lo + u_star * np.exp(-np.exp(y_star)) * cdf_hi
     return cdf / math.pi, (e_star * sf_lo + u_star * sf_hi) / math.pi
 
