@@ -71,7 +71,7 @@ def _verify_checks(tolerance):
     yield ("lemma_a1", abs(total - (1.0 - EULER_GAMMA)),
            tolerance or 1e-8)
 
-    grid = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+    grid = (0.01, 0.03, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
     worst = max(abs(cin(x) + cosine_integral(x) - math.log(x) - EULER_GAMMA)
                 for x in grid)
     yield ("cin_ci_identity", worst, tolerance or 1e-10)

@@ -21,8 +21,7 @@ from .specfun import (
     DEFAULT_SPEC,
     EULER_GAMMA,
     QuadratureSpec,
-    _gl_integrate,
-    chunked_oscillatory_integral,
+    fourier_integral,
     gauss_2f1_unit,
 )
 
@@ -219,6 +218,8 @@ _FACTORIES = {
 
 def family_from_config(cfg: dict) -> DistributionFamily:
     """Build a built-in family from a config mapping ({"kind": ..., ...})."""
+    if not isinstance(cfg, dict):
+        raise DomainError(f"family must be a mapping, got {cfg!r}")
     kind = cfg.get("kind")
     if kind not in _FACTORIES:
         raise DomainError(f"unknown family kind {kind!r}")
@@ -397,37 +398,20 @@ def char_components(family: DistributionFamily, n: int, t: float,
         psi_t = _discrete_char(family, n, t, spec)
         return float(psi_t.real - 1.0), float(sign * psi_t.imag)
 
-    umax = family.support_max(n)
-    v0 = t / umax
-    dens = family.density
+    # with v = t/u: A = -1 + t int cos(v) f(t/v)/v^2 dv (the -1/v^2 part
+    # integrates to the total mass exactly), B = t int sin(v) f(t/v)/v^2 dv,
+    # both over [t/umax, infinity)
+    v0 = t / family.support_max(n)
 
     def f_over_v2(v):
-        v = np.asarray(v, dtype=float)
-        return np.array([dens(n, t / vi) / vi**2 for vi in np.atleast_1d(v)])
+        return family.density(n, t / v) / v**2
 
-    # A = -1 + t * int cos(v) f(t/v)/v^2 dv   (the -1/v^2 part integrates to
-    # the total mass exactly)
-    k = math.ceil((v0 - math.pi / 2) / math.pi)
-    zc = math.pi / 2 + k * math.pi
-    head_c = integrate.quad(
-        lambda v: math.cos(v) * dens(n, t / v) / v**2, v0, zc,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=500)[0]
-    tail_c, err_c = chunked_oscillatory_integral(
-        lambda v: np.cos(v) * f_over_v2(v), zc, math.pi, spec)
-    a_val = -1.0 + t * (head_c + tail_c)
-
-    ks = max(1, math.ceil(v0 / math.pi))
-    zs = ks * math.pi
-    head_s = integrate.quad(
-        lambda v: math.sin(v) * dens(n, t / v) / v**2, v0, zs,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=500)[0]
-    tail_s, err_s = chunked_oscillatory_integral(
-        lambda v: np.sin(v) * f_over_v2(v), zs, math.pi, spec)
-    b_val = t * (head_s + tail_s)
+    cos_int, err_c = fourier_integral(f_over_v2, v0, "cos", spec)
+    sin_int, err_s = fourier_integral(f_over_v2, v0, "sin", spec)
     if max(err_c, err_s) > 1e3 * spec.abs_tol:
-        raise AccuracyError("char_components tail did not converge",
+        raise AccuracyError("char_components quadrature missed tolerance",
                             max(err_c, err_s))
-    return float(a_val), float(sign * b_val)
+    return float(-1.0 + t * cos_int), float(sign * t * sin_int)
 
 
 @dataclass(frozen=True)

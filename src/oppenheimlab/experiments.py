@@ -47,15 +47,19 @@ from .weights import (
 logger = logging.getLogger(__name__)
 
 WEAK_LAW_SCHEMES = ("direct", "luroth", "engel", "sylvester")
-DISTRIBUTIONAL_MODES = ("classical_1_2", "general_4_1", "cor_4_2", "cor_4_3")
 # uniforms per block of replications mapped in one call (256 kB of doubles)
 _BLOCK = 2**15
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to rerun one experiment deterministically; the
-    ``weight_scheme`` built from ``weights`` is not a field."""
+    """Everything needed to rerun one experiment deterministically.
+
+    What the tags name is built on construction, so a bad tag is a config
+    error, and none of it is a field: ``weight_scheme`` from ``weights``,
+    ``reciprocal_family`` from ``family`` (the law of U in Y = 1/U), and
+    ``summand_family``, whose reciprocals a distributional run sums.
+    """
 
     master_seed: int
     n_grid: tuple
@@ -82,6 +86,9 @@ class ExperimentConfig:
             raise DomainError("epsilon must be > 0")
         object.__setattr__(self, "weight_scheme",
                            _weight_scheme(self.weights))
+        object.__setattr__(self, "reciprocal_family", _family(self.family))
+        object.__setattr__(self, "summand_family",
+                           _summand_family(self.mode, _mode_source(self)))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -227,7 +234,11 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     t_start = time.perf_counter()
     if config.scheme not in WEAK_LAW_SCHEMES:
         raise DomainError(f"unknown weak-law scheme {config.scheme!r}")
-    family = _family(config.family)
+    family = config.reciprocal_family
+    if config.scheme != "direct" and family.kind != "uniform":
+        # ratio_path draws the digit chains from uniforms only
+        raise DomainError(f"scheme {config.scheme!r} supports only the "
+                          f"uniform family, got {family.kind!r}")
     scheme = config.weight_scheme
 
     n_max = max(config.n_grid)
@@ -276,7 +287,8 @@ def _summand_family(mode: str, family_or_beta) -> DistributionFamily:
 
 
 def _mode_source(config: ExperimentConfig):
-    return config.beta if config.mode == "cor_4_3" else config.family
+    return (config.beta if config.mode == "cor_4_3"
+            else config.reciprocal_family)
 
 
 def _c2_values(family: DistributionFamily, ks: np.ndarray) -> np.ndarray:
@@ -317,10 +329,10 @@ def v_samples(config: ExperimentConfig, n: int,
     a = weights_row(scheme, n)
     source = _mode_source(config)
     subtractor, log_term = centering_constants(config.mode, source, scheme, n)
-    family = _summand_family(config.mode, source)
     ks = np.arange(1, n + 1)
-    sums = _replication_sums(config, n_index, a, n,
-                             lambda v: family.reciprocals(ks, v))
+    sums = _replication_sums(
+        config, n_index, a, n,
+        lambda v: config.summand_family.reciprocals(ks, v))
     return sums - subtractor + log_term
 
 
@@ -328,9 +340,8 @@ def limit_law_for(config: ExperimentConfig) -> StableLimitLaw:
     """Limit law of the configured mode: scale ell = lim sum_k a_{k,n} c_{1,k},
     no drift."""
     scheme = config.weight_scheme
-    family = _summand_family(config.mode, _mode_source(config))
     ks = np.arange(1, max(config.n_grid) + 1)
-    c1 = member_values(family.alpha, ks)
+    c1 = member_values(config.summand_family.alpha, ks)
     report = check_theorem_4_1_conditions(scheme, c1, ks.size)
     if not report.passed:
         failing = [k for k, (_, v) in report.conditions.items() if v != "pass"]
@@ -343,8 +354,6 @@ def limit_law_for(config: ExperimentConfig) -> StableLimitLaw:
 def distributional_run(config: ExperimentConfig) -> RunRecord:
     """KS distance and ECF error of V_n against the stable limit law."""
     t_start = time.perf_counter()
-    if config.mode not in DISTRIBUTIONAL_MODES:
-        raise DomainError(f"unknown mode {config.mode!r}")
     if config.replications < 100:
         raise DomainError("distributional runs need at least 100 replications")
     law = limit_law_for(config)

@@ -212,7 +212,10 @@ class TestRun:
         "n_grid: [50, 200]\nweights: {kind: power_alpha}",
         "n_grid: [50, 200]\nweights: {kind: power_alpha, alpha: abc}",
         "n_grid: [50, 200]\nweights: {kind: nope}",
-        "n_grid: [50, 200]\nweights: cesaro"])
+        "n_grid: [50, 200]\nweights: cesaro",
+        "n_grid: [50, 200]\nfamily: uniform",
+        "n_grid: [50, 200]\nfamily: {kind: mobius_remark2, c_n: 'constant:a'}",
+        "n_grid: [50, 200]\nmode: cor_4_3\nbeta: 'constant:x'"])
     def test_invalid_config_values_exit_2(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("experiment: weak_law\nreplications: 60\n"

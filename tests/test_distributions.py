@@ -1,6 +1,7 @@
 """Distribution families: CDFs, samplers, constants, characteristic parts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,14 +263,26 @@ class TestFamilyConstants:
 
 class TestCharComponents:
     def test_uniform_closed_form(self):
-        # A(t) = cos t - 1 - t(pi/2 - Si(t)), B(t) = sin t - t Ci(t)
-        fam = uniform_family()
-        for t in (0.3, 1.0, 2.5, 7.0):
+        # psi(t) = E exp(it/V) = cos t - t(pi/2 - Si t) + i(sin t - t Ci t)
+        # for V uniform; the Moebius draws are Y = c + c/V (clamped) and
+        # Y = 1 + c/V (remark 2), so psi_Y(t) = exp(ist) psi(ct), s = c or 1
+        def psi(t):
             si, ci = sici(t)
-            a_val, b_val = char_components(fam, 1, t)
-            assert a_val == pytest.approx(
-                math.cos(t) - 1.0 - t * (math.pi / 2.0 - si), abs=1e-9)
-            assert b_val == pytest.approx(math.sin(t) - t * ci, abs=1e-9)
+            return complex(math.cos(t) - t * (math.pi / 2.0 - si),
+                           math.sin(t) - t * ci)
+
+        cases = [(uniform_family(), 1.0, 0.0),
+                 (mobius_clamped_family("constant:2"), 2.0, 2.0),
+                 (mobius_remark2_family("constant:2"), 2.0, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fam, c, s in cases:
+                for t in (1e-3, 1e-2, 0.1, 0.3, 1.0, 2.5, 3.0, 7.0, 10.0):
+                    oracle = np.exp(1j * s * t) * psi(c * t)
+                    a_val, b_val = char_components(fam, 1, t)
+                    assert a_val == pytest.approx(oracle.real - 1.0,
+                                                  abs=1e-12)
+                    assert b_val == pytest.approx(oracle.imag, abs=1e-12)
 
     def test_odd_even_symmetry(self):
         fam = uniform_family()

@@ -191,6 +191,13 @@ class TestWeakLaw:
         with pytest.raises(DomainError):
             exact_weak_law_run(small_config(scheme="decimal"))
 
+    def test_chain_rejects_non_uniform_family(self):
+        # the chains are drawn from uniforms, so a family would be ignored
+        cfg = small_config(scheme="engel",
+                           family={"kind": "mobius_clamped", "c_n": 2})
+        with pytest.raises(DomainError):
+            exact_weak_law_run(cfg)
+
     def test_condition_failure_reported(self):
         # alpha = 1 - beta with growing beta tag violates the alpha bounds
         cfg = small_config(
