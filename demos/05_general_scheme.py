@@ -1,8 +1,9 @@
 """The general digit scheme, distribution families, and condition checks.
 
-Samples digit sequences from the general scheme, verifies the weight and
-family conditions behind the limit theorems numerically, and estimates the
-joint characteristic-function distance between a digit chain's ratio
+Draws Engel ratio chains through the one chain kernel, ``ratio_path``, from
+uniforms and from the draws of a Möbius digit family, verifies the weight
+and family conditions behind the limit theorems numerically, and estimates
+the joint characteristic-function distance between a digit chain's ratio
 variables and their independent model.
 """
 
@@ -14,23 +15,24 @@ from oppenheimlab import (
     check_theorem_4_1_conditions,
     cesaro_scheme,
     discrete_beta_family,
-    engel_scheme,
     family_constants,
     mobius_clamped_family,
     power_alpha_scheme,
-    sample_oppenheim,
-    sylvester_scheme,
+    ratio_path,
     uniform_family,
 )
 
 
 def main():
-    rng = np.random.default_rng(11)
-    seq, ratios = sample_oppenheim(engel_scheme(), 6, rng)
-    print("general-scheme Engel digits:", seq.digits)
-    print("ratios:", [round(r, 3) for r in ratios])
-    seq, _ = sample_oppenheim(sylvester_scheme(), 5, rng, theta1=2)
-    print("general-scheme Sylvester digits:", seq.digits)
+    # column 0 fixes the first digit; column k drives the ratio R_k
+    n = 6
+    u = 1.0 - np.random.default_rng(11).random((1, n + 1))
+    print("Engel ratios from uniforms:",
+          np.round(ratio_path("engel", u)[0], 3).tolist())
+    mobius = mobius_clamped_family(2)
+    u[:, 1:] = mobius.sampler(np.arange(1, n + 1), u[:, 1:])
+    print("Engel ratios from Möbius draws (c_n = 2):",
+          np.round(ratio_path("engel", u)[0], 3).tolist())
 
     print("\nfamily constants (b, c):")
     for name, fam in [("uniform", uniform_family()),

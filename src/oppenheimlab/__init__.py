@@ -1,7 +1,7 @@
 """Numerical laboratory for series-expansion digit laws, exact weak laws,
 and index-1 stable limit laws."""
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"
 
 from .errors import (
     AccuracyError,
@@ -38,13 +38,9 @@ from .distributions import (
 )
 from .expansions import (
     DigitSequence,
-    OppenheimScheme,
-    engel_scheme,
     extract_digits,
     ratio_path,
     ratios,
-    sample_oppenheim,
-    sylvester_scheme,
 )
 from .weights import (
     WeightScheme,

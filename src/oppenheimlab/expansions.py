@@ -1,44 +1,36 @@
-"""Series-expansion digit codecs and random digit-sequence samplers.
+"""Series-expansion digit codecs and the vectorised ratio-chain kernel.
 
 Deterministic extraction works on exact rationals (Fraction) so that the
 partial series plus the exact tail reproduces the input bit-for-bit.  Random
-sampling follows the general digit scheme driven by a distribution family,
-with fast vectorized digit chains for the classical kinds used in the Monte
-Carlo experiments.
+Oppenheim chains are walked by one vectorised kernel, ``ratio_path``, on
+draws of the digit family's members.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import DistributionFamily, uniform_family
 from .errors import DomainError, SchemeError
-
-KINDS = ("luroth", "engel", "sylvester", "continued_fraction",
-         "oppenheim_general")
 
 
 @dataclass(frozen=True)
 class DigitSequence:
-    """Digits of one expansion realization.
+    """Digits of one exact extraction.
 
-    ``remainder`` is the exact state after the last emitted digit (None for
-    sampled sequences); ``terminated`` marks expansions that ended because the
-    remainder hit zero, rather than being truncated at ``count``.
+    ``remainder`` is the exact state after the last emitted digit;
+    ``terminated`` marks expansions that ended because the remainder hit
+    zero, rather than being truncated at ``count``.
     """
 
     kind: str
     digits: tuple
-    origin: str  # "deterministic" or "sampled"
     x: Optional[Fraction] = None
     remainder: Optional[Fraction] = None
     terminated: bool = False
-    seed_info: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -55,10 +47,6 @@ class DigitSequence:
 
     def resum(self) -> Fraction:
         """Exact value of the partial series plus the remainder tail."""
-        if self.origin != "deterministic":
-            raise DomainError("resum requires a deterministic extraction")
-        if self.kind not in _CODECS:
-            raise DomainError(f"resum not defined for kind {self.kind!r}")
         inverse = _CODECS[self.kind][2]
         value = self.remainder if self.remainder is not None else Fraction(0)
         for d in reversed(self.digits):
@@ -100,6 +88,7 @@ _CODECS = {
                            lambda r, d: 1 / r - d,
                            lambda r, d: 1 / (d + r)),
 }
+KINDS = tuple(_CODECS)
 
 
 def extract_digits(kind: str, x, count: int) -> DigitSequence:
@@ -123,96 +112,14 @@ def extract_digits(kind: str, x, count: int) -> DigitSequence:
         d = digit(r)
         digits.append(d)
         r = step(r, d)
-    return DigitSequence(kind, tuple(digits), "deterministic", x=x,
-                         remainder=r, terminated=len(digits) < count)
-
-
-# ---------------------------------------------------------------------------
-# General digit scheme
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OppenheimScheme:
-    """General digit scheme with level maps phi_j and history functional q_n.
-
-    delta_j(h, k, q) = phi_j(h)(1+q) / (k + phi_j(h) q) is the conditional
-    survival function driving the digit draw; it is strictly decreasing in k
-    whenever phi_j(h) > 0.
-    """
-
-    phi: Callable[[int, int], float]
-    q: Callable[[int, tuple], float]
-    digit_family: DistributionFamily = field(default_factory=uniform_family)
-    name: str = "custom"
-
-
-def _chain_scheme(kind: str, family) -> OppenheimScheme:
-    """The digit chain of ``kind`` as a general scheme.  Its state is
-    Theta = D - 1, so phi(Theta) = _PHI[kind](Theta + 1): Theta for Engel,
-    Theta(Theta + 1) for Sylvester."""
-    return OppenheimScheme(phi=lambda j, h: float(_PHI[kind](h + 1)),
-                           q=lambda n, hist: 0.0,
-                           digit_family=family or uniform_family(),
-                           name=kind)
-
-
-def engel_scheme(family: Optional[DistributionFamily] = None) -> OppenheimScheme:
-    return _chain_scheme("engel", family)
-
-
-def sylvester_scheme(family: Optional[DistributionFamily] = None) -> OppenheimScheme:
-    return _chain_scheme("sylvester", family)
-
-
-def delta(phi_h: float, k: int, q: float) -> float:
-    """delta(h, k, q) with phi_h = phi_j(h)."""
-    if phi_h <= 0.0:
-        raise SchemeError(
-            "phi = 0 makes delta degenerate; sample digits directly from "
-            "their marginal law instead")
-    return phi_h * (1.0 + q) / (k + phi_h * q)
-
-
-def sample_oppenheim(scheme: OppenheimScheme, n: int,
-                     rng: np.random.Generator,
-                     theta1: int = 1) -> tuple[DigitSequence, list]:
-    """Sample digits Theta_1..Theta_{n+1} and the ratios R_1..R_n.
-
-    Level j: given Theta_j = h and Q_j = q, draw U from the family's member j
-    and set Theta_{j+1} to the unique k with delta(h,k+1,q) < U <= delta(h,k,q)
-    (closed form k = floor(phi(h)(1+q)/U - phi(h) q), with a boundary
-    adjustment); R_j = 1/delta(Theta_j, Theta_{j+1}, Q_j).
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    digits = [int(theta1)]
-    ratios_out = []
-    for j in range(1, n + 1):
-        h = digits[-1]
-        phi_h = scheme.phi(j, h)
-        if phi_h <= 0.0:
-            raise SchemeError(
-                "phi = 0 at a reachable digit; use the direct digit sampler")
-        qv = scheme.q(j, tuple(digits))
-        u = float(scheme.digit_family.sampler(j, 1.0 - rng.random()))
-        k_min = max(1, math.ceil(phi_h))
-        k = max(k_min, math.floor(phi_h * (1.0 + qv) / u - phi_h * qv))
-        if k < 2**53:
-            # boundary adjustment: enforce delta(k+1) < u <= delta(k);
-            # beyond float resolution neighbouring k are indistinguishable
-            while k > k_min and delta(phi_h, k, qv) < u:
-                k -= 1
-            while delta(phi_h, k + 1, qv) >= u:
-                k += 1
-        digits.append(int(k))
-        ratios_out.append(1.0 / delta(phi_h, k, qv))
-    seq = DigitSequence("oppenheim_general", tuple(digits), "sampled",
-                        seed_info=scheme.name)
-    return seq, ratios_out
+    return DigitSequence(kind, tuple(digits), x=x, remainder=r,
+                         terminated=len(digits) < count)
 
 
 # chain state phi(D): given D_k, the next digit is D_{k+1} = floor(phi/U) + 1
-# for U uniform on (0, 1], and the ratio variable is R_k = (D_{k+1} - 1)/phi
+# for U the draw of the digit family's member k (uniform for the classical
+# expansions), and the ratio variable is R_k = (D_{k+1} - 1)/phi.  A new
+# Oppenheim kind is one entry here and one in _CODECS.
 _PHI = {
     "luroth": lambda d: 1,
     "engel": lambda d: d - 1,
@@ -249,17 +156,19 @@ _EXACT_STATE_LIMIT = 1e12
 
 def ratio_path(kind: str, u: np.ndarray) -> np.ndarray:
     """(m, n) ratios R_1..R_n of m digit chains driven by an (m, n + 1)
-    array of uniforms in (0, 1], one chain per row.
+    array of draws in (0, 1], one chain per row.
 
-    Lüroth ratios are i.i.d. floor(1/U) over the first n columns.  The
-    Engel and Sylvester chains start at D_1 = floor(1/u_0) + 1 and step
-    D_{k+1} = floor(phi(D_k)/u_k) + 1 with exact floors while phi(D_k) is
-    below the exact-arithmetic window; beyond it the floor is below float
-    resolution, so the rest of the row is 1/u.  Each column touches only
-    the rows still inside the window.
+    Column 0 holds the uniform of the first digit, D_1 = floor(1/u_0) + 1,
+    and column k >= 1 the draw U_k of the digit family's member k, which
+    steps D_{k+1} = floor(phi(D_k)/U_k) + 1; for the uniform family the
+    draws are the uniforms themselves.  Lüroth ratios are i.i.d.
+    floor(1/U_k).  The Engel and Sylvester floors are exact while phi(D_k)
+    is below the exact-arithmetic window; beyond it the floor is below
+    float resolution, so the rest of the row is 1/U.  Each column touches
+    only the rows still inside the window.
     """
     if kind == "luroth":
-        r = 1.0 / u[:, :-1]
+        r = 1.0 / u[:, 1:]
         return np.floor(r, out=r)
     if kind not in _PHI:
         raise DomainError(f"no ratio chain for kind {kind!r}")

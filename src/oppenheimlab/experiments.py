@@ -57,8 +57,9 @@ class ExperimentConfig:
 
     What the tags name is built on construction, so a bad tag is a config
     error, and none of it is a field: ``weight_scheme`` from ``weights``,
-    ``reciprocal_family`` from ``family`` (the law of U in Y = 1/U), and
-    ``summand_family``, whose reciprocals a distributional run sums.
+    ``reciprocal_family`` from ``family`` (the law of U in Y = 1/U, and of
+    the draws that drive a digit chain), and ``summand_family``, whose
+    reciprocals a distributional run sums.
     """
 
     master_seed: int
@@ -79,7 +80,13 @@ class ExperimentConfig:
         if any(n < 2 for n in ng):  # the statistics divide by log n
             raise DomainError("n_grid entries must be >= 2")
         object.__setattr__(self, "n_grid", ng)
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
+        tg = tuple(float(t) for t in self.t_grid)
+        if not tg or not all(map(math.isfinite, tg)):
+            raise DomainError("t_grid must be a nonempty list of finite "
+                              "numbers")
+        object.__setattr__(self, "t_grid", tg)
+        if self.master_seed < 0:
+            raise DomainError("master_seed must be >= 0")
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
         if not self.epsilon > 0:
@@ -227,18 +234,28 @@ def _family(cfg) -> DistributionFamily:
 # Exact weak laws
 # ---------------------------------------------------------------------------
 
+def _chain_ratios(kind: str, family: DistributionFamily, ks: np.ndarray,
+                  v: np.ndarray) -> np.ndarray:
+    """Ratios of a block of chains: column 0 stays the first digit's
+    uniform, and columns ks are mapped to draws of the family's members."""
+    v[:, 1:] = family.sampler(ks, v[:, 1:])
+    return ratio_path(kind, v)
+
+
 def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     """Exceedance frequencies of |T_n - ell| > epsilon where
     T_n = (1/(rho_n log n)) sum_k a_{k,n} X_k, with X the direct reciprocals
-    Y_k = 1/U_k or the ratio variables of a digit chain."""
+    Y_k = 1/U_k or the ratio variables of a digit chain, U_k ~ F_k either
+    way."""
     t_start = time.perf_counter()
     if config.scheme not in WEAK_LAW_SCHEMES:
         raise DomainError(f"unknown weak-law scheme {config.scheme!r}")
     family = config.reciprocal_family
-    if config.scheme != "direct" and family.kind != "uniform":
-        # ratio_path draws the digit chains from uniforms only
-        raise DomainError(f"scheme {config.scheme!r} supports only the "
-                          f"uniform family, got {family.kind!r}")
+    if config.scheme != "direct" and family.is_discrete():
+        # a discrete draw is 1/Z rounded to a float, and floor(phi/fl(1/Z))
+        # can give phi Z - 1 instead of phi Z: a silent wrong digit
+        raise DomainError(f"scheme {config.scheme!r} needs a continuous "
+                          f"family, got {family.kind!r}")
     scheme = config.weight_scheme
 
     n_max = max(config.n_grid)
@@ -253,13 +270,14 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     per_n = []
     for i, n in enumerate(config.n_grid):
         a = weights_row(scheme, n)
+        ks = np.arange(1, n + 1)
         if config.scheme == "direct":
-            ks = np.arange(1, n + 1)
             sums = _replication_sums(config, i, a, n,
                                      lambda v: family.reciprocals(ks, v))
-        else:  # a chain of n ratios walks n + 1 uniforms
+        else:  # a chain of n ratios walks n + 1 draws
             sums = _replication_sums(config, i, a, n + 1,
-                                     lambda v: ratio_path(config.scheme, v))
+                                     lambda v: _chain_ratios(config.scheme,
+                                                             family, ks, v))
         stats = sums / (scheme.rho(n) * math.log(n))
         exceed = float(np.mean(np.abs(stats - ell) > config.epsilon))
         per_n.append({"n": int(n), "exceedance": exceed,
@@ -354,6 +372,10 @@ def limit_law_for(config: ExperimentConfig) -> StableLimitLaw:
 def distributional_run(config: ExperimentConfig) -> RunRecord:
     """KS distance and ECF error of V_n against the stable limit law."""
     t_start = time.perf_counter()
+    if config.scheme != "direct":
+        # the modes sum family reciprocals, not digit-chain ratios
+        raise DomainError("distributional runs take no scheme, got "
+                          f"{config.scheme!r}")
     if config.replications < 100:
         raise DomainError("distributional runs need at least 100 replications")
     law = limit_law_for(config)

@@ -113,7 +113,8 @@ class TestLimitCdf:
 class TestRun:
     def test_bundled_configs_exist(self):
         for name in ("luroth-classical", "engel-weak-law",
-                     "sylvester-weak-law", "cor43-beta-half", "levy-cf"):
+                     "sylvester-weak-law", "engel-mobius-weak-law",
+                     "cor43-beta-half", "levy-cf"):
             assert bundled_config_path(name).exists()
 
     def test_missing_config(self, capsys):
@@ -215,7 +216,11 @@ class TestRun:
         "n_grid: [50, 200]\nweights: cesaro",
         "n_grid: [50, 200]\nfamily: uniform",
         "n_grid: [50, 200]\nfamily: {kind: mobius_remark2, c_n: 'constant:a'}",
-        "n_grid: [50, 200]\nmode: cor_4_3\nbeta: 'constant:x'"])
+        "n_grid: [50, 200]\nmode: cor_4_3\nbeta: 'constant:x'",
+        "n_grid: [50, 200]\nt_grid: []",
+        "n_grid: [50, 200]\nt_grid: [.nan]",
+        "n_grid: [50, 200]\nt_grid: [.inf]",
+        "n_grid: [50, 200]\nmaster_seed: -1"])
     def test_invalid_config_values_exit_2(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("experiment: weak_law\nreplications: 60\n"
@@ -224,6 +229,24 @@ class TestRun:
                                str(tmp_path / "results"))
         assert code == 2
         assert "config error" in err
+
+    def test_negative_seed_option_exit_2(self, capsys, tmp_path):
+        cfg, results = self._tiny_weak_law(tmp_path)
+        code, out, err = run_cli(capsys, "run", str(cfg), "--seed", "-1",
+                                 "--out", str(results))
+        assert code == 2
+        assert "master_seed" in err and out == ""
+
+    def test_distributional_scheme_exit_2(self, capsys, tmp_path):
+        # a distributional run sums family reciprocals, so a chain scheme
+        # would be ignored
+        cfg = tmp_path / "chain.yaml"
+        cfg.write_text("experiment: distributional\nscheme: engel\n"
+                       "n_grid: [100]\nreplications: 150\n")
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(tmp_path / "results"))
+        assert code == 2
+        assert "scheme" in err and out == ""
 
     @pytest.mark.parametrize("line", ["c: [1]", "c: 1\npoints: 0",
                                       "c: 1\npoints: -3"])

@@ -9,16 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oppenheimlab.distributions import mobius_clamped_family
 from oppenheimlab.errors import DomainError, SchemeError
 from oppenheimlab.expansions import (
     DigitSequence,
-    delta,
-    engel_scheme,
     extract_digits,
     ratio_path,
     ratios,
-    sample_oppenheim,
-    sylvester_scheme,
 )
 
 rationals_01 = st.builds(
@@ -97,11 +94,11 @@ class TestValidation:
 
     def test_digit_invariants(self):
         with pytest.raises(DomainError):
-            DigitSequence("luroth", (1, 2), "deterministic")
+            DigitSequence("luroth", (1, 2))
         with pytest.raises(DomainError):
-            DigitSequence("engel", (5, 3), "deterministic")
+            DigitSequence("engel", (5, 3))
         with pytest.raises(DomainError):
-            DigitSequence("sylvester", (3, 4), "deterministic")
+            DigitSequence("sylvester", (3, 4))
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
@@ -122,83 +119,17 @@ class TestRatios:
             ratios("sylvester", (1, 3))
 
 
-class TestGeneralScheme:
-    def test_delta_monotone(self):
-        vals = [delta(3.0, k, 0.5) for k in range(3, 10)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert delta(3.0, 3, 0.0) == pytest.approx(1.0)
-
-    def test_delta_pole(self):
-        with pytest.raises(SchemeError):
-            delta(0.0, 2, 0.0)
-
-    def test_engel_scheme_digits_nondecreasing(self):
-        rng = np.random.default_rng(11)
-        seq, rs = sample_oppenheim(engel_scheme(), 20, rng)
-        assert len(seq.digits) == 21 and len(rs) == 20
-        assert all(b >= a for a, b in zip(seq.digits, seq.digits[1:]))
-        assert all(r >= 1.0 for r in rs)
-
-    def test_sylvester_scheme_growth(self):
-        rng = np.random.default_rng(11)
-        seq, _ = sample_oppenheim(sylvester_scheme(), 8, rng, theta1=2)
-        # digit support starts where the survival function delta reaches 1,
-        # i.e. at phi(h) = h(h+1): the state is Theta = D - 1
-        for a, b in zip(seq.digits, seq.digits[1:]):
-            assert b >= a * (a + 1)
-
-    def test_sylvester_scheme_needs_positive_theta(self):
-        # theta1 = 1 is the digit D_1 = 2; theta1 = 0 makes phi vanish
-        rng = np.random.default_rng(3)
-        seq, _ = sample_oppenheim(sylvester_scheme(), 3, rng, theta1=1)
-        assert seq.digits[1] >= 2
-        with pytest.raises(SchemeError):
-            sample_oppenheim(sylvester_scheme(), 3, rng, theta1=0)
-
-    @pytest.mark.parametrize("kind", ["engel", "sylvester"])
-    def test_scheme_matches_ratio_chain(self, kind):
-        # the same uniforms walk the same digits, Theta_k = D_k - 1, and the
-        # same ratios, while the chain is inside its exact window
-        scheme = {"engel": engel_scheme, "sylvester": sylvester_scheme}[kind]
-        # phi of the state Theta = D - 1: D - 1 and D(D - 1)
-        phi = {"engel": lambda t: t, "sylvester": lambda t: t * (t + 1)}[kind]
-        for seed in range(20):
-            u = 1.0 - np.random.default_rng(seed).random(4)
-            r = ratio_path(kind, u[None, :])[0]
-            theta = [math.floor(1.0 / u[0])]
-            for ratio in r:
-                s = float(phi(theta[-1]))
-                if s >= 1e12 or len(theta) > 3:
-                    break
-                theta.append(round(ratio * s))
-            rng = np.random.default_rng(seed)
-            rng.random()  # u[0] is the first digit, passed as theta1
-            seq, rs = sample_oppenheim(scheme(), len(theta) - 1, rng,
-                                       theta1=theta[0])
-            assert list(seq.digits) == theta
-            assert rs == pytest.approx(list(r[:len(rs)]), rel=1e-15)
-
-    def test_engel_scheme_matches_digit_chain_law(self):
-        # conditional digit law under the scheme equals the Engel chain law:
-        # P(Theta_{j+1} = k | Theta_j = h) = h/(k(k-1)) * ... step survival
-        rng = np.random.default_rng(123)
-        counts = {}
-        m = 40_000
-        for _ in range(m):
-            seq, _ = sample_oppenheim(engel_scheme(), 1, rng, theta1=3)
-            k = seq.digits[1]
-            counts[k] = counts.get(k, 0) + 1
-        # survival delta(3, k, 0) = 3/k => P(k) = 3/k - 3/(k+1) = 3/(k(k+1))
-        for k in (3, 4, 5, 8):
-            p = 3.0 / (k * (k + 1.0))
-            freq = counts.get(k, 0) / m
-            sigma = math.sqrt(p * (1 - p) / m)
-            assert abs(freq - p) < 4 * sigma
-
-
 def uniforms(seed, m, n):
     """(m, n + 1) uniforms in (0, 1], the input of ratio_path."""
     return 1.0 - np.random.default_rng(seed).random((m, n + 1))
+
+
+def mobius_draws(seed, m, n):
+    """Uniforms whose columns 1..n are mapped to draws of the members 1..n
+    of the Möbius family with c_n = 2, as a chain weak law maps them."""
+    u = uniforms(seed, m, n)
+    u[:, 1:] = mobius_clamped_family(2).sampler(np.arange(1, n + 1), u[:, 1:])
+    return u
 
 
 def exact_chain_ratios(kind, row):
@@ -263,14 +194,37 @@ class TestVectorChains:
         assert r.shape == (1, 10)
         assert np.all(r >= 1.0)
 
+    def test_luroth_reads_draw_columns(self):
+        # like every kind, R_k is driven by column k; column 0 is unused
+        u = uniforms(4, 1000, 6)
+        assert np.array_equal(ratio_path("luroth", u),
+                              np.floor(1.0 / u[:, 1:]))
+
+    def test_engel_transition_law(self):
+        # u_0 = 0.3 gives D_1 = 4, the state Theta_1 = 3, so
+        # Theta_2 = 3 R_1 = floor(3/U) has survival 3/k and
+        # P(Theta_2 = k) = 3/k - 3/(k+1) = 3/(k(k+1)) for k >= 3
+        m = 40_000
+        u = uniforms(123, m, 1)
+        u[:, 0] = 0.3
+        theta2 = np.rint(3.0 * ratio_path("engel", u)[:, 0])
+        assert theta2.min() >= 3
+        for k in (3, 4, 5, 8):
+            p = 3.0 / (k * (k + 1.0))
+            sigma = math.sqrt(p * (1 - p) / m)
+            assert abs(np.mean(theta2 == k) - p) < 4 * sigma
+
     def test_ratio_path_unknown(self):
         with pytest.raises(DomainError):
             ratio_path("decimal", uniforms(1, 1, 3))
 
     @pytest.mark.parametrize("kind", ["engel", "sylvester"])
-    @pytest.mark.parametrize("m,n", [(200_000, 4), (1, 60)])
-    def test_kernel_matches_exact_chain(self, kind, m, n):
-        u = uniforms(1, m, n)
+    @pytest.mark.parametrize("m,n,draws", [
+        pytest.param(200_000, 4, uniforms, id="200000-4"),
+        pytest.param(1, 60, uniforms, id="1-60"),
+        pytest.param(20_000, 8, mobius_draws, id="mobius-20000-8")])
+    def test_kernel_matches_exact_chain(self, kind, m, n, draws):
+        u = draws(1, m, n)
         r = ratio_path(kind, u)
         assert r.shape == (m, n)
         exact = [exact_chain_ratios(kind, row) for row in u.tolist()]

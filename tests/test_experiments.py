@@ -32,6 +32,9 @@ from oppenheimlab.specfun import EULER_GAMMA, c2_discrete_quad
 from oppenheimlab.weights import cesaro_scheme
 
 
+MOBIUS_2 = {"kind": "mobius_clamped", "c_n": 2}
+
+
 def small_config(**kw):
     base = dict(master_seed=1, n_grid=(50, 200), replications=120)
     base.update(kw)
@@ -59,6 +62,11 @@ class TestConfig:
             small_config(epsilon=0.0)
         with pytest.raises(DomainError):
             small_config(epsilon=float("nan"))
+        for t_grid in ((), (float("nan"),), (1.0, float("inf"))):
+            with pytest.raises(DomainError):
+                small_config(t_grid=t_grid)
+        with pytest.raises(DomainError):
+            small_config(master_seed=-1)
 
     def test_digest_includes_version(self, monkeypatch, tmp_path):
         # a record of another version sits beside the current one
@@ -149,10 +157,11 @@ class TestReproducibility:
     @pytest.mark.parametrize("runner, kw", [
         (exact_weak_law_run, dict(scheme="direct")),
         (exact_weak_law_run, dict(scheme="engel")),
+        (exact_weak_law_run, dict(scheme="engel", family=MOBIUS_2)),
         (distributional_run, dict(n_grid=(100, 400))),
         (distributional_run, dict(n_grid=(100, 400), mode="cor_4_3",
                                   beta="constant:0.5")),
-    ], ids=["direct", "engel", "classical", "cor43-half"])
+    ], ids=["direct", "engel", "engel-mobius", "classical", "cor43-half"])
     def test_records_do_not_depend_on_block_size(self, monkeypatch, runner,
                                                  kw):
         cfg = small_config(**kw)
@@ -191,10 +200,23 @@ class TestWeakLaw:
         with pytest.raises(DomainError):
             exact_weak_law_run(small_config(scheme="decimal"))
 
-    def test_chain_rejects_non_uniform_family(self):
-        # the chains are drawn from uniforms, so a family would be ignored
-        cfg = small_config(scheme="engel",
-                           family={"kind": "mobius_clamped", "c_n": 2})
+    def test_engel_chain_with_family_tracks_direct_scheme(self):
+        # the chain's ratios R_k are close to 1/U_k with U_k ~ F_k, so both
+        # statistics head to ell = alpha = c_n = 2 together
+        n_grid = (100, 1000, 10000, 100000)
+        runs = [exact_weak_law_run(ExperimentConfig(
+            master_seed=20260823, n_grid=n_grid, replications=200,
+            scheme=scheme, family=MOBIUS_2)) for scheme in ("engel", "direct")]
+        chain, direct = ([row["t_median"] for row in rec.per_n]
+                         for rec in runs)
+        assert all(row["ell"] == pytest.approx(2.0, abs=1e-9)
+                   for row in runs[0].per_n)
+        assert np.allclose(chain, direct, rtol=0.0, atol=0.05)
+
+    def test_chain_rejects_discrete_family(self):
+        # a discrete draw 1/Z is rounded, so the chain's floor could miss
+        # the digit
+        cfg = small_config(scheme="engel", family={"kind": "discrete_beta"})
         with pytest.raises(DomainError):
             exact_weak_law_run(cfg)
 
@@ -323,6 +345,11 @@ class TestDistributional:
     def test_replication_floor(self):
         with pytest.raises(DomainError):
             distributional_run(small_config(replications=50))
+
+    def test_rejects_scheme_other_than_direct(self):
+        # the modes sum family reciprocals; a scheme would be ignored
+        with pytest.raises(DomainError):
+            distributional_run(small_config(scheme="engel"))
 
 
 class TestCharDistance:
