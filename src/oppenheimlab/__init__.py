@@ -1,7 +1,7 @@
 """Numerical laboratory for series-expansion digit laws, exact weak laws,
 and index-1 stable limit laws."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import (
     AccuracyError,
@@ -11,9 +11,7 @@ from .errors import (
     SchemeError,
 )
 from .specfun import (
-    DEFAULT_SPEC,
     EULER_GAMMA,
-    QuadratureSpec,
     c2_discrete,
     c2_discrete_quad,
     cin,
@@ -47,11 +45,8 @@ from .weights import (
     cesaro_scheme,
     check_theorem_3_2_conditions,
     check_theorem_4_1_conditions,
-    ell_profile,
     iterated_mean,
     iterated_scheme,
-    kappa,
-    max_weight,
     power_alpha_scheme,
     weights_row,
 )

@@ -23,6 +23,7 @@ from .distributions import proposition_2_4_profile, uniform_family
 from .errors import DomainError
 from .expansions import extract_digits
 from .experiments import (
+    DEFAULT_SEED,
     ExperimentConfig,
     distributional_run,
     exact_weak_law_run,
@@ -34,8 +35,6 @@ from .limitlaw import StableLimitLaw, cdf_many, ks_distance, levy_cf_law, \
     reference_error, table_error
 from .specfun import EULER_GAMMA, c2_discrete, c2_discrete_quad, cin, \
     cosine_integral, gauss_2f1_unit, lemma_a1
-
-DEFAULT_SEED = 20260823
 
 
 def _parse_number(text: str):
@@ -65,48 +64,45 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _verify_checks(tolerance):
+def _verify_checks():
     """Yields (name, achieved_error, tol, *notes) of the identity suite."""
     a_val, b_val, total = lemma_a1()
-    yield ("lemma_a1", abs(total - (1.0 - EULER_GAMMA)),
-           tolerance or 1e-8)
+    yield "lemma_a1", abs(total - (1.0 - EULER_GAMMA)), 1e-8
 
     grid = (0.01, 0.03, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
     worst = max(abs(cin(x) + cosine_integral(x) - math.log(x) - EULER_GAMMA)
                 for x in grid)
-    yield ("cin_ci_identity", worst, tolerance or 1e-10)
+    yield "cin_ci_identity", worst, 1e-10
 
     worst = 0.0
     for z in (0.5, -0.5, 0.5j, -0.9):
         val = gauss_2f1_unit(0.0, z)
         worst = max(worst, abs(val * z + np.log(1.0 - complex(z))))
-    yield ("gauss_2f1_beta0", worst, tolerance or 1e-10)
+    yield "gauss_2f1_beta0", worst, 1e-10
 
-    yield ("c2_discrete_half", abs(c2_discrete(0.5) - math.log(2.0)),
-           tolerance or 1e-8)
+    yield "c2_discrete_half", abs(c2_discrete(0.5) - math.log(2.0)), 1e-8
 
     betas = np.linspace(0.0, 0.95, 20)
     worst = max(abs(c2_discrete(b) - c2_discrete_quad(b)) for b in betas)
-    yield ("c2_discrete_quadrature", worst, tolerance or 1e-10)
+    yield "c2_discrete_quadrature", worst, 1e-10
 
-    yield ("cdf_table_midpoints", table_error(), tolerance or 1e-8)
+    yield "cdf_table_midpoints", table_error(), 1e-8
 
     abs_err, rel_err = reference_error()
-    yield ("cdf_reference", rel_err, tolerance or 1e-9,
-           f"abs_error={abs_err:.3e}")
+    yield "cdf_reference", rel_err, 1e-9, f"abs_error={abs_err:.3e}"
 
     yield ("gamma_recovery", abs(gamma_from_harmonic(10**6) + EULER_GAMMA),
-           tolerance or 1e-6)
+           1e-6)
 
     prof = proposition_2_4_profile(uniform_family(), 1,
                                    (0.1, 0.05, 0.02, 0.01, 0.005))
     yield ("proposition_2_4_uniform",
-           abs(prof.fitted_limit - (1.0 - EULER_GAMMA)), tolerance or 1e-3)
+           abs(prof.fitted_limit - (1.0 - EULER_GAMMA)), 1e-3)
 
 
 def cmd_verify(args) -> int:
     failures = 0
-    for name, achieved, tol, *notes in _verify_checks(args.tolerance):
+    for name, achieved, tol, *notes in _verify_checks():
         ok = achieved <= tol
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'} {name} "
@@ -141,22 +137,6 @@ def cmd_limit_cdf(args) -> int:
     return 0
 
 
-def _config_from_mapping(doc: dict, seed_override=None) -> ExperimentConfig:
-    return ExperimentConfig(
-        master_seed=int(seed_override if seed_override is not None
-                        else doc.get("master_seed", DEFAULT_SEED)),
-        n_grid=tuple(doc["n_grid"]),
-        replications=int(doc["replications"]),
-        scheme=doc.get("scheme", "direct"),
-        mode=doc.get("mode", "classical_1_2"),
-        family=doc.get("family", {"kind": "uniform"}),
-        weights=doc.get("weights", {"kind": "cesaro"}),
-        beta=doc.get("beta", "constant:0"),
-        epsilon=float(doc.get("epsilon", 0.3)),
-        t_grid=tuple(doc.get("t_grid", (0.5, 1.0, 2.0))),
-    )
-
-
 def bundled_config_path(name: str) -> Path:
     return Path(__file__).parent / "configs" / f"{name}.yaml"
 
@@ -184,7 +164,12 @@ def cmd_run(args) -> int:
             return 0
         if experiment not in ("weak_law", "distributional"):
             raise DomainError(f"unknown experiment {experiment!r}")
-        config = _config_from_mapping(doc, args.seed)
+        # the other keys are the ExperimentConfig fields
+        settings = {"master_seed": DEFAULT_SEED, **doc}
+        del settings["experiment"]
+        if args.seed is not None:
+            settings["master_seed"] = args.seed
+        config = ExperimentConfig(**settings)
     except (DomainError, KeyError, TypeError, ValueError,
             yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -244,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_expand)
 
     pv = sub.add_parser("verify", help="deterministic identity suite")
-    pv.add_argument("--tolerance", type=float, default=None)
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("limit-cdf", help="emit (x, F(x)) CSV of a limit law")

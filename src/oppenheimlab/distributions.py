@@ -10,25 +10,19 @@ characteristic-function components A(t), B(t) of the reciprocal variable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate, special
 
 from .errors import AccuracyError, ConditionCheckError, DomainError
-from .specfun import (
-    DEFAULT_SPEC,
-    EULER_GAMMA,
-    QuadratureSpec,
-    fourier_integral,
-    gauss_2f1_unit,
-)
+from .specfun import EULER_GAMMA, QUAD_TOL, fourier_integral, gauss_2f1_unit
 
 DISCRETE_KINDS = {"discrete_beta"}
 
 
-def make_sequence(spec) -> Callable:
+def make_sequence(seq) -> Callable:
     """Turn a sequence tag into a vectorised index function (1-based).
 
     The function maps an index to a float and an index array to a float
@@ -38,21 +32,21 @@ def make_sequence(spec) -> Callable:
     list (extended by its last value), or a callable, which must accept
     index arrays itself.
     """
-    if callable(spec):
-        return spec
-    if isinstance(spec, (int, float)):
-        v = float(spec)
+    if callable(seq):
+        return seq
+    if isinstance(seq, (int, float)):
+        v = float(seq)
         return lambda n: v
-    if isinstance(spec, str):
-        tag, _, arg = spec.partition(":")
+    if isinstance(seq, str):
+        tag, _, arg = seq.partition(":")
         if tag == "constant":
             v = float(arg) if arg else 1.0
             return lambda n: v
         if tag == "linear":
             scale = float(arg) if arg and arg != "n" else 1.0
             return lambda n: scale * n
-        raise DomainError(f"unknown sequence tag {spec!r}")
-    table = np.asarray(list(spec), dtype=float)
+        raise DomainError(f"unknown sequence tag {seq!r}")
+    table = np.asarray(list(seq), dtype=float)
     if table.size == 0:
         raise DomainError("empty sequence")
     return lambda n: table[np.minimum(n, table.size) - 1]
@@ -93,7 +87,6 @@ class DistributionFamily:
     support_max: Callable = lambda n: 1.0
     beta: Optional[Callable] = None  # discrete_beta only
     param: Optional[Callable] = None  # None: members differ by index only
-    params: dict = field(default_factory=dict)
 
     def is_discrete(self) -> bool:
         return self.kind in DISCRETE_KINDS
@@ -158,7 +151,6 @@ def _mobius_family(kind: str, c_n, edge, core, sampler) -> DistributionFamily:
         kind=kind, cdf=cdf, alpha=cseq,
         sampler=lambda ks, v: sampler(cseq(ks), v), density=density,
         support_max=lambda n: edge(cseq(n)), param=cseq,
-        params={"c_n": c_n},
     )
 
 
@@ -204,26 +196,31 @@ def discrete_beta_family(beta_n="constant:0") -> DistributionFamily:
     return DistributionFamily(
         kind="discrete_beta", cdf=cdf, alpha=alpha, sampler=sampler,
         beta=bseq, support_max=lambda n: 0.5, param=bseq,
-        params={"beta_n": beta_n},
     )
 
 
 _FACTORIES = {
-    "uniform": lambda cfg: uniform_family(),
-    "mobius_clamped": lambda cfg: mobius_clamped_family(cfg.get("c_n", "constant:1")),
-    "mobius_remark2": lambda cfg: mobius_remark2_family(cfg.get("c_n", "constant:1")),
-    "discrete_beta": lambda cfg: discrete_beta_family(cfg.get("beta_n", "constant:0")),
+    "uniform": uniform_family,
+    "mobius_clamped": mobius_clamped_family,
+    "mobius_remark2": mobius_remark2_family,
+    "discrete_beta": discrete_beta_family,
 }
 
 
 def family_from_config(cfg: dict) -> DistributionFamily:
-    """Build a built-in family from a config mapping ({"kind": ..., ...})."""
+    """Build a built-in family from a config mapping ({"kind": ..., ...}):
+    the factory of its kind called with the mapping's other keys, so an
+    unknown key is an error."""
     if not isinstance(cfg, dict):
         raise DomainError(f"family must be a mapping, got {cfg!r}")
-    kind = cfg.get("kind")
+    args = dict(cfg)
+    kind = args.pop("kind", None)
     if kind not in _FACTORIES:
         raise DomainError(f"unknown family kind {kind!r}")
-    return _FACTORIES[kind](cfg)
+    try:
+        return _FACTORIES[kind](**args)
+    except TypeError as exc:  # an unknown setting
+        raise DomainError(f"{kind} family: {exc}") from None
 
 
 def discrete_beta_pmf(beta: float, k: int) -> float:
@@ -297,8 +294,7 @@ def condition_i_profile(family: DistributionFamily, n_max: int,
     return ConditionProfile(tuple(rows), *_alpha_stats(family, n_max))
 
 
-def _cond_ii_integral(family: DistributionFamily, n: int, t: float,
-                      spec: QuadratureSpec) -> float:
+def _cond_ii_integral(family: DistributionFamily, n: int, t: float) -> float:
     """int_0^t (1/u) |F_n(u)/u - alpha_n| du for one member."""
     a = family.alpha(n)
     if family.kind == "uniform":
@@ -319,41 +315,40 @@ def _cond_ii_integral(family: DistributionFamily, n: int, t: float,
     s0 = -math.log(t)
     val, err = integrate.quad(
         lambda s: abs(family.cdf(n, math.exp(-s)) / math.exp(-s) - a),
-        s0, s0 + 60.0, epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=500,
+        s0, s0 + 60.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
     )
-    if err > 1e3 * spec.abs_tol:
+    if err > 1e3 * QUAD_TOL:
         raise AccuracyError("condition (ii) quadrature missed tolerance", err)
     return val
 
 
-def condition_ii_profile(family: DistributionFamily, n_max: int, t_grid,
-                         spec: QuadratureSpec = DEFAULT_SPEC) -> ConditionProfile:
+def condition_ii_profile(family: DistributionFamily, n_max: int,
+                         t_grid) -> ConditionProfile:
     """Table of (t, sup_{n<=n_max} int_0^t (1/u)|F_n(u)/u - alpha_n| du)."""
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     ts = _validate_grid(t_grid)
     rows = []
     for t in ts:
-        sup = max(_cond_ii_integral(family, n, float(t), spec)
+        sup = max(_cond_ii_integral(family, n, float(t))
                   for n in range(1, n_max + 1))
         rows.append((float(t), float(sup)))
     return ConditionProfile(tuple(rows), *_alpha_stats(family, n_max))
 
 
-def check_conditions(family: DistributionFamily, n_max: int = 16,
-                     tol: float = 0.05) -> bool:
-    """Cheap numeric pass/fail of conditions (i) and (ii) for built-ins."""
+def check_conditions(family: DistributionFamily) -> bool:
+    """Cheap numeric pass/fail of conditions (i) and (ii) for built-ins: both
+    suprema over members n <= 16 fall below 0.05 at t = 0.001."""
     grid = (0.1, 0.03, 0.01, 0.003, 0.001)
-    return (condition_i_profile(family, n_max, grid).passes(tol)
-            and condition_ii_profile(family, n_max, grid).passes(tol))
+    return (condition_i_profile(family, 16, grid).passes(0.05)
+            and condition_ii_profile(family, 16, grid).passes(0.05))
 
 
 # ---------------------------------------------------------------------------
 # Constants and characteristic components
 # ---------------------------------------------------------------------------
 
-def family_constants(family: DistributionFamily, n: int,
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> FamilyConstants:
+def family_constants(family: DistributionFamily, n: int) -> FamilyConstants:
     """b = int_0^1 (1/u)(F_n(u)/u - alpha_n) du and c = 1 - alpha*gamma + b."""
     a = family.alpha(n)
     t_probe = 1e-6
@@ -368,34 +363,33 @@ def family_constants(family: DistributionFamily, n: int,
     else:
         b, err = integrate.quad(
             lambda s: family.cdf(n, math.exp(-s)) / math.exp(-s) - a,
-            0.0, 60.0, epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=500,
+            0.0, 60.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
         )
-        if err > 1e3 * spec.abs_tol:
+        if err > 1e3 * QUAD_TOL:
             raise AccuracyError("b-quadrature missed tolerance", err)
     c = 1.0 - a * EULER_GAMMA + b
     return FamilyConstants(n=n, b=float(b), c=float(c),
                            quadrature_error=float(err))
 
 
-def _discrete_char(family: DistributionFamily, n: int, t: float,
-                   spec: QuadratureSpec) -> complex:
+def _discrete_char(family: DistributionFamily, n: int, t: float) -> complex:
     """E[exp(i t Z)] with Z the digit variable, via the generating function
     h(z) = z (1-beta) 2F1-integral, so no quadrature against the step CDF."""
     b = family.beta(n)
     z = complex(math.cos(t), math.sin(t))
-    h = z * gauss_2f1_unit(b, z, spec)
+    h = z * gauss_2f1_unit(b, z)
     return z + (z - 1.0) * h
 
 
-def char_components(family: DistributionFamily, n: int, t: float,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float]:
+def char_components(family: DistributionFamily, n: int,
+                    t: float) -> tuple[float, float]:
     """A(t) = int (cos(t/u) - 1) dF_n(u), B(t) = int sin(t/u) dF_n(u)."""
     if t == 0.0:
         return 0.0, 0.0
     sign = 1.0 if t > 0 else -1.0
     t = abs(t)
     if family.is_discrete():
-        psi_t = _discrete_char(family, n, t, spec)
+        psi_t = _discrete_char(family, n, t)
         return float(psi_t.real - 1.0), float(sign * psi_t.imag)
 
     # with v = t/u: A = -1 + t int cos(v) f(t/v)/v^2 dv (the -1/v^2 part
@@ -406,9 +400,9 @@ def char_components(family: DistributionFamily, n: int, t: float,
     def f_over_v2(v):
         return family.density(n, t / v) / v**2
 
-    cos_int, err_c = fourier_integral(f_over_v2, v0, "cos", spec)
-    sin_int, err_s = fourier_integral(f_over_v2, v0, "sin", spec)
-    if max(err_c, err_s) > 1e3 * spec.abs_tol:
+    cos_int, err_c = fourier_integral(f_over_v2, v0, "cos")
+    sin_int, err_s = fourier_integral(f_over_v2, v0, "sin")
+    if max(err_c, err_s) > 1e3 * QUAD_TOL:
         raise AccuracyError("char_components quadrature missed tolerance",
                             max(err_c, err_s))
     return float(-1.0 + t * cos_int), float(sign * t * sin_int)
@@ -420,9 +414,8 @@ class PropositionProfile:
     fitted_limit: float
 
 
-def proposition_2_4_profile(family: DistributionFamily, n: int, t_grid,
-                            spec: QuadratureSpec = DEFAULT_SPEC
-                            ) -> PropositionProfile:
+def proposition_2_4_profile(family: DistributionFamily, n: int,
+                            t_grid) -> PropositionProfile:
     """Profile of B_n(t)/t + alpha_n log t on a descending grid in (0, 1),
     with its fitted small-t limit (which approaches c_{F_n})."""
     ts = _validate_grid(t_grid)
@@ -431,7 +424,7 @@ def proposition_2_4_profile(family: DistributionFamily, n: int, t_grid,
     a = family.alpha(n)
     rows = []
     for t in ts:
-        _, b_val = char_components(family, n, float(t), spec)
+        _, b_val = char_components(family, n, float(t))
         rows.append((float(t), float(b_val / t + a * math.log(t))))
     # logarithmic-rate fit: value(t) ~ limit + p*t + q*t*log(t) + r*t^2
     tv = np.array([r[0] for r in rows])

@@ -13,9 +13,10 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,6 +47,7 @@ from .weights import (
 
 logger = logging.getLogger(__name__)
 
+DEFAULT_SEED = 20260823
 WEAK_LAW_SCHEMES = ("direct", "luroth", "engel", "sylvester")
 # uniforms per block of replications mapped in one call (256 kB of doubles)
 _BLOCK = 2**15
@@ -55,11 +57,12 @@ _BLOCK = 2**15
 class ExperimentConfig:
     """Everything needed to rerun one experiment deterministically.
 
-    What the tags name is built on construction, so a bad tag is a config
-    error, and none of it is a field: ``weight_scheme`` from ``weights``,
-    ``reciprocal_family`` from ``family`` (the law of U in Y = 1/U, and of
-    the draws that drive a digit chain), and ``summand_family``, whose
-    reciprocals a distributional run sums.
+    The fields are the keys of a run config, and their defaults are the
+    config defaults.  What the tags name is built on construction, so a bad
+    tag is a config error, and none of it is a field: ``weight_scheme`` from
+    ``weights``, ``reciprocal_family`` from ``family`` (the law of U in
+    Y = 1/U, and of the draws that drive a digit chain), and
+    ``summand_family``, whose reciprocals a distributional run sums.
     """
 
     master_seed: int
@@ -74,28 +77,29 @@ class ExperimentConfig:
     t_grid: tuple = (0.5, 1.0, 2.0)
 
     def __post_init__(self):
-        ng = tuple(int(n) for n in self.n_grid)
+        ng = tuple(_integer("each n_grid entry", n) for n in self.n_grid)
         if any(b <= a for a, b in zip(ng, ng[1:])):
             raise DomainError("n_grid must be increasing")
-        if any(n < 2 for n in ng):  # the statistics divide by log n
-            raise DomainError("n_grid entries must be >= 2")
+        if not ng or min(ng) < 2:  # the statistics divide by log n
+            raise DomainError("n_grid must be nonempty, with entries >= 2")
         object.__setattr__(self, "n_grid", ng)
         tg = tuple(float(t) for t in self.t_grid)
         if not tg or not all(map(math.isfinite, tg)):
             raise DomainError("t_grid must be a nonempty list of finite "
                               "numbers")
         object.__setattr__(self, "t_grid", tg)
-        if self.master_seed < 0:
+        if _integer("master_seed", self.master_seed) < 0:
             raise DomainError("master_seed must be >= 0")
-        if self.replications < 1:
+        if _integer("replications", self.replications) < 1:
             raise DomainError("replications must be >= 1")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         if not self.epsilon > 0:
             raise DomainError("epsilon must be > 0")
         object.__setattr__(self, "weight_scheme",
                            _weight_scheme(self.weights))
-        object.__setattr__(self, "reciprocal_family", _family(self.family))
-        object.__setattr__(self, "summand_family",
-                           _summand_family(self.mode, _mode_source(self)))
+        object.__setattr__(self, "reciprocal_family",
+                           family_from_config(self.family))
+        object.__setattr__(self, "summand_family", _summand_family(self))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -109,6 +113,26 @@ class ExperimentConfig:
         payload = json.dumps({**self.to_dict(), "version": _pkg_version},
                              sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _integer(name: str, value) -> int:
+    """value as an int, if it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+_DEFAULTS = {f.name: f.default if f.default_factory is MISSING
+             else f.default_factory() for f in fields(ExperimentConfig)}
+
+
+def _reject_unread(config: ExperimentConfig, names, reader: str):
+    """DomainError if ``config`` sets any of ``names``, which ``reader``
+    never reads, away from its default."""
+    unread = [f"{name}={getattr(config, name)!r}" for name in names
+              if getattr(config, name) != _DEFAULTS[name]]
+    if unread:
+        raise DomainError(f"unread by {reader}: {', '.join(unread)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,26 +232,22 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
     return sums
 
 
+_WEIGHT_KINDS = {"cesaro": cesaro_scheme, "power_alpha": power_alpha_scheme}
+
+
 def _weight_scheme(cfg) -> WeightScheme:
+    """The scheme of a ``weights`` mapping: its kind (default cesaro) called
+    with the mapping's other keys, so an unknown key is an error."""
     if not isinstance(cfg, dict):
         raise DomainError(f"weights must be a mapping, got {cfg!r}")
-    kind = cfg.get("kind", "cesaro")
-    if kind == "cesaro":
-        return cesaro_scheme(cfg.get("rho", "constant"))
-    if kind != "power_alpha":
+    args = dict(cfg)
+    kind = args.pop("kind", "cesaro")
+    if kind not in _WEIGHT_KINDS:
         raise DomainError(f"unsupported weight kind {kind!r} in configs")
     try:
-        alpha = float(cfg["alpha"])
-    except (KeyError, TypeError, ValueError):
-        raise DomainError("power_alpha weights need a numeric alpha, got "
-                          f"{cfg.get('alpha')!r}") from None
-    return power_alpha_scheme(alpha, cfg.get("rho", "constant"))
-
-
-def _family(cfg) -> DistributionFamily:
-    if isinstance(cfg, DistributionFamily):
-        return cfg
-    return family_from_config(cfg)
+        return _WEIGHT_KINDS[kind](**args)
+    except TypeError as exc:  # a missing, unknown or non-numeric setting
+        raise DomainError(f"{kind} weights: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +270,7 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     t_start = time.perf_counter()
     if config.scheme not in WEAK_LAW_SCHEMES:
         raise DomainError(f"unknown weak-law scheme {config.scheme!r}")
+    _reject_unread(config, ("mode", "beta", "t_grid"), "weak-law runs")
     family = config.reciprocal_family
     if config.scheme != "direct" and family.is_discrete():
         # a discrete draw is 1/Z rounded to a float, and floor(phi/fl(1/Z))
@@ -291,22 +312,19 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
 # Distributional limits
 # ---------------------------------------------------------------------------
 
-def _summand_family(mode: str, family_or_beta) -> DistributionFamily:
+def _summand_family(config: ExperimentConfig) -> DistributionFamily:
     """The family whose reciprocals are the summands of the mode: the
-    discrete-beta family for cor_4_3, and its beta = 0 member, the classical
-    digit law, for classical_1_2."""
-    if mode == "classical_1_2":
+    configured family for cor_4_2 and general_4_1, the discrete-beta family
+    for cor_4_3, and its beta = 0 member, the classical digit law, for
+    classical_1_2.  Only cor_4_3 reads ``beta``."""
+    if config.mode == "cor_4_3":
+        return discrete_beta_family(config.beta)
+    if config.mode not in ("classical_1_2", "cor_4_2", "general_4_1"):
+        raise DomainError(f"unknown mode {config.mode!r}")
+    _reject_unread(config, ("beta",), "modes other than 'cor_4_3'")
+    if config.mode == "classical_1_2":
         return discrete_beta_family()
-    if mode in ("cor_4_2", "general_4_1"):
-        return _family(family_or_beta)
-    if mode == "cor_4_3":
-        return discrete_beta_family(family_or_beta)
-    raise DomainError(f"unknown mode {mode!r}")
-
-
-def _mode_source(config: ExperimentConfig):
-    return (config.beta if config.mode == "cor_4_3"
-            else config.reciprocal_family)
+    return config.reciprocal_family
 
 
 def _c2_values(family: DistributionFamily, ks: np.ndarray) -> np.ndarray:
@@ -322,16 +340,16 @@ def _c2_values(family: DistributionFamily, ks: np.ndarray) -> np.ndarray:
     return c2[inverse]
 
 
-def centering_constants(mode: str, family_or_beta, scheme: WeightScheme,
+def centering_constants(family: DistributionFamily, scheme: WeightScheme,
                         n: int) -> tuple[float, float]:
-    """(subtractor, log_term) of the centered statistic V_n.
+    """(subtractor, log_term) of the centered statistic V_n of a sum of the
+    family's reciprocals.
 
     subtractor = kappa_n + sum_k a_{k,n} c_{2,k};
     log_term = sum_k a_{k,n} c_{1,k} log a_{k,n};
-    with (c1, c2) = (alpha_k, c_{F_k} - 1) for the reciprocal mode and
-    ((1 - beta_k), c2_discrete(beta_k)) for the discrete-digit mode.
+    with (c1, c2) = (alpha_k, c_{F_k} - 1) for a continuous family and
+    ((1 - beta_k), c2_discrete(beta_k)) for the discrete-beta family.
     """
-    family = _summand_family(mode, family_or_beta)
     a = weights_row(scheme, n)
     log_a = np.log(a)
     ks = np.arange(1, n + 1)
@@ -345,12 +363,11 @@ def v_samples(config: ExperimentConfig, n: int,
     """All replications of the centered statistic V_n at one grid point."""
     scheme = config.weight_scheme
     a = weights_row(scheme, n)
-    source = _mode_source(config)
-    subtractor, log_term = centering_constants(config.mode, source, scheme, n)
+    family = config.summand_family
+    subtractor, log_term = centering_constants(family, scheme, n)
     ks = np.arange(1, n + 1)
-    sums = _replication_sums(
-        config, n_index, a, n,
-        lambda v: config.summand_family.reciprocals(ks, v))
+    sums = _replication_sums(config, n_index, a, n,
+                             lambda v: family.reciprocals(ks, v))
     return sums - subtractor + log_term
 
 
@@ -372,10 +389,11 @@ def limit_law_for(config: ExperimentConfig) -> StableLimitLaw:
 def distributional_run(config: ExperimentConfig) -> RunRecord:
     """KS distance and ECF error of V_n against the stable limit law."""
     t_start = time.perf_counter()
-    if config.scheme != "direct":
-        # the modes sum family reciprocals, not digit-chain ratios
-        raise DomainError("distributional runs take no scheme, got "
-                          f"{config.scheme!r}")
+    # the modes sum family reciprocals, not digit-chain ratios, and two of
+    # them sum discrete digits whatever the family
+    discrete = config.mode in ("classical_1_2", "cor_4_3")
+    _reject_unread(config, ("scheme", "family") if discrete else ("scheme",),
+                   f"distributional runs of mode {config.mode!r}")
     if config.replications < 100:
         raise DomainError("distributional runs need at least 100 replications")
     law = limit_law_for(config)
@@ -402,7 +420,7 @@ def distributional_run(config: ExperimentConfig) -> RunRecord:
 
 def char_distance_check(n: int, t_vector: Sequence[float], m: int,
                         scheme_kind: str = "engel",
-                        master_seed: int = 20260823) -> dict:
+                        master_seed: int = DEFAULT_SEED) -> dict:
     """Estimates |phi_{R_1..R_n}(t) - prod_k psi_k(t_k)| by Monte Carlo and
     compares with the coupling bound sum_k |t_k| plus 3 standard errors.
 

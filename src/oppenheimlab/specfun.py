@@ -10,7 +10,6 @@ through QUADPACK's Fourier rules (QAWO and QAWF, via ``fourier_integral``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -22,52 +21,39 @@ from .errors import AccuracyError, DomainError, PoleError
 EULER_GAMMA = 0.577215664901532860606512090082
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Error targets for the quadrature routines in this package."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
+# absolute and relative error target of every quadrature in this package
+QUAD_TOL = 1e-10
 
 
-DEFAULT_SPEC = QuadratureSpec()
-
-
-def fourier_integral(f, a: float, weight: str,
-                     spec: QuadratureSpec = DEFAULT_SPEC
-                     ) -> tuple[float, float]:
+def fourier_integral(f, a: float, weight: str) -> tuple[float, float]:
     """Integral of f(x) cos(x) (weight "cos") or f(x) sin(x) (weight "sin")
     over [a, infinity), with its error estimate, by QUADPACK's Fourier rules.
 
     QAWO takes the first half-period [a, a + pi] and QAWF the rest: one QAWF
     call from a raises "bad integrand behaviour" when f peaks steeply at a.
-    Both are asked for abs_tol / 100, because QAWF's achieved error reached
-    abs_tol / 40 against ``scipy.special.sici`` when asked for abs_tol.
+    Both are asked for QUAD_TOL / 100, because QAWF's achieved error reached
+    QUAD_TOL / 40 against ``scipy.special.sici`` when asked for QUAD_TOL.
     """
-    eps = spec.abs_tol / 100.0
+    eps = QUAD_TOL / 100.0
     head, head_err = integrate.quad(f, a, a + math.pi, weight=weight,
                                     wvar=1.0, epsabs=eps,
-                                    epsrel=spec.rel_tol, limit=500)
+                                    epsrel=QUAD_TOL, limit=500)
     tail, tail_err = integrate.quad(f, a + math.pi, math.inf, weight=weight,
                                     wvar=1.0, epsabs=eps, limit=500)
     return head + tail, head_err + tail_err
 
 
-def cosine_integral(x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def cosine_integral(x: float) -> float:
     """Ci(x) = -integral of cos(t)/t over [x, infinity), for x > 0."""
     if x <= 0:
         raise DomainError("cosine_integral requires x > 0")
-    val, err = fourier_integral(lambda t: 1.0 / t, x, "cos", spec)
-    if err > 10 * spec.abs_tol:
+    val, err = fourier_integral(lambda t: 1.0 / t, x, "cos")
+    if err > 10 * QUAD_TOL:
         raise AccuracyError("cosine_integral did not converge", err)
     return -val
 
 
-def cin(x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def cin(x: float) -> float:
     """Cin(x) = integral of (1 - cos t)/t over [0, x], for x >= 0."""
     if x < 0:
         raise DomainError("cin requires x >= 0")
@@ -81,16 +67,14 @@ def cin(x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
         out = np.where(small, t / 2.0, (1.0 - np.cos(safe)) / safe)
         return out
 
-    val, err = integrate.quad(
-        integrand, 0.0, x, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=500,
-    )
-    if err > 100 * spec.abs_tol:
+    val, err = integrate.quad(integrand, 0.0, x, epsabs=QUAD_TOL,
+                              epsrel=QUAD_TOL, limit=500)
+    if err > 100 * QUAD_TOL:
         raise AccuracyError("cin quadrature missed tolerance", err)
     return val
 
 
-def lemma_a1(spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float, float]:
+def lemma_a1() -> tuple[float, float, float]:
     """The two constants A = int_0^1 (sin x - x)/x^2 dx and
     B = int_1^inf (sin x)/x^2 dx, computed by independent quadratures,
     together with their sum (which equals 1 - gamma)."""
@@ -101,20 +85,17 @@ def lemma_a1(spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float, float]:
         safe = np.where(small, 1.0, t)
         return np.where(small, -t / 6.0, (np.sin(safe) - safe) / safe**2)
 
-    a_val, a_err = integrate.quad(
-        a_integrand, 0.0, 1.0, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=500,
-    )
-    b_val, b_err = fourier_integral(lambda t: 1.0 / t**2, 1.0, "sin", spec)
-    if a_err > 100 * spec.abs_tol:
+    a_val, a_err = integrate.quad(a_integrand, 0.0, 1.0, epsabs=QUAD_TOL,
+                                  epsrel=QUAD_TOL, limit=500)
+    b_val, b_err = fourier_integral(lambda t: 1.0 / t**2, 1.0, "sin")
+    if a_err > 100 * QUAD_TOL:
         raise AccuracyError("lemma_a1 A-integral missed tolerance", a_err)
-    if b_err > 10 * spec.abs_tol:
+    if b_err > 10 * QUAD_TOL:
         raise AccuracyError("lemma_a1 B-integral missed tolerance", b_err)
     return a_val, b_val, a_val + b_val
 
 
-def gauss_2f1_unit(beta: float, z: complex,
-                   spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+def gauss_2f1_unit(beta: float, z: complex) -> complex:
     """2F1(1, 1-beta; 2-beta; z) for 0 <= beta < 1 and |z| <= 1, z != 1.
 
     Uses the Euler integral (1-beta) * int_0^1 xi^(-beta) / (1 - xi z) d(xi)
@@ -134,11 +115,10 @@ def gauss_2f1_unit(beta: float, z: complex,
     p = 1.0 / (1.0 - beta)
 
     val, err = integrate.quad(lambda s: 1.0 / (1.0 - np.power(s, p) * z),
-                              0.0, 1.0, epsabs=spec.abs_tol,
-                              epsrel=spec.rel_tol, limit=500,
-                              complex_func=True)
+                              0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL,
+                              limit=500, complex_func=True)
     err = max(err.real, err.imag)
-    if err > 1e3 * spec.abs_tol:
+    if err > 1e3 * QUAD_TOL:
         raise AccuracyError("gauss_2f1_unit quadrature missed tolerance", err)
     return complex(val)
 
@@ -158,7 +138,7 @@ def c2_discrete(beta):
     return float(out) if out.ndim == 0 else out
 
 
-def c2_discrete_quad(beta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def c2_discrete_quad(beta: float) -> float:
     """(1-beta) * int_0^1 (1 - x^beta) / (x^beta (1-x)) dx for beta in [0, 1).
 
     The x^(-beta) endpoint singularity is removed by x = s^(1/(1-beta)),
@@ -181,10 +161,8 @@ def c2_discrete_quad(beta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
         ratio = -np.expm1(beta * p * np.log(s)) / (1.0 - x_safe)
         return np.where(near_one, beta, ratio)
 
-    val, err = integrate.quad(
-        integrand, 0.0, 1.0, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=500,
-    )
-    if err > 100 * spec.abs_tol:
+    val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=QUAD_TOL,
+                              epsrel=QUAD_TOL, limit=500)
+    if err > 100 * QUAD_TOL:
         raise AccuracyError("c2_discrete_quad quadrature missed tolerance", err)
     return val

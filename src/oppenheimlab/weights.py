@@ -1,13 +1,13 @@
-"""Triangular weight arrays a_{k,n}, normalizers rho_n, the derived limits
-kappa and ell, iterated alpha-weighted means, and numeric checkers for the
-weight conditions of the exact weak law and the distributional limit theorem.
+"""Triangular weight arrays a_{k,n}, normalizers rho_n, iterated
+alpha-weighted means, and numeric checkers for the weight conditions of the
+exact weak law and the distributional limit theorem, which also report the
+derived limits kappa and ell.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,12 +39,10 @@ class WeightScheme:
     kind: str
     a_row: Callable[[int], np.ndarray]  # n -> (a_{1,n}, ..., a_{n,n})
     rho: Callable[[int], float]
-    params: dict = field(default_factory=dict)
 
 
 def cesaro_scheme(rho="constant") -> WeightScheme:
-    return WeightScheme("cesaro", lambda n: np.full(n, 1.0 / n),
-                        make_rho(rho), {})
+    return WeightScheme("cesaro", lambda n: np.full(n, 1.0 / n), make_rho(rho))
 
 
 def power_alpha_scheme(alpha: float, rho="constant") -> WeightScheme:
@@ -56,8 +54,7 @@ def power_alpha_scheme(alpha: float, rho="constant") -> WeightScheme:
         w = np.arange(1, n + 1, dtype=float) ** (-alpha)
         return w / w.sum()
 
-    return WeightScheme("power_alpha", a_row, make_rho(rho),
-                        {"alpha": alpha})
+    return WeightScheme("power_alpha", a_row, make_rho(rho))
 
 
 def iterated_scheme(alpha: float, r: int, rho="constant") -> WeightScheme:
@@ -81,37 +78,7 @@ def iterated_scheme(alpha: float, r: int, rho="constant") -> WeightScheme:
             row = w * np.cumsum((row / cw)[::-1])[::-1]
         return row
 
-    return WeightScheme("iterated", a_row, make_rho(rho),
-                        {"alpha": alpha, "r": r})
-
-
-def custom_table_scheme(rows: dict, rho="constant") -> WeightScheme:
-    """Weights from an explicit {n: row} mapping."""
-    table = {int(n): np.asarray(row, dtype=float) for n, row in rows.items()}
-    for n, row in table.items():
-        if row.size != n or np.any(row <= 0):
-            raise DomainError(f"row for n = {n} must hold n positive weights")
-
-    def a_row(n):
-        if n not in table:
-            raise DomainError(f"no custom row for n = {n}")
-        return table[n]
-
-    return WeightScheme("custom_table", a_row, make_rho(rho), {})
-
-
-def custom_table_from_csv(path, rho="constant") -> WeightScheme:
-    """Load a custom table from CSV with columns k, n, a."""
-    cells: dict = {}
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            cells.setdefault(int(rec["n"]), {})[int(rec["k"])] = float(rec["a"])
-    rows = {}
-    for n, by_k in cells.items():
-        if sorted(by_k) != list(range(1, n + 1)):
-            raise DomainError(f"CSV row set for n = {n} is not k = 1..n")
-        rows[n] = [by_k[k] for k in range(1, n + 1)]
-    return custom_table_scheme(rows, rho)
+    return WeightScheme("iterated", a_row, make_rho(rho))
 
 
 def weights_row(scheme: WeightScheme, n: int) -> np.ndarray:
@@ -121,16 +88,6 @@ def weights_row(scheme: WeightScheme, n: int) -> np.ndarray:
     if row.size != n:
         raise DomainError("weight row has wrong length")
     return row
-
-
-def kappa(scheme: WeightScheme, n: int) -> float:
-    """kappa_n = sum_k a_{k,n} (whose limit is the kappa of the theorems)."""
-    return float(weights_row(scheme, n).sum())
-
-
-def max_weight(scheme: WeightScheme, n: int) -> float:
-    """m_n = max_k a_{k,n}."""
-    return float(weights_row(scheme, n).max())
 
 
 # ---------------------------------------------------------------------------
@@ -163,33 +120,6 @@ def richardson_log_limit(n_values: Sequence[int],
         return float(v[0])
     coef = np.polyfit(x, v, len(ns) - 1)
     return float(coef[-1])
-
-
-@dataclass(frozen=True)
-class EllProfile:
-    rows: tuple  # ((n, value), ...)
-    ell: float
-
-
-def ell_profile(scheme: WeightScheme, alphas,
-                n_grid: Sequence[int]) -> EllProfile:
-    """Profile of -sum_k alpha_k a_{k,n} log(alpha_k a_{k,n}) / (rho_n log n)
-    and its extrapolated limit ell.  ``alphas`` is a per-index row (see
-    ``index_row``) covering k <= max(n_grid)."""
-    if any(n < 2 for n in n_grid):
-        raise DomainError("n_grid entries must be >= 2")
-    al_all = index_row(alphas, max(n_grid))
-    rows = []
-    for n in n_grid:
-        a = weights_row(scheme, n)
-        al = al_all[:n]
-        if np.any(al <= 0):
-            raise DomainError("alphas must be positive")
-        x = al * a
-        value = -float(np.sum(x * np.log(x))) / (scheme.rho(n) * math.log(n))
-        rows.append((int(n), value))
-    ell = richardson_log_limit([r[0] for r in rows], [r[1] for r in rows])
-    return EllProfile(tuple(rows), ell)
 
 
 def iterated_mean(values: Sequence[float], alpha: float,
@@ -332,8 +262,9 @@ def check_theorem_4_1_conditions(scheme: WeightScheme,
         kappa=k_rows[-1][1] if passed else None)
 
 
-def _geometric_grid(n_max: int, points: int = 6) -> list:
+def _geometric_grid(n_max: int) -> list:
+    """Six log-spaced indices from 10 to n_max."""
     lo, hi = math.log(10), math.log(n_max)
-    ns = sorted({int(round(math.exp(lo + (hi - lo) * i / (points - 1))))
-                 for i in range(points)})
+    ns = sorted({int(round(math.exp(lo + (hi - lo) * i / 5)))
+                 for i in range(6)})
     return [max(n, 10) for n in ns]

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oppenheimlab import __version__
+from oppenheimlab import __version__, cli
 from oppenheimlab.cli import bundled_config_path, main
 from oppenheimlab.limitlaw import StableLimitLaw, sample_many
 
@@ -61,10 +61,17 @@ class TestVerify:
         (ref,) = [ln for ln in lines if ln.startswith("PASS cdf_reference")]
         assert "abs_error=" in ref
 
-    def test_impossible_tolerance_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--tolerance", "1e-30")
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "table_error", lambda: 1.0)
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 1
-        assert "FAIL" in out
+        lines = out.splitlines()
+        assert sum(ln.startswith("FAIL") for ln in lines) == 1
+        assert any(ln.startswith("FAIL cdf_table_midpoints") for ln in lines)
+
+    def test_no_tolerance_option(self, capsys):
+        code, _, _ = run_cli(capsys, "verify", "--tolerance", "1e-30")
+        assert code == 2
 
 
 class TestLimitCdf:
@@ -209,7 +216,7 @@ class TestRun:
         assert json.loads(record.read_text())["version"] == __version__
 
     @pytest.mark.parametrize("line", [
-        "n_grid: [1, 100]", "n_grid: [50, 200]\nepsilon: 0", "n_grid: 5",
+        "n_grid: [1, 100]", "n_grid: []", "n_grid: [50, 200]\nepsilon: 0", "n_grid: 5",
         "n_grid: [50, 200]\nweights: {kind: power_alpha}",
         "n_grid: [50, 200]\nweights: {kind: power_alpha, alpha: abc}",
         "n_grid: [50, 200]\nweights: {kind: nope}",
@@ -220,7 +227,13 @@ class TestRun:
         "n_grid: [50, 200]\nt_grid: []",
         "n_grid: [50, 200]\nt_grid: [.nan]",
         "n_grid: [50, 200]\nt_grid: [.inf]",
-        "n_grid: [50, 200]\nmaster_seed: -1"])
+        "n_grid: [50, 200]\nmaster_seed: -1",
+        "n_grid: [50, 200]\nmaster_seed: 1.5",
+        "n_grid: [50, 200]\nmaster_seed: true",
+        "n_grid: [50.9, 200]",
+        "n_grid: [50, 200]\nreplications: 60.7",
+        "n_grid: [50, 200]\nepsilson: 0.01",
+        "replications: 60"])
     def test_invalid_config_values_exit_2(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("experiment: weak_law\nreplications: 60\n"
@@ -247,6 +260,27 @@ class TestRun:
                                  str(tmp_path / "results"))
         assert code == 2
         assert "scheme" in err and out == ""
+
+    @pytest.mark.parametrize("experiment, lines, setting", [
+        ("weak_law", "mode: cor_4_2", "mode"),
+        ("weak_law", "mode: cor_4_3\nbeta: 'constant:0.5'", "beta"),
+        ("weak_law", "beta: 'constant:0.5'", "beta"),
+        ("weak_law", "t_grid: [1.0]", "t_grid"),
+        ("distributional", "family: {kind: mobius_clamped}", "family"),
+        ("distributional", "mode: cor_4_3\nfamily: {kind: mobius_clamped}",
+         "family"),
+        ("distributional", "mode: cor_4_2\nbeta: 'constant:0.5'", "beta")])
+    def test_unread_setting_exit_2(self, capsys, tmp_path, experiment, lines,
+                                   setting):
+        # the run would ignore the setting and answer for its default
+        cfg = tmp_path / "unread.yaml"
+        cfg.write_text(f"experiment: {experiment}\nn_grid: [100]\n"
+                       f"replications: 150\n{lines}\n")
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(tmp_path / "results"))
+        assert code == 2
+        assert f"{setting}=" in err and out == ""
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("line", ["c: [1]", "c: 1\npoints: 0",
                                       "c: 1\npoints: -3"])

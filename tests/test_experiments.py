@@ -56,8 +56,9 @@ class TestConfig:
             small_config(n_grid=(200, 50))
         with pytest.raises(DomainError):
             small_config(replications=0)
-        with pytest.raises(DomainError):
-            small_config(n_grid=(1, 100))
+        for n_grid in ((1, 100), ()):
+            with pytest.raises(DomainError):
+                small_config(n_grid=n_grid)
         with pytest.raises(DomainError):
             small_config(epsilon=0.0)
         with pytest.raises(DomainError):
@@ -67,6 +68,31 @@ class TestConfig:
                 small_config(t_grid=t_grid)
         with pytest.raises(DomainError):
             small_config(master_seed=-1)
+        # integer settings are not truncated
+        for bad in (dict(master_seed=1.5), dict(master_seed=True),
+                    dict(replications=60.7), dict(n_grid=(50.9, 200))):
+            with pytest.raises(DomainError, match="integer"):
+                small_config(**bad)
+        assert small_config(n_grid=(np.int64(50), 200)).n_grid == (50, 200)
+
+    def test_family_must_be_a_mapping(self):
+        # a family object would not serialise into the digest
+        with pytest.raises(DomainError, match="mapping"):
+            small_config(family=mobius_clamped_family(2))
+
+    @pytest.mark.parametrize("family, weights", [
+        ({"kind": "mobius_clamped", "cn": 2}, {"kind": "cesaro"}),
+        ({"kind": "uniform", "c_n": 2}, {"kind": "cesaro"}),
+        ({"kind": "uniform"}, {"kind": "cesaro", "alpha": 0.5}),
+        ({"kind": "uniform"}, {"kind": "power_alpha", "alpha": "0.5"})])
+    def test_unknown_family_and_weight_settings(self, family, weights):
+        with pytest.raises(DomainError):
+            small_config(family=family, weights=weights)
+
+    def test_beta_read_only_by_cor43(self):
+        with pytest.raises(DomainError, match="beta"):
+            small_config(mode="cor_4_2", beta="constant:0.5")
+        assert small_config(beta="constant:0").beta == "constant:0"
 
     def test_digest_includes_version(self, monkeypatch, tmp_path):
         # a record of another version sits beside the current one
@@ -231,9 +257,10 @@ class TestWeakLaw:
 class TestCentering:
     def test_classical_matches_cor43_beta0(self):
         sch = cesaro_scheme()
-        s1, l1 = centering_constants("classical_1_2", {"kind": "uniform"},
-                                     sch, 100)
-        s2, l2 = centering_constants("cor_4_3", "constant:0", sch, 100)
+        classical = small_config(mode="classical_1_2").summand_family
+        beta0 = small_config(mode="cor_4_3", beta="constant:0").summand_family
+        s1, l1 = centering_constants(classical, sch, 100)
+        s2, l2 = centering_constants(beta0, sch, 100)
         assert (s1, l1) == (s2, l2)  # the same beta = 0 family
         # cesaro: kappa = 1 and sum a log a = -log n
         assert s1 == pytest.approx(1.0, abs=1e-12)
@@ -242,13 +269,12 @@ class TestCentering:
     def test_cor42_uniform_subtractor(self):
         # uniform: c_F = 1 - gamma, c2 = c_F - 1 = -gamma
         sch = cesaro_scheme()
-        s, _ = centering_constants("cor_4_2", {"kind": "uniform"}, sch, 50)
+        s, _ = centering_constants(uniform_family(), sch, 50)
         assert s == pytest.approx(1.0 - EULER_GAMMA, abs=1e-9)
 
     def test_unknown_mode(self):
-        with pytest.raises(DomainError):
-            centering_constants("cor_9_9", {"kind": "uniform"},
-                                cesaro_scheme(), 10)
+        with pytest.raises(DomainError, match="mode"):
+            small_config(mode="cor_9_9")
 
     @staticmethod
     def _per_k_reference(c1, c2, n):
@@ -262,7 +288,8 @@ class TestCentering:
     def test_cor43_list_beta_matches_per_k_quadrature(self):
         betas = [0.3, 0.1, 0.45, 0.2]
         n = 7
-        got = centering_constants("cor_4_3", betas, cesaro_scheme(), n)
+        got = centering_constants(discrete_beta_family(betas),
+                                  cesaro_scheme(), n)
 
         def beta(k):
             return betas[min(k, len(betas)) - 1]
@@ -274,7 +301,7 @@ class TestCentering:
     def test_cor42_list_family_matches_per_k(self):
         fam = mobius_clamped_family([1.0, 2.0, 1.5])
         n = 6
-        got = centering_constants("cor_4_2", fam, cesaro_scheme(), n)
+        got = centering_constants(fam, cesaro_scheme(), n)
         ref = self._per_k_reference(
             fam.alpha, lambda k: family_constants(fam, k).c - 1.0, n)
         assert got == ref
@@ -288,8 +315,8 @@ class TestCentering:
             return original(beta)
 
         monkeypatch.setattr(experiments, "c2_discrete", counting)
-        centering_constants("cor_4_3", [0.3, 0.1, 0.5], cesaro_scheme(),
-                            1000)
+        centering_constants(discrete_beta_family([0.3, 0.1, 0.5]),
+                            cesaro_scheme(), 1000)
         assert calls == [1000]
 
     @pytest.mark.parametrize("c_n, expected", [
@@ -304,8 +331,8 @@ class TestCentering:
             return original(family, n, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "family_constants", counting)
-        centering_constants("cor_4_2", mobius_clamped_family(c_n),
-                            cesaro_scheme(), 1000)
+        centering_constants(mobius_clamped_family(c_n), cesaro_scheme(),
+                            1000)
         assert len(members) == expected
 
 

@@ -11,7 +11,6 @@ from scipy.special import psi, sici
 from oppenheimlab.errors import DomainError, PoleError
 from oppenheimlab.specfun import (
     EULER_GAMMA,
-    QuadratureSpec,
     c2_discrete,
     c2_discrete_quad,
     cin,
@@ -24,13 +23,6 @@ from oppenheimlab.specfun import (
 
 def test_euler_gamma_value():
     assert EULER_GAMMA == pytest.approx(-psi(1.0), abs=1e-15)
-
-
-def test_quadrature_spec_defaults():
-    spec = QuadratureSpec()
-    assert spec.abs_tol > 0 and spec.rel_tol > 0
-    with pytest.raises(DomainError):
-        QuadratureSpec(abs_tol=0.0)
 
 
 class TestCosineIntegrals:

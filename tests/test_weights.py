@@ -8,18 +8,14 @@ import pytest
 from oppenheimlab.distributions import make_sequence
 from oppenheimlab.errors import DomainError
 from oppenheimlab.weights import (
+    WeightScheme,
     cesaro_scheme,
     check_theorem_3_2_conditions,
     check_theorem_4_1_conditions,
-    custom_table_from_csv,
-    custom_table_scheme,
-    ell_profile,
     iterated_mean,
     index_row,
     iterated_scheme,
-    kappa,
     make_rho,
-    max_weight,
     power_alpha_scheme,
     richardson_log_limit,
     weights_row,
@@ -46,8 +42,7 @@ class TestSchemes:
     def test_cesaro_row(self):
         row = weights_row(cesaro_scheme(), 5)
         assert np.allclose(row, 0.2)
-        assert kappa(cesaro_scheme(), 5) == pytest.approx(1.0)
-        assert max_weight(cesaro_scheme(), 5) == pytest.approx(0.2)
+        assert row.sum() == pytest.approx(1.0)
 
     def test_power_alpha_normalized(self):
         sch = power_alpha_scheme(0.5)
@@ -93,20 +88,6 @@ class TestSchemes:
         assert float(row @ xs) == pytest.approx(
             iterated_mean(xs, 0.4, 3)[-1], abs=1e-12)
 
-    def test_custom_table(self):
-        sch = custom_table_scheme({2: [0.5, 0.5], 3: [0.2, 0.3, 0.5]})
-        assert np.allclose(weights_row(sch, 3), [0.2, 0.3, 0.5])
-        with pytest.raises(DomainError):
-            weights_row(sch, 4)
-        with pytest.raises(DomainError):
-            custom_table_scheme({2: [0.5, -0.5]})
-
-    def test_custom_table_csv(self, tmp_path):
-        p = tmp_path / "w.csv"
-        p.write_text("k,n,a\n1,1,1.0\n1,2,0.4\n2,2,0.6\n")
-        sch = custom_table_from_csv(p)
-        assert np.allclose(weights_row(sch, 2), [0.4, 0.6])
-
     def test_weights_row_validation(self):
         with pytest.raises(DomainError):
             weights_row(cesaro_scheme(), 0)
@@ -117,14 +98,6 @@ class TestProfiles:
         ns = [100, 1000, 10000, 100000]
         vals = [2.0 + 3.0 / math.log(n) for n in ns]
         assert richardson_log_limit(ns, vals) == pytest.approx(2.0, abs=1e-9)
-
-    def test_ell_profile_cesaro_uniform_alphas(self):
-        # x_k = 1/n: -sum (1/n) log(1/n) / log n = 1
-        prof = ell_profile(cesaro_scheme(), lambda k: 1.0,
-                           [100, 1000, 10000])
-        for _, v in prof.rows:
-            assert v == pytest.approx(1.0, abs=1e-12)
-        assert prof.ell == pytest.approx(1.0, abs=1e-9)
 
     def test_iterated_mean_alpha0_is_cesaro(self):
         xs = np.array([1.0, 2.0, 3.0, 4.0])
@@ -138,6 +111,9 @@ class TestConditionCheckers:
                                            100_000)
         assert rep.passed
         assert rep.ell == pytest.approx(1.0, abs=1e-6)
+        # x_k = 1/n: -sum (1/n) log(1/n) / log n = 1 at every grid point
+        for _, v in rep.conditions["limit_ell"][0]:
+            assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_power_alpha_passes_3_2(self):
         rep = check_theorem_3_2_conditions(power_alpha_scheme(0.5),
@@ -149,8 +125,7 @@ class TestConditionCheckers:
 
     def test_constant_row_fails_4_1(self):
         # a_{k,n} = 1 for all k: max weight does not vanish
-        sch = custom_table_scheme(
-            {n: [1.0] * n for n in (10, 25, 63, 158, 398, 1000)})
+        sch = WeightScheme("ones", np.ones, make_rho("constant"))
         rep = check_theorem_4_1_conditions(sch, lambda k: 1.0, 1000)
         assert not rep.passed
         assert rep.verdict("max_weight_to_zero") == "fail"
@@ -181,8 +156,6 @@ class TestConditionCheckers:
         rep41 = check_theorem_4_1_conditions(sch, row, 1000)
         for n, value in rep41.conditions["ell_limit"][0]:
             assert value == float(np.sum(weights_row(sch, n) * per_k(n)))
-        assert ell_profile(sch, row, [100, 1000]) == \
-            ell_profile(sch, seq, [100, 1000])
 
     def test_short_row_rejected(self):
         with pytest.raises(DomainError):
