@@ -37,14 +37,6 @@ from .specfun import EULER_GAMMA, c2_discrete, c2_discrete_quad, cin, \
     cosine_integral, gauss_2f1_unit, lemma_a1
 
 
-def _parse_number(text: str):
-    from fractions import Fraction
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse number {text!r}") from exc
-
-
 def _emit(text: str, out):
     if out:
         Path(out).write_text(text + ("" if text.endswith("\n") else "\n"))
@@ -53,7 +45,7 @@ def _emit(text: str, out):
 
 
 def cmd_expand(args) -> int:
-    seq = extract_digits(args.kind, _parse_number(args.number), args.count)
+    seq = extract_digits(args.kind, args.number, args.count)
     if args.format == "json":
         payload = {"kind": seq.kind, "digits": list(seq.digits),
                    "terminated": seq.terminated}
@@ -122,17 +114,15 @@ def _cdf_csv(law: StableLimitLaw, x_min: float, x_max: float,
     return "\n".join(lines)
 
 
-def _law(kind, c, delta) -> StableLimitLaw:
-    """The continued-fraction law for kind "levy", else S(c, delta)."""
-    if kind == "levy":
+def _law(args) -> StableLimitLaw:
+    """The continued-fraction law for ``--law levy``, else S(c, delta)."""
+    if args.law == "levy":
         return levy_cf_law()
-    if c is None:
-        raise DomainError("a custom law needs its scale c")
-    return StableLimitLaw(c=float(c), delta=float(delta))
+    return StableLimitLaw(c=args.c, delta=args.delta)
 
 
-def cmd_limit_cdf(args) -> int:
-    law = _law(args.law, args.c, args.delta)
+def cmd_cdf_table(args) -> int:
+    law = _law(args)
     _emit(_cdf_csv(law, args.x_min, args.x_max, args.points), args.out)
     return 0
 
@@ -156,12 +146,6 @@ def cmd_run(args) -> int:
             raise DomainError("config must be a mapping with an "
                               "'experiment' key")
         experiment = doc["experiment"]
-        if experiment == "limit_cdf":
-            law = _law(doc.get("law"), doc.get("c"), doc.get("delta", 0.0))
-            print(_cdf_csv(law, float(doc.get("x_min", -5.0)),
-                           float(doc.get("x_max", 20.0)),
-                           int(doc.get("points", 200))))
-            return 0
         if experiment not in ("weak_law", "distributional"):
             raise DomainError(f"unknown experiment {experiment!r}")
         # the other keys are the ExperimentConfig fields
@@ -207,7 +191,7 @@ def cmd_ks_test(args) -> int:
     if samples.ndim != 1:
         raise DomainError("unreadable samples file: expected one sample per "
                           "line")
-    law = _law(args.law, args.c, args.delta)
+    law = _law(args)
     d = ks_distance(samples, law)
     print(f"ks={d:.6g} n={samples.size}")
     return 0 if d <= args.tolerance else 1
@@ -231,15 +215,18 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="deterministic identity suite")
     pv.set_defaults(func=cmd_verify)
 
-    pc = sub.add_parser("limit-cdf", help="emit (x, F(x)) CSV of a limit law")
-    pc.add_argument("--c", type=float, default=1.0)
-    pc.add_argument("--delta", type=float, default=0.0)
-    pc.add_argument("--law", choices=("custom", "levy"), default="custom")
+    law = argparse.ArgumentParser(add_help=False)  # the options _law reads
+    law.add_argument("--c", type=float, default=1.0)
+    law.add_argument("--delta", type=float, default=0.0)
+    law.add_argument("--law", choices=("custom", "levy"), default="custom")
+
+    pc = sub.add_parser("limit-cdf", parents=[law],
+                        help="emit (x, F(x)) CSV of a limit law")
     pc.add_argument("--x-min", type=float, default=-5.0)
     pc.add_argument("--x-max", type=float, default=20.0)
     pc.add_argument("--points", type=int, default=200)
     pc.add_argument("--out")
-    pc.set_defaults(func=cmd_limit_cdf)
+    pc.set_defaults(func=cmd_cdf_table)
 
     pr = sub.add_parser("run", help="run an experiment config")
     pr.add_argument("config", help="YAML path or bundled config name")
@@ -249,11 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--force", action="store_true")
     pr.set_defaults(func=cmd_run)
 
-    pk = sub.add_parser("ks-test", help="KS distance of samples vs a law")
+    pk = sub.add_parser("ks-test", parents=[law],
+                        help="KS distance of samples vs a law")
     pk.add_argument("samples", help="text file, one sample per line")
-    pk.add_argument("--c", type=float, default=1.0)
-    pk.add_argument("--delta", type=float, default=0.0)
-    pk.add_argument("--law", choices=("custom", "levy"), default="custom")
     pk.add_argument("--tolerance", type=float, default=1.0)
     pk.set_defaults(func=cmd_ks_test)
     return p

@@ -22,33 +22,54 @@ from .specfun import EULER_GAMMA, QUAD_TOL, fourier_integral, gauss_2f1_unit
 DISCRETE_KINDS = {"discrete_beta"}
 
 
-def make_sequence(seq) -> Callable:
+def make_sequence(seq, domain=None) -> Callable:
     """Turn a sequence tag into a vectorised index function (1-based).
 
     The function maps an index to a float and an index array to a float
     array of the same shape, except that a constant returns its one float
     for any argument and broadcasts.  Accepted forms: a number,
-    "constant:c", "linear:n" (optionally scaled as "linear:0.5"), an explicit
-    list (extended by its last value), or a callable, which must accept
-    index arrays itself.
+    "constant:c", "linear:n" (optionally scaled as "linear:0.5"), "loglog"
+    (log log n, and 1 for n < 3), an explicit list (extended by its last
+    value), or a callable, which must accept index arrays itself.
+
+    Every value must be finite and, if ``domain`` is given as a pair
+    (rule, vectorised predicate), satisfy the predicate; else DomainError
+    names the rule.  A number or a list is checked when it is parsed, the
+    other forms each time they are evaluated, so no member outside the
+    domain is ever used.
     """
+    rule, inside = domain or ("sequence values must be finite", None)
+
+    def checked(values):
+        v = np.asarray(values, dtype=float)
+        ok = np.isfinite(v) & (True if inside is None else inside(v))
+        if not np.all(ok):
+            raise DomainError(f"{rule}, got {float(v[~ok].flat[0])}")
+        return values
+
+    if isinstance(seq, bool):
+        raise DomainError(f"a sequence tag cannot be a bool, got {seq!r}")
     if callable(seq):
-        return seq
+        return lambda n: checked(seq(n))
     if isinstance(seq, (int, float)):
-        v = float(seq)
+        v = checked(float(seq))
         return lambda n: v
     if isinstance(seq, str):
         tag, _, arg = seq.partition(":")
         if tag == "constant":
-            v = float(arg) if arg else 1.0
+            v = checked(float(arg) if arg else 1.0)
             return lambda n: v
         if tag == "linear":
             scale = float(arg) if arg and arg != "n" else 1.0
-            return lambda n: scale * n
+            return lambda n: checked(scale * n)
+        if tag == "loglog":  # math.log per index; [()] gives an index a float
+            loglog = np.vectorize(lambda k: math.log(math.log(k)) if k >= 3
+                                  else 1.0, otypes=[float])
+            return lambda n: checked(loglog(n)[()])
         raise DomainError(f"unknown sequence tag {seq!r}")
-    table = np.asarray(list(seq), dtype=float)
-    if table.size == 0:
-        raise DomainError("empty sequence")
+    table = checked(np.asarray(list(seq), dtype=float))
+    if table.ndim != 1 or table.size == 0:
+        raise DomainError(f"a sequence list must be flat, nonempty: {seq!r}")
     return lambda n: table[np.minimum(n, table.size) - 1]
 
 
@@ -99,24 +120,13 @@ class DistributionFamily:
             return discrete_digits(self.beta(ks), v)
         return 1.0 / self.sampler(ks, v)
 
-    def atoms(self, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """First ``count`` atoms (points, masses) of a discrete member."""
-        if not self.is_discrete():
-            raise DomainError(f"{self.kind} family has no atoms")
-        b = self.beta(n)
-        k = np.arange(2, count + 2)
-        masses = (1.0 - b) / (k - 1.0 - b) - (1.0 - b) / (k - b)
-        return 1.0 / k, masses
-
 
 @dataclass(frozen=True)
 class FamilyConstants:
     """The constants attached to one family member."""
 
-    n: int
     b: float
     c: float
-    quadrature_error: float
 
 
 def uniform_family() -> DistributionFamily:
@@ -132,10 +142,12 @@ def uniform_family() -> DistributionFamily:
     )
 
 
-def _mobius_family(kind: str, c_n, edge, core, sampler) -> DistributionFamily:
+def _mobius_family(kind: str, c_n, domain, edge, core,
+                   sampler) -> DistributionFamily:
     """F_n(t) = c t / core(c, t) below edge(c), clamped to 1 afterwards,
-    with c = c_n; ``sampler(c, v)`` maps uniforms to draws."""
-    cseq = make_sequence(c_n)
+    with c = c_n in ``domain`` (see ``make_sequence``); ``sampler(c, v)``
+    maps uniforms to draws."""
+    cseq = make_sequence(c_n, domain)
 
     def cdf(n, t):
         c = cseq(n)
@@ -155,15 +167,23 @@ def _mobius_family(kind: str, c_n, edge, core, sampler) -> DistributionFamily:
 
 
 def mobius_clamped_family(c_n="constant:1") -> DistributionFamily:
-    """F_n(t) = c t / (1 - c t) below 1/(2c), clamped to 1 afterwards."""
-    return _mobius_family("mobius_clamped", c_n, lambda c: 1.0 / (2.0 * c),
+    """F_n(t) = c t / (1 - c t) below 1/(2c), clamped to 1 afterwards; a
+    distribution function on [0, 1] for c >= 1/2."""
+    return _mobius_family("mobius_clamped", c_n,
+                          ("mobius_clamped needs finite c_n >= 1/2",
+                           lambda c: c >= 0.5),
+                          lambda c: 1.0 / (2.0 * c),
                           lambda c, t: 1.0 - c * t,
                           lambda c, v: v / (c * (1.0 + v)))
 
 
 def mobius_remark2_family(c_n="constant:1") -> DistributionFamily:
-    """F_n(t) = c t / (1 - t) below 1/(1+c), clamped to 1 afterwards."""
-    return _mobius_family("mobius_remark2", c_n, lambda c: 1.0 / (1.0 + c),
+    """F_n(t) = c t / (1 - t) below 1/(1+c), clamped to 1 afterwards; a
+    distribution function for c > 0."""
+    return _mobius_family("mobius_remark2", c_n,
+                          ("mobius_remark2 needs finite c_n > 0",
+                           lambda c: c > 0.0),
+                          lambda c: 1.0 / (1.0 + c),
                           lambda c, t: 1.0 - t, lambda c, v: v / (c + v))
 
 
@@ -174,7 +194,8 @@ def discrete_beta_family(beta_n="constant:0") -> DistributionFamily:
     P(Z = k) = p_{k-1} - p_k; beta = 0 recovers the classical digit law
     P(Z = k) = 1/(k(k-1)).
     """
-    bseq = make_sequence(beta_n)
+    bseq = make_sequence(beta_n, ("discrete_beta needs 0 <= beta_n < 1",
+                                  lambda b: (b >= 0.0) & (b < 1.0)))
 
     def cdf(n, t):
         b = bseq(n)
@@ -207,20 +228,25 @@ _FACTORIES = {
 }
 
 
-def family_from_config(cfg: dict) -> DistributionFamily:
-    """Build a built-in family from a config mapping ({"kind": ..., ...}):
-    the factory of its kind called with the mapping's other keys, so an
-    unknown key is an error."""
+def from_config(what: str, cfg, factories: dict, default_kind=None):
+    """What a config mapping ({"kind": ..., ...}) names: the factory of its
+    kind called with the mapping's other keys, so an unknown key is an
+    error.  ``what`` names the setting in messages."""
     if not isinstance(cfg, dict):
-        raise DomainError(f"family must be a mapping, got {cfg!r}")
+        raise DomainError(f"{what} must be a mapping, got {cfg!r}")
     args = dict(cfg)
-    kind = args.pop("kind", None)
-    if kind not in _FACTORIES:
-        raise DomainError(f"unknown family kind {kind!r}")
+    kind = args.pop("kind", default_kind)
+    if kind not in factories:
+        raise DomainError(f"unknown {what} kind {kind!r}")
     try:
-        return _FACTORIES[kind](**args)
-    except TypeError as exc:  # an unknown setting
-        raise DomainError(f"{kind} family: {exc}") from None
+        return factories[kind](**args)
+    except TypeError as exc:  # a missing, unknown or non-numeric setting
+        raise DomainError(f"{kind} {what}: {exc}") from None
+
+
+def family_from_config(cfg: dict) -> DistributionFamily:
+    """Build a built-in family from a config mapping (see ``from_config``)."""
+    return from_config("family", cfg, _FACTORIES)
 
 
 def discrete_beta_pmf(beta: float, k: int) -> float:
@@ -241,8 +267,6 @@ class ConditionProfile:
     """Supremum profile of a condition over indices n <= n_max."""
 
     rows: tuple  # ((t, sup-value), ...) in the grid's order
-    alpha_min: float
-    alpha_max: float
     alpha_divergent: bool
 
     def passes(self, tol: float) -> bool:
@@ -261,44 +285,43 @@ class ConditionProfile:
 
 def _validate_grid(t_grid) -> np.ndarray:
     ts = np.asarray(list(t_grid), dtype=float)
-    if ts.size == 0:
-        raise ValueError("t_grid must be nonempty")
-    if np.any(ts <= 0.0) or np.any(ts > 1.0):
-        raise DomainError("t_grid must lie in (0, 1]")
+    if ts.size == 0 or not np.all((ts > 0.0) & (ts <= 1.0)):
+        raise DomainError("t_grid must be a nonempty grid in (0, 1]")
     return ts
 
 
-def _alpha_stats(family: DistributionFamily, n_max: int):
+def _alpha_divergent(family: DistributionFamily, n_max: int) -> bool:
+    """Whether alpha_1..alpha_{n_max} are monotone with a large spread."""
+    if n_max < 8:
+        return False
     alphas = member_values(family.alpha, np.arange(1, n_max + 1))
-    divergent = False
-    if n_max >= 8:
-        # monotone, large spread => the alpha sequence is not bounded
-        ratio = alphas.max() / max(alphas.min(), 1e-300)
-        increasing = np.all(np.diff(alphas) >= 0) and alphas[-1] > alphas[0]
-        decreasing = np.all(np.diff(alphas) <= 0) and alphas[-1] < alphas[0]
-        divergent = ratio > 100.0 and (increasing or decreasing)
-    return float(alphas.min()), float(alphas.max()), divergent
+    ratio = alphas.max() / max(alphas.min(), 1e-300)
+    increasing = np.all(np.diff(alphas) >= 0) and alphas[-1] > alphas[0]
+    decreasing = np.all(np.diff(alphas) <= 0) and alphas[-1] < alphas[0]
+    return bool(ratio > 100.0 and (increasing or decreasing))
+
+
+def _sup_profile(family: DistributionFamily, n_max: int, t_grid,
+                 value) -> ConditionProfile:
+    """Table of (t, sup_{n<=n_max} value(n, t))."""
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    rows = tuple((float(t), float(max(value(n, float(t))
+                                      for n in range(1, n_max + 1))))
+                 for t in _validate_grid(t_grid))
+    return ConditionProfile(rows, _alpha_divergent(family, n_max))
 
 
 def condition_i_profile(family: DistributionFamily, n_max: int,
                         t_grid) -> ConditionProfile:
     """Table of (t, sup_{n<=n_max} |F_n(t)/t - alpha_n|)."""
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    ts = _validate_grid(t_grid)
-    rows = []
-    for t in ts:
-        sup = max(abs(family.cdf(n, t) / t - family.alpha(n))
-                  for n in range(1, n_max + 1))
-        rows.append((float(t), float(sup)))
-    return ConditionProfile(tuple(rows), *_alpha_stats(family, n_max))
+    return _sup_profile(family, n_max, t_grid, lambda n, t: abs(
+        family.cdf(n, t) / t - family.alpha(n)))
 
 
 def _cond_ii_integral(family: DistributionFamily, n: int, t: float) -> float:
     """int_0^t (1/u) |F_n(u)/u - alpha_n| du for one member."""
     a = family.alpha(n)
-    if family.kind == "uniform":
-        return 0.0
     if family.is_discrete():
         b = family.beta(n)
         k0 = math.ceil(1.0 / t)
@@ -325,15 +348,8 @@ def _cond_ii_integral(family: DistributionFamily, n: int, t: float) -> float:
 def condition_ii_profile(family: DistributionFamily, n_max: int,
                          t_grid) -> ConditionProfile:
     """Table of (t, sup_{n<=n_max} int_0^t (1/u)|F_n(u)/u - alpha_n| du)."""
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    ts = _validate_grid(t_grid)
-    rows = []
-    for t in ts:
-        sup = max(_cond_ii_integral(family, n, float(t))
-                  for n in range(1, n_max + 1))
-        rows.append((float(t), float(sup)))
-    return ConditionProfile(tuple(rows), *_alpha_stats(family, n_max))
+    return _sup_profile(family, n_max, t_grid,
+                        lambda n, t: _cond_ii_integral(family, n, t))
 
 
 def check_conditions(family: DistributionFamily) -> bool:
@@ -355,11 +371,8 @@ def family_constants(family: DistributionFamily, n: int) -> FamilyConstants:
     if abs(family.cdf(n, t_probe) / t_probe - a) > 0.2 * max(a, 1.0):
         raise ConditionCheckError(
             f"member {n} fails the small-t linearity probe")
-    if family.kind == "uniform":
-        b, err = 0.0, 0.0
-    elif family.is_discrete():
+    if family.is_discrete():
         b = -(1.0 - family.beta(n)) * special.psi(1.0 - family.beta(n))
-        err = 1e-15
     else:
         b, err = integrate.quad(
             lambda s: family.cdf(n, math.exp(-s)) / math.exp(-s) - a,
@@ -368,8 +381,7 @@ def family_constants(family: DistributionFamily, n: int) -> FamilyConstants:
         if err > 1e3 * QUAD_TOL:
             raise AccuracyError("b-quadrature missed tolerance", err)
     c = 1.0 - a * EULER_GAMMA + b
-    return FamilyConstants(n=n, b=float(b), c=float(c),
-                           quadrature_error=float(err))
+    return FamilyConstants(b=float(b), c=float(c))
 
 
 def _discrete_char(family: DistributionFamily, n: int, t: float) -> complex:

@@ -55,15 +55,14 @@ class DigitSequence:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    """x as an exact rational: a Fraction, an int, a float, or a string
+    such as "0.4" or "7/16"."""
+    if not isinstance(x, (Fraction, int, float, str)):
+        raise DomainError(f"cannot interpret {x!r} as an exact rational")
+    try:
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise DomainError(f"cannot interpret {x!r} as an exact rational")
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"cannot parse number {x!r}") from exc
 
 
 def _oppenheim_digit(r: Fraction) -> int:

@@ -29,6 +29,7 @@ from .distributions import (
     family_constants,
     family_from_config,
     char_components,
+    from_config,
     member_values,
     uniform_family,
 )
@@ -48,6 +49,7 @@ from .weights import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_SEED = 20260823
+_WEIGHT_KINDS = {"cesaro": cesaro_scheme, "power_alpha": power_alpha_scheme}
 WEAK_LAW_SCHEMES = ("direct", "luroth", "engel", "sylvester")
 # uniforms per block of replications mapped in one call (256 kB of doubles)
 _BLOCK = 2**15
@@ -95,8 +97,8 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if not self.epsilon > 0:
             raise DomainError("epsilon must be > 0")
-        object.__setattr__(self, "weight_scheme",
-                           _weight_scheme(self.weights))
+        object.__setattr__(self, "weight_scheme", from_config(
+            "weights", self.weights, _WEIGHT_KINDS, default_kind="cesaro"))
         object.__setattr__(self, "reciprocal_family",
                            family_from_config(self.family))
         object.__setattr__(self, "summand_family", _summand_family(self))
@@ -230,24 +232,6 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
         for rep, x in zip(reps, summands(1.0 - u)):
             sums[rep] = float(np.dot(a, x))
     return sums
-
-
-_WEIGHT_KINDS = {"cesaro": cesaro_scheme, "power_alpha": power_alpha_scheme}
-
-
-def _weight_scheme(cfg) -> WeightScheme:
-    """The scheme of a ``weights`` mapping: its kind (default cesaro) called
-    with the mapping's other keys, so an unknown key is an error."""
-    if not isinstance(cfg, dict):
-        raise DomainError(f"weights must be a mapping, got {cfg!r}")
-    args = dict(cfg)
-    kind = args.pop("kind", "cesaro")
-    if kind not in _WEIGHT_KINDS:
-        raise DomainError(f"unsupported weight kind {kind!r} in configs")
-    try:
-        return _WEIGHT_KINDS[kind](**args)
-    except TypeError as exc:  # a missing, unknown or non-numeric setting
-        raise DomainError(f"{kind} weights: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -12,24 +12,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .distributions import make_sequence
 from .errors import DomainError
-
-
-def make_rho(tag) -> Callable[[int], float]:
-    """rho_n from a tag: "constant" (default 1, or "constant:c"), "loglog"
-    (log log n for n >= 3, 1 below), or a number."""
-    if callable(tag):
-        return tag
-    if isinstance(tag, (int, float)):
-        v = float(tag)
-        return lambda n: v
-    name, _, arg = str(tag).partition(":")
-    if name == "constant":
-        v = float(arg) if arg else 1.0
-        return lambda n: v
-    if name == "loglog":
-        return lambda n: math.log(math.log(n)) if n >= 3 else 1.0
-    raise DomainError(f"unknown rho tag {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -41,20 +25,27 @@ class WeightScheme:
     rho: Callable[[int], float]
 
 
+def _rho(tag) -> Callable:
+    """rho_n from a sequence tag (see ``make_sequence``); the weak-law
+    statistic divides by rho_n log n, so every rho_n must be positive."""
+    return make_sequence(tag, ("rho_n must be finite and > 0",
+                               lambda r: r > 0.0))
+
+
 def cesaro_scheme(rho="constant") -> WeightScheme:
-    return WeightScheme("cesaro", lambda n: np.full(n, 1.0 / n), make_rho(rho))
+    return WeightScheme("cesaro", lambda n: np.full(n, 1.0 / n), _rho(rho))
 
 
 def power_alpha_scheme(alpha: float, rho="constant") -> WeightScheme:
     """a_{k,n} = k^(-alpha) / sum_{j<=n} j^(-alpha), alpha < 1."""
-    if alpha >= 1.0:
-        raise DomainError("power_alpha requires alpha < 1")
+    if not -math.inf < alpha < 1.0:
+        raise DomainError("power_alpha requires a finite alpha < 1")
 
     def a_row(n):
         w = np.arange(1, n + 1, dtype=float) ** (-alpha)
         return w / w.sum()
 
-    return WeightScheme("power_alpha", a_row, make_rho(rho))
+    return WeightScheme("power_alpha", a_row, _rho(rho))
 
 
 def iterated_scheme(alpha: float, r: int, rho="constant") -> WeightScheme:
@@ -64,8 +55,8 @@ def iterated_scheme(alpha: float, r: int, rho="constant") -> WeightScheme:
     and cw its partial sums, so row n of M^r is e_n pushed r times through
     the transpose map v -> w * revcumsum(v / cw).
     """
-    if alpha >= 1.0:
-        raise DomainError("iterated scheme requires alpha < 1")
+    if not -math.inf < alpha < 1.0:
+        raise DomainError("iterated scheme requires a finite alpha < 1")
     if r < 0:
         raise DomainError("r must be >= 0")
 
@@ -78,7 +69,7 @@ def iterated_scheme(alpha: float, r: int, rho="constant") -> WeightScheme:
             row = w * np.cumsum((row / cw)[::-1])[::-1]
         return row
 
-    return WeightScheme("iterated", a_row, make_rho(rho))
+    return WeightScheme("iterated", a_row, _rho(rho))
 
 
 def weights_row(scheme: WeightScheme, n: int) -> np.ndarray:
@@ -126,8 +117,8 @@ def iterated_mean(values: Sequence[float], alpha: float,
                   r: int) -> np.ndarray:
     """r-iterated alpha-weighted means: order r+1 averages order r with
     weights w_k = k^(-alpha)."""
-    if alpha >= 1.0:
-        raise DomainError("iterated_mean requires alpha < 1")
+    if not -math.inf < alpha < 1.0:
+        raise DomainError("iterated_mean requires a finite alpha < 1")
     if r < 0:
         raise DomainError("r must be >= 0")
     out = np.asarray(values, dtype=float)
@@ -190,8 +181,6 @@ def check_theorem_3_2_conditions(scheme: WeightScheme,
     bounded, sum_k alpha_k a_{k,n} is bounded, rho_n log n -> infinity, and
     sup_n max_k a_{k,n} < infinity (the extra corollary condition).
     ``alphas`` is a per-index row (see ``index_row``) covering k <= n_max."""
-    if n_max < 10:
-        raise DomainError("n_max must be >= 10")
     grid = _geometric_grid(n_max)
     al_all = index_row(alphas, grid[-1])
     conds = {}
@@ -235,8 +224,6 @@ def check_theorem_4_1_conditions(scheme: WeightScheme,
     """Checks the distributional-limit weight conditions: sum_k a_{k,n} has a
     limit kappa, m_n -> 0, and sum_k a_{k,n} c_{1,k} has a limit ell.
     ``c1`` is a per-index row (see ``index_row``) covering k <= n_max."""
-    if n_max < 10:
-        raise DomainError("n_max must be >= 10")
     grid = _geometric_grid(n_max)
     c1_all = index_row(c1, grid[-1])
     conds = {}
@@ -264,6 +251,8 @@ def check_theorem_4_1_conditions(scheme: WeightScheme,
 
 def _geometric_grid(n_max: int) -> list:
     """Six log-spaced indices from 10 to n_max."""
+    if n_max < 10:
+        raise DomainError("n_max must be >= 10")
     lo, hi = math.log(10), math.log(n_max)
     ns = sorted({int(round(math.exp(lo + (hi - lo) * i / 5)))
                  for i in range(6)})

@@ -100,6 +100,15 @@ class TestLimitCdf:
         assert np.all(np.diff(fs) >= 0.0)
         assert fs[0] < 0.01 and fs[-1] > 0.9
 
+    def test_levy_table(self, capsys):
+        code, out, _ = run_cli(capsys, "limit-cdf", "--law", "levy")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "x,F" and len(lines) == 201
+        xs, fs = np.array([ln.split(",") for ln in lines[1:]], float).T
+        assert xs[0] == -5.0 and xs[-1] == 20.0
+        assert np.all(np.diff(fs) >= 0.0)
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_points_below_one_exit_2(self, capsys, points):
         code, out, err = run_cli(capsys, "limit-cdf", "--points", points)
@@ -121,7 +130,7 @@ class TestRun:
     def test_bundled_configs_exist(self):
         for name in ("luroth-classical", "engel-weak-law",
                      "sylvester-weak-law", "engel-mobius-weak-law",
-                     "cor43-beta-half", "levy-cf"):
+                     "cor43-beta-half"):
             assert bundled_config_path(name).exists()
 
     def test_missing_config(self, capsys):
@@ -157,22 +166,15 @@ class TestRun:
         assert payload["kind"] == "distributional"
         assert payload["per_n"][0]["n"] == 100
 
-    def test_limit_cdf_config(self, capsys, tmp_path):
+    def test_limit_cdf_experiment_exit_2(self, capsys, tmp_path):
+        # CDF tables come from the limit-cdf subcommand only
         cfg = tmp_path / "law.yaml"
-        cfg.write_text("experiment: limit_cdf\nc: 1.0\n"
-                       "x_min: 0\nx_max: 1\npoints: 3\n")
-        code, out, _ = run_cli(capsys, "run", str(cfg))
-        assert code == 0
-        assert out.splitlines()[0] == "x,F"
-
-    def test_limit_cdf_config_with_results_dir(self, capsys, tmp_path):
-        # --out names the results directory for every experiment; the
-        # table still goes to stdout
-        code, out, _ = run_cli(capsys, "run", "levy-cf", "--out",
-                               str(tmp_path))
-        assert code == 0
-        assert out.splitlines()[0] == "x,F"
-        assert len(out.splitlines()) == 201
+        cfg.write_text("experiment: limit_cdf\nlaw: levy\n")
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(tmp_path / "results"))
+        assert code == 2
+        assert "unknown experiment 'limit_cdf'" in err and out == ""
+        assert not (tmp_path / "results").exists()
 
     @staticmethod
     def _tiny_weak_law(tmp_path):
@@ -221,6 +223,19 @@ class TestRun:
         "n_grid: [50, 200]\nweights: {kind: power_alpha, alpha: abc}",
         "n_grid: [50, 200]\nweights: {kind: nope}",
         "n_grid: [50, 200]\nweights: cesaro",
+        "n_grid: [50, 200]\nweights: {kind: cesaro, rho: 'constant:0'}",
+        "n_grid: [50, 200]\nweights: {kind: cesaro, rho: -1}",
+        "n_grid: [50, 200]\nweights: {kind: cesaro, rho: [1, .inf]}",
+        "n_grid: [50, 200]\nweights: {kind: cesaro, rho: true}",
+        "n_grid: [50, 200]\nweights: {kind: power_alpha, alpha: .nan}",
+        "n_grid: [50, 200]\nfamily: {kind: mobius_clamped, c_n: -1}",
+        "n_grid: [50, 200]\nfamily: {kind: mobius_clamped, c_n: 0.4}",
+        "n_grid: [50, 200]\nscheme: engel\n"
+        "family: {kind: mobius_clamped, c_n: 0.4}",
+        "n_grid: [50, 200]\nfamily: {kind: mobius_clamped, c_n: [1, 0.4]}",
+        "n_grid: [50, 200]\nfamily: {kind: mobius_clamped, c_n: [[1, 2]]}",
+        "n_grid: [50, 200]\nfamily: {kind: mobius_remark2, c_n: .nan}",
+        "n_grid: [50, 200]\nfamily: {kind: discrete_beta, beta_n: 1.5}",
         "n_grid: [50, 200]\nfamily: uniform",
         "n_grid: [50, 200]\nfamily: {kind: mobius_remark2, c_n: 'constant:a'}",
         "n_grid: [50, 200]\nmode: cor_4_3\nbeta: 'constant:x'",
@@ -238,10 +253,43 @@ class TestRun:
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("experiment: weak_law\nreplications: 60\n"
                        + line + "\n")
-        code, _, err = run_cli(capsys, "run", str(cfg), "--out",
-                               str(tmp_path / "results"))
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(tmp_path / "results"))
         assert code == 2
-        assert "config error" in err
+        assert "config error" in err and out == ""
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("lines, rule", [
+        ("experiment: weak_law\nfamily: {kind: mobius_clamped, "
+         "c_n: 'linear:0.25'}", "mobius_clamped needs finite c_n >= 1/2"),
+        ("experiment: weak_law\nweights: {kind: cesaro, rho: 'linear:-1'}",
+         "rho_n must be finite and > 0"),
+        ("experiment: distributional\nmode: cor_4_3\nbeta: 'linear:0.01'",
+         "discrete_beta needs 0 <= beta_n < 1")])
+    def test_member_outside_domain_exit_2(self, capsys, tmp_path, lines,
+                                          rule):
+        # a linear tag is checked as its members are read: members 1 and
+        # 100 here, before any draw
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"{lines}\nn_grid: [50, 200]\nreplications: 100\n")
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(tmp_path / "results"))
+        assert code == 2
+        assert rule in err
+        assert out == "" and "nan" not in err
+        assert not (tmp_path / "results").exists()
+
+    def test_list_rho_is_a_per_n_table(self, capsys, tmp_path):
+        cfg, results = self._tiny_weak_law(tmp_path)
+        code, plain, _ = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(results))
+        assert code == 0
+        cfg.write_text(cfg.read_text()
+                       + "weights: {kind: cesaro, rho: [1.0, 1.0]}\n")
+        code, listed, _ = run_cli(capsys, "run", str(cfg), "--out",
+                                  str(results))
+        assert code == 0
+        assert listed == plain
 
     def test_negative_seed_option_exit_2(self, capsys, tmp_path):
         cfg, results = self._tiny_weak_law(tmp_path)
@@ -281,16 +329,6 @@ class TestRun:
         assert code == 2
         assert f"{setting}=" in err and out == ""
         assert not (tmp_path / "results").exists()
-
-    @pytest.mark.parametrize("line", ["c: [1]", "c: 1\npoints: 0",
-                                      "c: 1\npoints: -3"])
-    def test_invalid_limit_cdf_config_exit_2(self, capsys, tmp_path, line):
-        cfg = tmp_path / "bad.yaml"
-        cfg.write_text("experiment: limit_cdf\n" + line + "\n")
-        code, out, err = run_cli(capsys, "run", str(cfg))
-        assert code == 2
-        assert "config error" in err
-        assert out == ""
 
     def test_bad_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.yaml"

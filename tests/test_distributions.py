@@ -50,6 +50,8 @@ class TestMakeSequence:
     def test_bad_tag(self):
         with pytest.raises(DomainError):
             make_sequence("quadratic:n")
+        with pytest.raises(DomainError):
+            make_sequence(True)
 
     def test_index_arrays(self):
         ks = np.arange(1, 6)
@@ -181,13 +183,6 @@ class TestDiscreteBeta:
         total += (1.0 - 0.3) / (k[2000] - 1.0 - 0.3)
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_atoms_match_pmf(self):
-        fam = discrete_beta_family("constant:0.25")
-        pts, masses = fam.atoms(1, 6)
-        assert np.allclose(pts, 1.0 / np.arange(2, 8))
-        for k, m in zip(range(2, 8), masses):
-            assert m == pytest.approx(discrete_beta_pmf(0.25, k), abs=1e-14)
-
     def test_pmf_domain(self):
         with pytest.raises(DomainError):
             discrete_beta_pmf(1.0, 3)
@@ -230,6 +225,9 @@ class TestConditionCheckers:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             condition_i_profile(uniform_family(), 2, (0.0, 0.5))
+        for profile in (condition_i_profile, condition_ii_profile):
+            with pytest.raises(DomainError, match="nonempty"):
+                profile(uniform_family(), 2, ())
 
 
 class TestFamilyConstants:
@@ -329,3 +327,27 @@ class TestFamilyFromConfig:
     def test_unknown(self):
         with pytest.raises(DomainError):
             family_from_config({"kind": "zeta"})
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("mobius_clamped", "c_n", 0.4), ("mobius_clamped", "c_n", -1),
+        ("mobius_clamped", "c_n", [1.0, 0.4]),
+        ("mobius_clamped", "c_n", "linear:0.25"),
+        ("mobius_remark2", "c_n", 0), ("mobius_remark2", "c_n", float("nan")),
+        ("mobius_remark2", "c_n", "constant:inf"),
+        ("discrete_beta", "beta_n", 1.0), ("discrete_beta", "beta_n", -0.1),
+        ("discrete_beta", "beta_n", "linear:0.2")])
+    def test_member_outside_domain(self, kind, key, value):
+        # a constant or a list is rejected when parsed, a linear tag when
+        # its first member outside the domain is read
+        with pytest.raises(DomainError, match=kind):
+            fam = family_from_config({"kind": kind, key: value})
+            fam.alpha(np.arange(1, 11))
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("mobius_clamped", "c_n", 0.5), ("mobius_remark2", "c_n", 1e-3),
+        ("discrete_beta", "beta_n", 0.0), ("discrete_beta", "beta_n",
+                                           "linear:0.09")])
+    def test_domain_edges_accepted(self, kind, key, value):
+        fam = family_from_config({"kind": kind, key: value})
+        assert np.all(np.isfinite(member_values(fam.alpha,
+                                                np.arange(1, 11))))

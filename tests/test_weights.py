@@ -15,7 +15,6 @@ from oppenheimlab.weights import (
     iterated_mean,
     index_row,
     iterated_scheme,
-    make_rho,
     power_alpha_scheme,
     richardson_log_limit,
     weights_row,
@@ -23,19 +22,41 @@ from oppenheimlab.weights import (
 
 
 class TestMakeRho:
+    """rho_n tags, parsed by ``make_sequence`` like every sequence tag."""
+
     def test_constant(self):
-        assert make_rho("constant")(100) == 1.0
-        assert make_rho("constant:2.5")(7) == 2.5
-        assert make_rho(3)(9) == 3.0
+        assert make_sequence("constant")(100) == 1.0
+        assert make_sequence("constant:2.5")(7) == 2.5
+        assert make_sequence(3)(9) == 3.0
 
     def test_loglog(self):
-        r = make_rho("loglog")
+        r = make_sequence("loglog")
         assert r(2) == 1.0
-        assert r(1000) == pytest.approx(math.log(math.log(1000)))
+        assert r(1000) == math.log(math.log(1000))
+        assert np.array_equal(r(np.array([2, 1000])), [1.0, r(1000)])
 
     def test_unknown(self):
         with pytest.raises(DomainError):
-            make_rho("sqrt")
+            make_sequence("sqrt")
+
+    def test_scheme_rho_is_the_parsed_tag(self):
+        for tag in ("constant", "constant:2.5", 3, "loglog"):
+            for n in (2, 3, 1000):
+                assert cesaro_scheme(tag).rho(n) == make_sequence(tag)(n)
+        # a list is a per-n table, extended by its last value
+        assert [cesaro_scheme([2.0, 3.0]).rho(n) for n in (1, 2, 9)] == \
+            [2.0, 3.0, 3.0]
+
+    @pytest.mark.parametrize("rho", [0, -1, "constant:0", "linear:-1",
+                                     [1.0, 0.0], float("nan"), True])
+    def test_nonpositive_rho_rejected(self, rho):
+        with pytest.raises(DomainError):
+            cesaro_scheme(rho).rho(3)
+
+    @pytest.mark.parametrize("alpha", [1.0, float("nan"), float("-inf")])
+    def test_alpha_domain(self, alpha):
+        with pytest.raises(DomainError):
+            power_alpha_scheme(alpha)
 
 
 class TestSchemes:
@@ -125,7 +146,7 @@ class TestConditionCheckers:
 
     def test_constant_row_fails_4_1(self):
         # a_{k,n} = 1 for all k: max weight does not vanish
-        sch = WeightScheme("ones", np.ones, make_rho("constant"))
+        sch = WeightScheme("ones", np.ones, make_sequence("constant"))
         rep = check_theorem_4_1_conditions(sch, lambda k: 1.0, 1000)
         assert not rep.passed
         assert rep.verdict("max_weight_to_zero") == "fail"

@@ -1,0 +1,63 @@
+"""Prints one sha256 line per deterministic payload of the package:
+
+    <sha256>  run <name> per_n     for every bundled run config (or the names
+                                   given), run with --force --format json
+                                   into a temporary results directory
+    <sha256>  limit-cdf --law levy the CDF table of the continued-fraction law
+    <sha256>  verify               the identity suite's report
+
+Two checkouts print the same lines exactly when they produce the same
+payloads, so comparing the output of two trees checks a "bit-identical"
+claim in one command.  The package is imported from this checkout's src/.
+
+Run from the repository root (about five seconds on one core):
+
+    python3 tools/payload_digests.py [config-name ...]
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from oppenheimlab import cli  # noqa: E402
+
+
+def _output(*argv: str) -> str:
+    """stdout of one CLI command, which must succeed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    if code != 0:
+        sys.exit(f"{' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(names) -> None:
+    names = names or sorted(p.stem for p in
+                            (SRC / "oppenheimlab" / "configs").glob("*.yaml"))
+    with tempfile.TemporaryDirectory() as results:
+        for name in names:
+            record = json.loads(_output("run", name, "--force", "--format",
+                                        "json", "--out", results))
+            per_n = json.dumps(record["per_n"], sort_keys=True)
+            print(f"{_sha256(per_n)}  run {name} per_n", flush=True)
+    print(f"{_sha256(_output('limit-cdf', '--law', 'levy'))}  "
+          "limit-cdf --law levy", flush=True)
+    print(f"{_sha256(_output('verify'))}  verify")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
