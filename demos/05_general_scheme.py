@@ -1,22 +1,26 @@
 """The general digit scheme, distribution families, and condition checks.
 
 Draws Engel ratio chains through the one chain kernel, ``ratio_path``, from
-uniforms and from the draws of a Möbius digit family, verifies the weight
-and family conditions behind the limit theorems numerically, and estimates
-the joint characteristic-function distance between a digit chain's ratio
-variables and their independent model.
+uniforms and from the draws of a Möbius digit family, prints each family's
+centering constants in closed form, verifies the weight conditions behind
+the limit theorems numerically, and estimates the joint
+characteristic-function distance between a digit chain's ratio variables
+and their independent model.
 """
 
 import numpy as np
 
 from oppenheimlab import (
+    EULER_GAMMA,
+    c2_discrete,
+    centering_b,
     char_distance_check,
     check_theorem_3_2_conditions,
     check_theorem_4_1_conditions,
     cesaro_scheme,
     discrete_beta_family,
-    family_constants,
     mobius_clamped_family,
+    mobius_remark2_family,
     power_alpha_scheme,
     ratio_path,
     uniform_family,
@@ -34,14 +38,22 @@ def main():
     print("Engel ratios from Möbius draws (c_n = 2):",
           np.round(ratio_path("engel", u)[0], 3).tolist())
 
-    print("\nfamily constants (b, c):")
+    # a continuous member is the law of 1/(s + c/V), V uniform, with
+    # b = s + c - 1 - c log c; the discrete kind has c2 = c - 1 in digammas
+    print("\nfamily constants (b, c = 1 - alpha gamma + b), in closed form:")
     for name, fam in [("uniform", uniform_family()),
-                      ("mobius", mobius_clamped_family("constant:1")),
-                      ("discrete beta=0", discrete_beta_family("constant:0")),
-                      ("discrete beta=.5",
-                       discrete_beta_family("constant:0.5"))]:
-        fc = family_constants(fam, 1)
-        print(f"  {name:>16}: b = {fc.b:+.6f}  c = {fc.c:+.6f}")
+                      ("mobius clamped", mobius_clamped_family(1)),
+                      ("mobius remark2", mobius_remark2_family(2)),
+                      ("discrete beta=0", discrete_beta_family(0)),
+                      ("discrete beta=.5", discrete_beta_family(0.5))]:
+        alpha_gamma = fam.alpha(1) * EULER_GAMMA
+        if fam.is_discrete():
+            c = 1.0 + c2_discrete(fam.beta(1))
+            b = c - 1.0 + alpha_gamma
+        else:
+            b = float(centering_b(fam, 1))
+            c = 1.0 - alpha_gamma + b
+        print(f"  {name:>16}: b = {b:+.6f}  c = {c:+.6f}")
 
     print("\nweight-condition verdicts:")
     for name, sch in [("cesaro", cesaro_scheme()),

@@ -1,7 +1,7 @@
 """Numerical laboratory for series-expansion digit laws, exact weak laws,
 and index-1 stable limit laws."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import (
     AccuracyError,
@@ -21,17 +21,17 @@ from .specfun import (
 )
 from .distributions import (
     DistributionFamily,
-    FamilyConstants,
+    centering_b,
+    centering_b_quad,
     char_components,
-    condition_i_profile,
-    condition_ii_profile,
+    char_components_quad,
     discrete_beta_family,
     discrete_beta_pmf,
-    family_constants,
     family_from_config,
     mobius_clamped_family,
     mobius_remark2_family,
     proposition_2_4_profile,
+    reciprocal_char,
     uniform_family,
 )
 from .expansions import (

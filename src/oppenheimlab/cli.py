@@ -19,7 +19,9 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .distributions import proposition_2_4_profile, uniform_family
+from .distributions import centering_b, centering_b_quad, char_components, \
+    char_components_quad, mobius_clamped_family, mobius_remark2_family, \
+    proposition_2_4_profile, uniform_family
 from .errors import DomainError
 from .expansions import extract_digits
 from .experiments import (
@@ -77,6 +79,19 @@ def _verify_checks():
     betas = np.linspace(0.0, 0.95, 20)
     worst = max(abs(c2_discrete(b) - c2_discrete_quad(b)) for b in betas)
     yield "c2_discrete_quadrature", worst, 1e-10
+
+    mobius = [make(c) for make in (mobius_clamped_family,
+                                   mobius_remark2_family)
+              for c in (0.5, 3.25, 1000.0)]
+    worst = max(abs(centering_b_quad(fam, 1) / float(centering_b(fam, 1))
+                    - 1.0) for fam in mobius)
+    yield "b_closed_form", worst, 1e-10
+
+    worst = max(abs(complex(*char_components_quad(fam, 1, t))
+                    - complex(*char_components(fam, 1, t)))
+                for fam in (uniform_family(), *mobius)
+                for t in np.geomspace(1e-2, 10.0, 7))
+    yield "char_closed_form", worst, 1e-10
 
     yield "cdf_table_midpoints", table_error(), 1e-8
 

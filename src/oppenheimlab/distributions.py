@@ -1,10 +1,12 @@
 """Indexed families {F_n} of distribution functions on [0,1].
 
 Provides the built-in families used throughout the package (uniform, the two
-Moebius-type families, and the discrete inverse-ceiling family), numeric
-checkers for the small-t linearity and uniform-integrability conditions, the
-constants b and c = 1 - alpha*gamma + b attached to each member, and the
+Moebius-type families, and the discrete inverse-ceiling family), the constant
+b of c = 1 - alpha*gamma + b attached to each continuous member, and the
 characteristic-function components A(t), B(t) of the reciprocal variable.
+Every continuous member is the law of U = 1/Y with Y = s + c/V and V uniform,
+so its b and characteristic function are closed forms in (s, c); their
+quadratures are kept as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import integrate, special
 
-from .errors import AccuracyError, ConditionCheckError, DomainError
-from .specfun import EULER_GAMMA, QUAD_TOL, fourier_integral, gauss_2f1_unit
+from .errors import AccuracyError, DomainError
+from .specfun import QUAD_TOL, fourier_integral, gauss_2f1_unit
 
 DISCRETE_KINDS = {"discrete_beta"}
 
@@ -49,6 +51,11 @@ def make_sequence(seq, domain=None) -> Callable:
 
     if isinstance(seq, bool):
         raise DomainError(f"a sequence tag cannot be a bool, got {seq!r}")
+    if isinstance(seq, str):  # YAML 1.1 loads 2e0 and 1e-3 as strings
+        try:
+            seq = float(seq)
+        except ValueError:
+            pass
     if callable(seq):
         return lambda n: checked(seq(n))
     if isinstance(seq, (int, float)):
@@ -90,24 +97,25 @@ def discrete_digits(beta, v):
 class DistributionFamily:
     """An indexed family of distribution functions on [0, 1] with F_n(0) = 0.
 
-    ``cdf`` and ``density`` are indexed by n >= 1.  ``alpha``, ``beta``,
-    ``param`` and ``support_max`` also accept index arrays, and
+    ``alpha``, ``beta``, ``shift`` and ``support_max`` accept an index
+    n >= 1 or an index array; ``cdf`` and ``density`` an index.
     ``sampler(ks, v)`` maps uniforms v in (0, 1] to draws: of member ks if it
     is an index, or of member ks[j] from v[..., j] if it is an index array
-    (ks and v broadcast, so v may be a block of rows).  ``param`` maps n to
-    the number that fixes member n, so equal values mean equal laws.
-    Continuous kinds carry a density and the supremum of their support; the
-    discrete kind carries its atom layout instead.
+    (ks and v broadcast, so v may be a block of rows).  Continuous kinds
+    carry their CDF, density, the supremum of their support and the shift s
+    of ``shift_scale``; the discrete kind carries its beta instead, which
+    fixes its atoms (see ``discrete_beta_family``).
     """
 
     kind: str
-    cdf: Callable[[int, float], float]
     alpha: Callable
     sampler: Callable[..., np.ndarray]
-    density: Optional[Callable[[int, float], float]] = None
-    support_max: Callable = lambda n: 1.0
     beta: Optional[Callable] = None  # discrete_beta only
-    param: Optional[Callable] = None  # None: members differ by index only
+    # continuous kinds only
+    cdf: Optional[Callable[[int, float], float]] = None
+    density: Optional[Callable[[int, float], float]] = None
+    support_max: Optional[Callable] = None
+    shift: Optional[Callable] = None
 
     def is_discrete(self) -> bool:
         return self.kind in DISCRETE_KINDS
@@ -120,71 +128,65 @@ class DistributionFamily:
             return discrete_digits(self.beta(ks), v)
         return 1.0 / self.sampler(ks, v)
 
-
-@dataclass(frozen=True)
-class FamilyConstants:
-    """The constants attached to one family member."""
-
-    b: float
-    c: float
-
-
-def uniform_family() -> DistributionFamily:
-    one = make_sequence(1.0)
-    return DistributionFamily(
-        kind="uniform",
-        cdf=lambda n, t: min(max(t, 0.0), 1.0),
-        alpha=one,
-        sampler=lambda ks, v: v,
-        density=lambda n, u: 1.0 if 0.0 <= u <= 1.0 else 0.0,
-        support_max=one,
-        param=one,
-    )
+    def shift_scale(self, ks) -> tuple[np.ndarray, np.ndarray]:
+        """(s, c) of continuous members ks, as arrays of their shape: member
+        k is the law of 1/Y with Y = s_k + c_k/V and V uniform on (0, 1]."""
+        if self.shift is None:
+            raise DomainError(f"the {self.kind} family has no (s, c) form")
+        return member_values(self.shift, ks), member_values(self.alpha, ks)
 
 
-def _mobius_family(kind: str, c_n, domain, edge, core,
-                   sampler) -> DistributionFamily:
-    """F_n(t) = c t / core(c, t) below edge(c), clamped to 1 afterwards,
-    with c = c_n in ``domain`` (see ``make_sequence``); ``sampler(c, v)``
-    maps uniforms to draws."""
+def _continuous_family(kind: str, c_n, domain, shift,
+                       sampler) -> DistributionFamily:
+    """The law of U = 1/Y with Y = s + c/V and V uniform on (0, 1], where
+    c = c_n lies in ``domain`` (see ``make_sequence``) and s = shift(c):
+    F_n(t) = c t / (1 - s t) below the support edge 1/(s + c), and 1 from
+    it on.  ``sampler(c, v)`` maps uniforms to draws of U."""
     cseq = make_sequence(c_n, domain)
+
+    def edge(c):
+        return 1.0 / (shift(c) + c)
 
     def cdf(n, t):
         c = cseq(n)
         if t <= 0.0:
             return 0.0
-        return 1.0 if t >= edge(c) else c * t / core(c, t)
+        return 1.0 if t >= edge(c) else c * t / (1.0 - shift(c) * t)
 
     def density(n, u):
         c = cseq(n)
-        return c / core(c, u) ** 2 if 0.0 <= u < edge(c) else 0.0
+        return c / (1.0 - shift(c) * u) ** 2 if 0.0 <= u < edge(c) else 0.0
 
     return DistributionFamily(
         kind=kind, cdf=cdf, alpha=cseq,
         sampler=lambda ks, v: sampler(cseq(ks), v), density=density,
-        support_max=lambda n: edge(cseq(n)), param=cseq,
+        support_max=lambda n: edge(cseq(n)),
+        shift=lambda n: shift(cseq(n)),
     )
 
 
+def uniform_family() -> DistributionFamily:
+    """U uniform on [0, 1]: (s, c) = (0, 1)."""
+    return _continuous_family("uniform", 1.0, None, lambda c: 0.0,
+                              lambda c, v: v)
+
+
 def mobius_clamped_family(c_n="constant:1") -> DistributionFamily:
-    """F_n(t) = c t / (1 - c t) below 1/(2c), clamped to 1 afterwards; a
-    distribution function on [0, 1] for c >= 1/2."""
-    return _mobius_family("mobius_clamped", c_n,
-                          ("mobius_clamped needs finite c_n >= 1/2",
-                           lambda c: c >= 0.5),
-                          lambda c: 1.0 / (2.0 * c),
-                          lambda c, t: 1.0 - c * t,
-                          lambda c, v: v / (c * (1.0 + v)))
+    """F_n(t) = c t / (1 - c t) below 1/(2c), clamped to 1 afterwards: a
+    distribution function on [0, 1] for c >= 1/2, with (s, c) = (c, c)."""
+    return _continuous_family("mobius_clamped", c_n,
+                              ("mobius_clamped needs finite c_n >= 1/2",
+                               lambda c: c >= 0.5),
+                              lambda c: c, lambda c, v: v / (c * (1.0 + v)))
 
 
 def mobius_remark2_family(c_n="constant:1") -> DistributionFamily:
-    """F_n(t) = c t / (1 - t) below 1/(1+c), clamped to 1 afterwards; a
-    distribution function for c > 0."""
-    return _mobius_family("mobius_remark2", c_n,
-                          ("mobius_remark2 needs finite c_n > 0",
-                           lambda c: c > 0.0),
-                          lambda c: 1.0 / (1.0 + c),
-                          lambda c, t: 1.0 - t, lambda c, v: v / (c + v))
+    """F_n(t) = c t / (1 - t) below 1/(1+c), clamped to 1 afterwards: a
+    distribution function for c > 0, with (s, c) = (1, c)."""
+    return _continuous_family("mobius_remark2", c_n,
+                              ("mobius_remark2 needs finite c_n > 0",
+                               lambda c: c > 0.0),
+                              lambda c: 1.0, lambda c, v: v / (c + v))
 
 
 def discrete_beta_family(beta_n="constant:0") -> DistributionFamily:
@@ -197,17 +199,6 @@ def discrete_beta_family(beta_n="constant:0") -> DistributionFamily:
     bseq = make_sequence(beta_n, ("discrete_beta needs 0 <= beta_n < 1",
                                   lambda b: (b >= 0.0) & (b < 1.0)))
 
-    def cdf(n, t):
-        b = bseq(n)
-        if t <= 0.0:
-            return 0.0
-        if t >= 1.0:
-            return 1.0
-        k = math.ceil(1.0 / t)
-        if k < 2:
-            return 1.0
-        return (1.0 - b) / (k - 1.0 - b)
-
     def sampler(ks, v):
         return 1.0 / discrete_digits(bseq(ks), v)
 
@@ -215,9 +206,7 @@ def discrete_beta_family(beta_n="constant:0") -> DistributionFamily:
         return 1.0 - bseq(n)
 
     return DistributionFamily(
-        kind="discrete_beta", cdf=cdf, alpha=alpha, sampler=sampler,
-        beta=bseq, support_max=lambda n: 0.5, param=bseq,
-    )
+        kind="discrete_beta", alpha=alpha, sampler=sampler, beta=bseq)
 
 
 _FACTORIES = {
@@ -259,151 +248,59 @@ def discrete_beta_pmf(beta: float, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Condition checkers
+# Closed forms of the continuous kinds, with their quadrature references
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionProfile:
-    """Supremum profile of a condition over indices n <= n_max."""
-
-    rows: tuple  # ((t, sup-value), ...) in the grid's order
-    alpha_divergent: bool
-
-    def passes(self, tol: float) -> bool:
-        """Below tol at the smallest t and nonincreasing in trend."""
-        values = np.array([v for _, v in self.rows])
-        ts = np.array([t for t, _ in self.rows])
-        order = np.argsort(-ts)
-        values = values[order]
-        if self.alpha_divergent:
-            return False
-        if values[-1] >= tol:
-            return False
-        slope = np.polyfit(np.arange(len(values)), values, 1)[0]
-        return bool(slope <= 1e-12)
+def centering_b(family: DistributionFamily, ks) -> np.ndarray:
+    """b_k = int_0^1 (1/u)(F_k(u)/u - alpha_k) du of continuous members ks,
+    in closed form: s + c - 1 - c log c (see ``shift_scale``)."""
+    s, c = family.shift_scale(ks)
+    return s + c - 1.0 - c * np.log(c)
 
 
-def _validate_grid(t_grid) -> np.ndarray:
-    ts = np.asarray(list(t_grid), dtype=float)
-    if ts.size == 0 or not np.all((ts > 0.0) & (ts <= 1.0)):
-        raise DomainError("t_grid must be a nonempty grid in (0, 1]")
-    return ts
+def centering_b_quad(family: DistributionFamily, n: int) -> float:
+    """b of continuous member n by quadrature of its CDF, the independent
+    cross-check of ``centering_b``.
 
-
-def _alpha_divergent(family: DistributionFamily, n_max: int) -> bool:
-    """Whether alpha_1..alpha_{n_max} are monotone with a large spread."""
-    if n_max < 8:
-        return False
-    alphas = member_values(family.alpha, np.arange(1, n_max + 1))
-    ratio = alphas.max() / max(alphas.min(), 1e-300)
-    increasing = np.all(np.diff(alphas) >= 0) and alphas[-1] > alphas[0]
-    decreasing = np.all(np.diff(alphas) <= 0) and alphas[-1] < alphas[0]
-    return bool(ratio > 100.0 and (increasing or decreasing))
-
-
-def _sup_profile(family: DistributionFamily, n_max: int, t_grid,
-                 value) -> ConditionProfile:
-    """Table of (t, sup_{n<=n_max} value(n, t))."""
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    rows = tuple((float(t), float(max(value(n, float(t))
-                                      for n in range(1, n_max + 1))))
-                 for t in _validate_grid(t_grid))
-    return ConditionProfile(rows, _alpha_divergent(family, n_max))
-
-
-def condition_i_profile(family: DistributionFamily, n_max: int,
-                        t_grid) -> ConditionProfile:
-    """Table of (t, sup_{n<=n_max} |F_n(t)/t - alpha_n|)."""
-    return _sup_profile(family, n_max, t_grid, lambda n, t: abs(
-        family.cdf(n, t) / t - family.alpha(n)))
-
-
-def _cond_ii_integral(family: DistributionFamily, n: int, t: float) -> float:
-    """int_0^t (1/u) |F_n(u)/u - alpha_n| du for one member."""
+    With u = exp(-x), b = int_0^inf (F_n(u)/u - alpha_n) dx.  The integral
+    is split at the support edge x = -log(umax), where F_n reaches 1 with a
+    kink that one quadrature over both sides misses.
+    """
     a = family.alpha(n)
-    if family.is_discrete():
-        b = family.beta(n)
-        k0 = math.ceil(1.0 / t)
-        if k0 < 2:
-            k0 = 2
-            t = 0.5
-        # on [1/k, 1/(k-1)) the cdf is constant p_{k-1} and F/u - alpha >= 0;
-        # full-interval pieces telescope through the digamma function
-        p = (1.0 - b) / (k0 - 1.0 - b)
-        partial = p * (k0 - 1.0 / t) - a * math.log(t * k0)
-        full = (1.0 - b) * (math.log(k0) - special.psi(k0 - b))
-        return partial + full
-    # continuous: substitute u = exp(-s)
-    s0 = -math.log(t)
-    val, err = integrate.quad(
-        lambda s: abs(family.cdf(n, math.exp(-s)) / math.exp(-s) - a),
-        s0, s0 + 60.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
-    )
+    edge = -math.log(family.support_max(n))
+    pieces = [integrate.quad(
+        lambda x: family.cdf(n, math.exp(-x)) * math.exp(x) - a, lo, hi,
+        epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500)
+        for lo, hi in ((0.0, edge), (edge, edge + 60.0))]
+    err = sum(e for _, e in pieces)
     if err > 1e3 * QUAD_TOL:
-        raise AccuracyError("condition (ii) quadrature missed tolerance", err)
-    return val
+        raise AccuracyError("b-quadrature missed tolerance", err)
+    return float(sum(v for v, _ in pieces))
 
 
-def condition_ii_profile(family: DistributionFamily, n_max: int,
-                         t_grid) -> ConditionProfile:
-    """Table of (t, sup_{n<=n_max} int_0^t (1/u)|F_n(u)/u - alpha_n| du)."""
-    return _sup_profile(family, n_max, t_grid,
-                        lambda n, t: _cond_ii_integral(family, n, t))
+def reciprocal_char(family: DistributionFamily, ks, t) -> np.ndarray:
+    """E exp(i t Y_k) of continuous members ks, with Y_k = s + c/V (see
+    ``shift_scale``): exp(ist) psi(ct), where for x >= 0
+    psi(x) = E exp(ix/V) = cos x - x(pi/2 - Si x) + i(sin x - x Ci x) and
+    psi(-x) is its conjugate.  ks and t broadcast."""
+    s, c = family.shift_scale(ks)
+    t = np.asarray(t, dtype=float)
+    x = c * np.abs(t)
+    si, ci = special.sici(x)
+    # x Ci x -> 0 as x -> 0, where Ci is -inf
+    x_ci = np.multiply(x, ci, out=np.zeros_like(x), where=x > 0.0)
+    psi = np.cos(x) - x * (math.pi / 2.0 - si) + 1j * (np.sin(x) - x_ci)
+    return np.exp(1j * s * t) * np.where(t < 0.0, np.conj(psi), psi)
 
 
-def check_conditions(family: DistributionFamily) -> bool:
-    """Cheap numeric pass/fail of conditions (i) and (ii) for built-ins: both
-    suprema over members n <= 16 fall below 0.05 at t = 0.001."""
-    grid = (0.1, 0.03, 0.01, 0.003, 0.001)
-    return (condition_i_profile(family, 16, grid).passes(0.05)
-            and condition_ii_profile(family, 16, grid).passes(0.05))
-
-
-# ---------------------------------------------------------------------------
-# Constants and characteristic components
-# ---------------------------------------------------------------------------
-
-def family_constants(family: DistributionFamily, n: int) -> FamilyConstants:
-    """b = int_0^1 (1/u)(F_n(u)/u - alpha_n) du and c = 1 - alpha*gamma + b."""
-    a = family.alpha(n)
-    t_probe = 1e-6
-    if abs(family.cdf(n, t_probe) / t_probe - a) > 0.2 * max(a, 1.0):
-        raise ConditionCheckError(
-            f"member {n} fails the small-t linearity probe")
-    if family.is_discrete():
-        b = -(1.0 - family.beta(n)) * special.psi(1.0 - family.beta(n))
-    else:
-        b, err = integrate.quad(
-            lambda s: family.cdf(n, math.exp(-s)) / math.exp(-s) - a,
-            0.0, 60.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
-        )
-        if err > 1e3 * QUAD_TOL:
-            raise AccuracyError("b-quadrature missed tolerance", err)
-    c = 1.0 - a * EULER_GAMMA + b
-    return FamilyConstants(b=float(b), c=float(c))
-
-
-def _discrete_char(family: DistributionFamily, n: int, t: float) -> complex:
-    """E[exp(i t Z)] with Z the digit variable, via the generating function
-    h(z) = z (1-beta) 2F1-integral, so no quadrature against the step CDF."""
-    b = family.beta(n)
-    z = complex(math.cos(t), math.sin(t))
-    h = z * gauss_2f1_unit(b, z)
-    return z + (z - 1.0) * h
-
-
-def char_components(family: DistributionFamily, n: int,
-                    t: float) -> tuple[float, float]:
-    """A(t) = int (cos(t/u) - 1) dF_n(u), B(t) = int sin(t/u) dF_n(u)."""
+def char_components_quad(family: DistributionFamily, n: int,
+                         t: float) -> tuple[float, float]:
+    """(A(t), B(t)) of continuous member n by QUADPACK's Fourier rules over
+    its density, the independent cross-check of ``char_components``."""
     if t == 0.0:
         return 0.0, 0.0
     sign = 1.0 if t > 0 else -1.0
     t = abs(t)
-    if family.is_discrete():
-        psi_t = _discrete_char(family, n, t)
-        return float(psi_t.real - 1.0), float(sign * psi_t.imag)
-
     # with v = t/u: A = -1 + t int cos(v) f(t/v)/v^2 dv (the -1/v^2 part
     # integrates to the total mass exactly), B = t int sin(v) f(t/v)/v^2 dv,
     # both over [t/umax, infinity)
@@ -420,6 +317,24 @@ def char_components(family: DistributionFamily, n: int,
     return float(-1.0 + t * cos_int), float(sign * t * sin_int)
 
 
+def char_components(family: DistributionFamily, n: int,
+                    t: float) -> tuple[float, float]:
+    """A(t) = int (cos(t/u) - 1) dF_n(u), B(t) = int sin(t/u) dF_n(u): the
+    closed form ``reciprocal_char`` for a continuous kind, the generating
+    function through ``gauss_2f1_unit`` for the discrete kind."""
+    if not family.is_discrete():
+        psi_t = complex(reciprocal_char(family, n, t))
+    elif t == 0.0:
+        return 0.0, 0.0
+    else:
+        # E exp(itZ) = z + (z - 1) z 2F1(1, 1-beta; 2-beta; z) at
+        # z = exp(i|t|): no quadrature against the atoms
+        z = complex(math.cos(abs(t)), math.sin(abs(t)))
+        psi_t = z + (z - 1.0) * (z * gauss_2f1_unit(family.beta(n), z))
+        psi_t = psi_t if t > 0 else psi_t.conjugate()
+    return float(psi_t.real - 1.0), float(psi_t.imag)
+
+
 @dataclass(frozen=True)
 class PropositionProfile:
     rows: tuple  # ((t, value), ...)
@@ -430,9 +345,9 @@ def proposition_2_4_profile(family: DistributionFamily, n: int,
                             t_grid) -> PropositionProfile:
     """Profile of B_n(t)/t + alpha_n log t on a descending grid in (0, 1),
     with its fitted small-t limit (which approaches c_{F_n})."""
-    ts = _validate_grid(t_grid)
-    if np.any(ts >= 1.0):
-        raise DomainError("grid must lie in (0, 1)")
+    ts = np.asarray(list(t_grid), dtype=float)
+    if ts.size == 0 or not np.all((ts > 0.0) & (ts < 1.0)):
+        raise DomainError("t_grid must be a nonempty grid in (0, 1)")
     a = family.alpha(n)
     rows = []
     for t in ts:

@@ -25,12 +25,12 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .distributions import (
     DistributionFamily,
+    centering_b,
     discrete_beta_family,
-    family_constants,
     family_from_config,
-    char_components,
     from_config,
     member_values,
+    reciprocal_char,
     uniform_family,
 )
 from .errors import ConditionCheckError, DomainError
@@ -241,7 +241,14 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
 def _chain_ratios(kind: str, family: DistributionFamily, ks: np.ndarray,
                   v: np.ndarray) -> np.ndarray:
     """Ratios of a block of chains: column 0 stays the first digit's
-    uniform, and columns ks are mapped to draws of the family's members."""
+    uniform, and columns ks are mapped to draws of the family's members.
+
+    A discrete draw is U_k = 1/Z_k, so D_{k+1} = phi(D_k) Z_k + 1 and
+    R_k = Z_k for every kind: the exact integer digits, where the floor of
+    phi/fl(1/Z_k) in ``ratio_path`` could give phi Z_k - 1.
+    """
+    if family.is_discrete():
+        return family.reciprocals(ks, v[:, 1:])
     v[:, 1:] = family.sampler(ks, v[:, 1:])
     return ratio_path(kind, v)
 
@@ -256,11 +263,6 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
         raise DomainError(f"unknown weak-law scheme {config.scheme!r}")
     _reject_unread(config, ("mode", "beta", "t_grid"), "weak-law runs")
     family = config.reciprocal_family
-    if config.scheme != "direct" and family.is_discrete():
-        # a discrete draw is 1/Z rounded to a float, and floor(phi/fl(1/Z))
-        # can give phi Z - 1 instead of phi Z: a silent wrong digit
-        raise DomainError(f"scheme {config.scheme!r} needs a continuous "
-                          f"family, got {family.kind!r}")
     scheme = config.weight_scheme
 
     n_max = max(config.n_grid)
@@ -312,16 +314,12 @@ def _summand_family(config: ExperimentConfig) -> DistributionFamily:
 
 
 def _c2_values(family: DistributionFamily, ks: np.ndarray) -> np.ndarray:
-    """c_{2,k} of members ks: the digamma closed form for the discrete kind,
-    else c_{F_k} - 1 with one quadrature per distinct member."""
+    """c_{2,k} = c_{F_k} - 1 = b_k - alpha_k gamma of members ks: the
+    digamma closed form for the discrete kind, else the closed form b_k."""
     if family.is_discrete():
         return c2_discrete(member_values(family.beta, ks))
-    keys = ks if family.param is None else member_values(family.param, ks)
-    _, first, inverse = np.unique(keys, return_index=True,
-                                  return_inverse=True)
-    c2 = np.array([family_constants(family, int(ks[i])).c - 1.0
-                   for i in first])
-    return c2[inverse]
+    return centering_b(family, ks) - EULER_GAMMA * member_values(
+        family.alpha, ks)
 
 
 def centering_constants(family: DistributionFamily, scheme: WeightScheme,
@@ -423,15 +421,8 @@ def char_distance_check(n: int, t_vector: Sequence[float], m: int,
     r = ratio_path(scheme_kind, 1.0 - rng.random((m, n + 1)))
     ecf = complex(np.mean(np.exp(1j * (r @ t))))
 
-    family = uniform_family()
-    psi_prod = 1.0 + 0.0j
-    for k in range(1, n + 1):
-        tk = float(t[k - 1])
-        if tk == 0.0:
-            continue
-        a_val, b_val = char_components(family, k, tk)
-        psi_prod *= complex(1.0 + a_val, b_val)
-
+    psi_prod = complex(np.prod(reciprocal_char(uniform_family(),
+                                                np.arange(1, n + 1), t)))
     estimate = abs(ecf - psi_prod)
     se = 1.0 / math.sqrt(m)
     bound = float(np.sum(np.abs(t)))

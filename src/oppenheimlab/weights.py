@@ -20,7 +20,6 @@ from .errors import DomainError
 class WeightScheme:
     """A triangular array of positive weights with its normalizer rho_n."""
 
-    kind: str
     a_row: Callable[[int], np.ndarray]  # n -> (a_{1,n}, ..., a_{n,n})
     rho: Callable[[int], float]
 
@@ -33,7 +32,7 @@ def _rho(tag) -> Callable:
 
 
 def cesaro_scheme(rho="constant") -> WeightScheme:
-    return WeightScheme("cesaro", lambda n: np.full(n, 1.0 / n), _rho(rho))
+    return WeightScheme(lambda n: np.full(n, 1.0 / n), _rho(rho))
 
 
 def power_alpha_scheme(alpha: float, rho="constant") -> WeightScheme:
@@ -45,7 +44,7 @@ def power_alpha_scheme(alpha: float, rho="constant") -> WeightScheme:
         w = np.arange(1, n + 1, dtype=float) ** (-alpha)
         return w / w.sum()
 
-    return WeightScheme("power_alpha", a_row, _rho(rho))
+    return WeightScheme(a_row, _rho(rho))
 
 
 def iterated_scheme(alpha: float, r: int, rho="constant") -> WeightScheme:
@@ -69,7 +68,7 @@ def iterated_scheme(alpha: float, r: int, rho="constant") -> WeightScheme:
             row = w * np.cumsum((row / cw)[::-1])[::-1]
         return row
 
-    return WeightScheme("iterated", a_row, _rho(rho))
+    return WeightScheme(a_row, _rho(rho))
 
 
 def weights_row(scheme: WeightScheme, n: int) -> np.ndarray:

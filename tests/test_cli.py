@@ -55,9 +55,11 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         lines = [ln for ln in out.splitlines() if ln]
-        assert len(lines) == 9
+        assert len(lines) == 11
         assert all(ln.startswith("PASS") for ln in lines)
-        assert any(ln.startswith("PASS cdf_table_midpoints") for ln in lines)
+        for name in ("cdf_table_midpoints", "b_closed_form",
+                     "char_closed_form"):
+            assert any(ln.startswith(f"PASS {name} ") for ln in lines)
         (ref,) = [ln for ln in lines if ln.startswith("PASS cdf_reference")]
         assert "abs_error=" in ref
 
@@ -235,6 +237,8 @@ class TestRun:
         "n_grid: [50, 200]\nfamily: {kind: mobius_clamped, c_n: [1, 0.4]}",
         "n_grid: [50, 200]\nfamily: {kind: mobius_clamped, c_n: [[1, 2]]}",
         "n_grid: [50, 200]\nfamily: {kind: mobius_remark2, c_n: .nan}",
+        "n_grid: [50, 200]\nfamily: {kind: mobius_remark2, c_n: 'nan'}",
+        "n_grid: [50, 200]\nfamily: {kind: mobius_clamped, c_n: 1e400}",
         "n_grid: [50, 200]\nfamily: {kind: discrete_beta, beta_n: 1.5}",
         "n_grid: [50, 200]\nfamily: uniform",
         "n_grid: [50, 200]\nfamily: {kind: mobius_remark2, c_n: 'constant:a'}",
@@ -290,6 +294,31 @@ class TestRun:
                                   str(results))
         assert code == 0
         assert listed == plain
+
+    def test_exponent_number_is_a_number(self, capsys, tmp_path):
+        # YAML 1.1 loads 2e0 as a string, 2.0 as a float
+        outs = []
+        for c_n in ("2.0", "2e0"):
+            cfg = tmp_path / f"c{c_n}.yaml"
+            cfg.write_text("experiment: weak_law\nn_grid: [50, 200]\n"
+                           "replications: 60\nscheme: engel\n"
+                           f"family: {{kind: mobius_clamped, c_n: {c_n}}}\n")
+            code, out, _ = run_cli(capsys, "run", str(cfg), "--format",
+                                   "json", "--out", str(tmp_path / "res"))
+            assert code == 0
+            outs.append(json.loads(out)["per_n"])
+        assert outs[0] == outs[1]
+
+    def test_large_remark2_scale_runs(self, capsys, tmp_path):
+        # its centering used to miss the b quadrature's tolerance (exit 1)
+        cfg = tmp_path / "remark2.yaml"
+        cfg.write_text("experiment: distributional\nmode: cor_4_2\n"
+                       "family: {kind: mobius_remark2, c_n: 1000}\n"
+                       "n_grid: [100]\nreplications: 100\n")
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(tmp_path / "results"))
+        assert code == 0, err
+        assert "ks" in out
 
     def test_negative_seed_option_exit_2(self, capsys, tmp_path):
         cfg, results = self._tiny_weak_law(tmp_path)

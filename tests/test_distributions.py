@@ -3,29 +3,29 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import psi, sici
+from scipy.special import sici
 
 from oppenheimlab.distributions import (
-    ConditionProfile,
+    centering_b,
+    centering_b_quad,
     char_components,
-    check_conditions,
-    condition_i_profile,
-    condition_ii_profile,
+    char_components_quad,
     discrete_beta_family,
     discrete_beta_pmf,
     discrete_digits,
-    family_constants,
     family_from_config,
     make_sequence,
     member_values,
     mobius_clamped_family,
     mobius_remark2_family,
     proposition_2_4_profile,
+    reciprocal_char,
     uniform_family,
 )
-from oppenheimlab.errors import ConditionCheckError, DomainError
+from oppenheimlab.errors import DomainError
 from oppenheimlab.specfun import EULER_GAMMA
 
 GRID = (0.1, 0.05, 0.02, 0.01, 0.005)
@@ -52,6 +52,14 @@ class TestMakeSequence:
             make_sequence("quadratic:n")
         with pytest.raises(DomainError):
             make_sequence(True)
+
+    def test_exponent_string_is_a_number(self):
+        # YAML 1.1 loads 2e0 and 1e-3 as strings
+        assert make_sequence("2e0")(3) == 2.0
+        assert make_sequence("1e-3")(3) == 1e-3
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(DomainError, match="finite"):
+                make_sequence(bad)
 
     def test_index_arrays(self):
         ks = np.arange(1, 6)
@@ -190,73 +198,43 @@ class TestDiscreteBeta:
             discrete_beta_pmf(0.2, 1)
 
 
-class TestConditionCheckers:
-    @pytest.mark.parametrize("family", [
-        uniform_family(),
-        mobius_clamped_family("constant:1"),
-        mobius_remark2_family("constant:1"),
-        discrete_beta_family("constant:0"),
-        discrete_beta_family("constant:0.5"),
-    ], ids=["uniform", "mc1", "mr2", "db0", "db5"])
-    def test_builtins_pass(self, family):
-        assert check_conditions(family)
-
-    def test_profile_shapes(self):
-        prof = condition_i_profile(uniform_family(), 4, GRID)
-        assert isinstance(prof, ConditionProfile)
-        assert len(prof.rows) == len(GRID)
-        # uniform has F(t)/t = alpha exactly
-        assert all(v == 0.0 for _, v in prof.rows)
-
-    def test_condition_ii_uniform_zero(self):
-        prof = condition_ii_profile(uniform_family(), 2, GRID)
-        assert all(v == 0.0 for _, v in prof.rows)
-
-    def test_condition_ii_discrete_closed_form(self):
-        # brute-force the piecewise integral for beta = 0 at t = 0.1
-        fam = discrete_beta_family("constant:0")
-        t = 0.1
-        us = np.linspace(1e-7, t, 400_001)
-        vals = np.abs(np.array([fam.cdf(1, u) for u in us]) / us - 1.0) / us
-        brute = np.trapezoid(vals, us)
-        prof = condition_ii_profile(fam, 1, (t,))
-        assert prof.rows[0][1] == pytest.approx(brute, abs=5e-4)
-
-    def test_grid_validation(self):
-        with pytest.raises(DomainError):
-            condition_i_profile(uniform_family(), 2, (0.0, 0.5))
-        for profile in (condition_i_profile, condition_ii_profile):
-            with pytest.raises(DomainError, match="nonempty"):
-                profile(uniform_family(), 2, ())
+# (kind, s(c)): member c of each Moebius kind is the law of 1/(s + c/V)
+MOBIUS = [(mobius_clamped_family, lambda c: c),
+          (mobius_remark2_family, lambda c: 1.0)]
+MOBIUS_C = (0.5, 0.7, 1.0, 2.0, 3.25, 5.0, 1000.0)
 
 
-class TestFamilyConstants:
-    def test_uniform(self):
-        fc = family_constants(uniform_family(), 1)
-        assert fc.b == 0.0
-        assert fc.c == pytest.approx(1.0 - EULER_GAMMA, abs=1e-12)
+class TestCenteringB:
+    @pytest.mark.parametrize("make, shift", MOBIUS,
+                             ids=["clamped", "remark2"])
+    @pytest.mark.parametrize("c", MOBIUS_C)
+    def test_against_mpmath(self, make, shift, c):
+        # b = int_0^1 (1/u)(F(u)/u - c) du with F(u) = cu/(1 - su) below
+        # the edge 1/(s + c) and 1 above it, at 30 digits
+        s = shift(c)
+        with mpmath.workdps(30):
+            e = 1 / (mpmath.mpf(s) + c)
+            ref = (mpmath.quad(lambda u: c * s / (1 - s * u), [0, e])
+                   + mpmath.quad(lambda u: (1 / u - c) / u, [e, 1]))
+            ref = float(ref)
+        fam = make(c)
+        assert float(centering_b(fam, 1)) == pytest.approx(ref, rel=1e-12)
+        assert centering_b_quad(fam, 1) == pytest.approx(ref, rel=1e-10)
 
-    def test_mobius_clamped_b(self):
-        fc = family_constants(mobius_clamped_family("constant:1"), 1)
-        # independent numeric oracle on a dense log grid
-        us = np.geomspace(1e-10, 1.0, 200_001)
-        fam = mobius_clamped_family("constant:1")
-        vals = (np.array([fam.cdf(1, u) for u in us]) / us - 1.0) / us
-        brute = np.trapezoid(vals, us)
-        assert fc.b == pytest.approx(brute, abs=1e-4)
+    def test_uniform_is_zero(self):
+        assert centering_b(uniform_family(), 1) == 0.0
+        assert centering_b_quad(uniform_family(), 1) == pytest.approx(
+            0.0, abs=1e-12)
 
-    def test_discrete_digamma_form(self):
-        for beta in (0.0, 0.25, 0.5):
-            fc = family_constants(discrete_beta_family(f"constant:{beta}"), 1)
-            oracle = -(1.0 - beta) * psi(1.0 - beta)
-            assert fc.b == pytest.approx(oracle, abs=1e-12)
-            assert fc.c == pytest.approx(
-                1.0 - (1.0 - beta) * EULER_GAMMA + fc.b, abs=1e-12)
+    def test_index_array_equals_per_member_values(self):
+        fam = mobius_remark2_family([0.5, 2.0, 1000.0])
+        ks = np.arange(1, 6)
+        assert np.array_equal(centering_b(fam, ks),
+                              [float(centering_b(fam, int(k))) for k in ks])
 
-    def test_discrete_beta0_c(self):
-        # beta = 0: b = gamma, c = 1 - gamma + gamma = 1
-        fc = family_constants(discrete_beta_family("constant:0"), 1)
-        assert fc.c == pytest.approx(1.0, abs=1e-10)
+    def test_discrete_kind_has_no_closed_form(self):
+        with pytest.raises(DomainError, match="discrete_beta"):
+            centering_b(discrete_beta_family(0.5), 1)
 
 
 class TestCharComponents:
@@ -281,6 +259,44 @@ class TestCharComponents:
                     assert a_val == pytest.approx(oracle.real - 1.0,
                                                   abs=1e-12)
                     assert b_val == pytest.approx(oracle.imag, abs=1e-12)
+
+    @pytest.mark.parametrize("family", [
+        uniform_family(), mobius_clamped_family(0.5),
+        mobius_clamped_family(3.25), mobius_remark2_family(0.5),
+        mobius_remark2_family(1000.0)],
+        ids=["uniform", "mc0.5", "mc3.25", "mr0.5", "mr1000"])
+    def test_closed_form_matches_fourier_reference(self, family):
+        # the reference asks QUADPACK for 1e-12 absolute on integrals that
+        # are then multiplied by t <= 10
+        for t in np.geomspace(1e-2, 10.0, 13):
+            a_val, b_val = char_components(family, 1, t)
+            a_ref, b_ref = char_components_quad(family, 1, t)
+            assert a_val == pytest.approx(a_ref, abs=1e-11)
+            assert b_val == pytest.approx(b_ref, abs=1e-11)
+
+    @pytest.mark.parametrize("family", [
+        uniform_family(), mobius_clamped_family(2.0),
+        mobius_remark2_family(2.0)], ids=["uniform", "mc2", "mr2"])
+    def test_small_t_finite_without_warnings(self, family):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e-8, 1e-4):
+                a_val, b_val = char_components(family, 1, t)
+                assert math.isfinite(a_val) and math.isfinite(b_val)
+                # A(t) = -c pi t/2 + O(t^2 log t) for the law of 1/(s + c/V)
+                c = family.alpha(1)
+                assert a_val == pytest.approx(-c * math.pi * t / 2.0,
+                                              rel=1e-2)
+
+    def test_vectorised_over_members_and_t(self):
+        fam = mobius_clamped_family([1.0, 2.0, 3.25])
+        ks = np.arange(1, 4)[:, None]
+        ts = np.array([-2.0, -1e-4, 0.0, 1e-8, 0.5, 7.0])
+        psi = reciprocal_char(fam, ks, ts)
+        assert psi.shape == (3, ts.size)
+        for (k,), row in zip(ks, psi):
+            for t, z in zip(ts, row):
+                assert z == reciprocal_char(fam, int(k), float(t))
 
     def test_odd_even_symmetry(self):
         fam = uniform_family()
@@ -316,6 +332,11 @@ class TestProposition24:
                                        1, GRID)
         assert prof.fitted_limit == pytest.approx(1.0, abs=1e-2)
 
+    @pytest.mark.parametrize("grid", [(), (0.5, 1.0), (0.0, 0.5)])
+    def test_grid_validation(self, grid):
+        with pytest.raises(DomainError, match="nonempty grid in"):
+            proposition_2_4_profile(uniform_family(), 1, grid)
+
 
 class TestFamilyFromConfig:
     def test_roundtrip(self):
@@ -345,6 +366,7 @@ class TestFamilyFromConfig:
 
     @pytest.mark.parametrize("kind, key, value", [
         ("mobius_clamped", "c_n", 0.5), ("mobius_remark2", "c_n", 1e-3),
+        ("mobius_clamped", "c_n", "2e0"), ("mobius_remark2", "c_n", "1e-3"),
         ("discrete_beta", "beta_n", 0.0), ("discrete_beta", "beta_n",
                                            "linear:0.09")])
     def test_domain_edges_accepted(self, kind, key, value):

@@ -8,12 +8,13 @@ import pytest
 
 from oppenheimlab import __version__, experiments
 from oppenheimlab.distributions import (
+    centering_b_quad,
     discrete_beta_family,
-    family_constants,
     mobius_clamped_family,
     uniform_family,
 )
 from oppenheimlab.errors import ConditionCheckError, DomainError
+from oppenheimlab.expansions import ratios
 from oppenheimlab.experiments import (
     ExperimentConfig,
     RunRecord,
@@ -239,12 +240,29 @@ class TestWeakLaw:
                    for row in runs[0].per_n)
         assert np.allclose(chain, direct, rtol=0.0, atol=0.05)
 
-    def test_chain_rejects_discrete_family(self):
-        # a discrete draw 1/Z is rounded, so the chain's floor could miss
-        # the digit
-        cfg = small_config(scheme="engel", family={"kind": "discrete_beta"})
-        with pytest.raises(DomainError):
-            exact_weak_law_run(cfg)
+    @pytest.mark.parametrize("kind, phi", [
+        ("luroth", lambda d: 1), ("engel", lambda d: d - 1),
+        ("sylvester", lambda d: d * (d - 1))])
+    def test_discrete_chain_ratios_are_exact(self, kind, phi):
+        # the draw U_k = 1/Z_k steps D_{k+1} = phi(D_k) Z_k + 1: walk the
+        # digits with Python integers and take their exact ratios
+        fam = discrete_beta_family(0.5)
+        n = 12
+        ks = np.arange(1, n + 1)
+        v = 1.0 - np.random.default_rng(7).random((200, n + 1))
+        z = fam.reciprocals(ks, v[:, 1:])
+        got = experiments._chain_ratios(kind, fam, ks, v)
+        for u0, zs, row in zip(v[:, 0], z, got):
+            digits = [math.floor(1.0 / u0) + 1]
+            for zk in zs:
+                digits.append(phi(digits[-1]) * int(zk) + 1)
+            assert row.tolist() == [float(r) for r in ratios(kind, digits)]
+
+    def test_chain_runs_on_discrete_family(self):
+        rec = exact_weak_law_run(small_config(
+            scheme="sylvester", family={"kind": "discrete_beta"}))
+        assert all(row["ell"] == pytest.approx(1.0, abs=1e-9)
+                   for row in rec.per_n)
 
     def test_condition_failure_reported(self):
         # alpha = 1 - beta with growing beta tag violates the alpha bounds
@@ -303,8 +321,9 @@ class TestCentering:
         n = 6
         got = centering_constants(fam, cesaro_scheme(), n)
         ref = self._per_k_reference(
-            fam.alpha, lambda k: family_constants(fam, k).c - 1.0, n)
-        assert got == ref
+            fam.alpha,
+            lambda k: centering_b_quad(fam, k) - fam.alpha(k) * EULER_GAMMA, n)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_c2_discrete_called_once_per_n(self, monkeypatch):
         calls = []
@@ -318,22 +337,6 @@ class TestCentering:
         centering_constants(discrete_beta_family([0.3, 0.1, 0.5]),
                             cesaro_scheme(), 1000)
         assert calls == [1000]
-
-    @pytest.mark.parametrize("c_n, expected", [
-        ("constant:1", 1), ([1.0, 4.0], 2), ([1.0, 2.0, 1.0, 2.0], 2)])
-    def test_family_constants_once_per_distinct_member(self, monkeypatch,
-                                                       c_n, expected):
-        members = []
-        original = experiments.family_constants
-
-        def counting(family, n, *args, **kwargs):
-            members.append(n)
-            return original(family, n, *args, **kwargs)
-
-        monkeypatch.setattr(experiments, "family_constants", counting)
-        centering_constants(mobius_clamped_family(c_n), cesaro_scheme(),
-                            1000)
-        assert len(members) == expected
 
 
 class TestDistributional:
@@ -380,8 +383,9 @@ class TestDistributional:
 
 
 class TestCharDistance:
-    def test_engel_small_t(self):
-        res = char_distance_check(2, (0.1, 0.2), 10**5)
+    @pytest.mark.parametrize("t", [(0.1, 0.2), (1e-4, 0.2)])
+    def test_engel_small_t(self, t):
+        res = char_distance_check(2, t, 10**5)
         assert res["passed"]
         assert res["estimate"] <= res["bound"] + 3 * res["se"]
 

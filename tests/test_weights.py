@@ -146,7 +146,7 @@ class TestConditionCheckers:
 
     def test_constant_row_fails_4_1(self):
         # a_{k,n} = 1 for all k: max weight does not vanish
-        sch = WeightScheme("ones", np.ones, make_sequence("constant"))
+        sch = WeightScheme(np.ones, make_sequence("constant"))
         rep = check_theorem_4_1_conditions(sch, lambda k: 1.0, 1000)
         assert not rep.passed
         assert rep.verdict("max_weight_to_zero") == "fail"
