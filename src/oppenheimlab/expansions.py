@@ -153,7 +153,7 @@ def ratios(kind: str, digits: Sequence[int]) -> list:
 _EXACT_STATE_LIMIT = 1e12
 
 
-def ratio_path(kind: str, u: np.ndarray) -> np.ndarray:
+def ratio_path(kind: str, u: np.ndarray, return_live: bool = False):
     """(m, n) ratios R_1..R_n of m digit chains driven by an (m, n + 1)
     array of draws in (0, 1], one chain per row.
 
@@ -165,10 +165,16 @@ def ratio_path(kind: str, u: np.ndarray) -> np.ndarray:
     is below the exact-arithmetic window; beyond it the floor is below
     float resolution, so the rest of the row is 1/U.  Each column touches
     only the rows still inside the window.
+
+    With ``return_live`` it returns (ratios, live), where the boolean mask
+    ``live`` marks the rows whose state phi(D_{n+1}) is still inside the
+    window after the last column (none for Lüroth, which has no state):
+    only those rows need the exact floor if their chain is walked further.
     """
     if kind == "luroth":
         r = 1.0 / u[:, 1:]
-        return np.floor(r, out=r)
+        np.floor(r, out=r)
+        return (r, np.zeros(u.shape[0], dtype=bool)) if return_live else r
     if kind not in _PHI:
         raise DomainError(f"no ratio chain for kind {kind!r}")
     phi = _PHI[kind]
@@ -184,4 +190,9 @@ def ratio_path(kind: str, u: np.ndarray) -> np.ndarray:
         f = np.floor(s / u[rows, k + 1])
         out[rows, k] = f / s
         d = f + 1.0
-    return out
+    if not return_live:
+        return out
+    live = np.zeros(u.shape[0], dtype=bool)
+    if rows.size:  # d is the state of these rows after the last column
+        live[rows[phi(d) < _EXACT_STATE_LIMIT]] = True
+    return out, live

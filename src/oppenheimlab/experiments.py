@@ -4,12 +4,15 @@ Reproducibility contract: every replication j of the grid point with index i
 draws from its own stream seeded as SeedSequence(master_seed,
 spawn_key=(i, j)); statistics are reduced in replication order, so a record
 is bit-identical across reruns.  Every Monte Carlo sum is drawn and reduced
-by ``_replication_sums``.
+by ``_replication_sums``.  The PCG64 state words of those streams are that
+SeedSequence hash, computed for all of a grid point's replications at once
+in numpy (``_stream_words``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -53,6 +56,10 @@ _WEIGHT_KINDS = {"cesaro": cesaro_scheme, "power_alpha": power_alpha_scheme}
 WEAK_LAW_SCHEMES = ("direct", "luroth", "engel", "sylvester")
 # uniforms per block of replications mapped in one call (256 kB of doubles)
 _BLOCK = 2**15
+# ratios of an Engel or Sylvester chain walked for a block of replications at
+# once; after them almost every chain has left the exact window of
+# ``ratio_path``, so the rest of a row is elementwise
+_HEAD = 128
 
 
 @dataclass(frozen=True)
@@ -206,11 +213,119 @@ def load_record(digest: str, directory) -> Optional[RunRecord]:
     return record
 
 
-def replication_rng(master_seed: int, n_index: int,
-                    rep: int) -> np.random.Generator:
-    """Independent stream for replication ``rep`` of grid point ``n_index``."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(n_index, rep))
-    return np.random.Generator(np.random.PCG64(ss))
+# numpy's SeedSequence hash (O'Neill's seed_seq alternative, NEP 19): its
+# entropy pool, the multipliers of its mixing steps and their seeds
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(n: int) -> list:
+    """The little-endian 32-bit words of n >= 0 as SeedSequence splits an
+    entropy integer ([0] for 0), each a one-element array."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return [np.array([w], dtype=np.uint32) for w in words]
+
+
+def _seed_hash(entropy: list) -> np.ndarray:
+    """(m, 4) uint64 words of SeedSequence.generate_state(4, np.uint64) for
+    m entropy inputs, given word by word: ``entropy[i]`` holds word i of
+    every input (or one word that all share), as a uint32 array.
+
+    The hash constant advances the same way for every input, so the steps
+    of SeedSequence's mix_entropy and generate_state run on whole arrays.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    state = []
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])],
+                    axis=-1)
+
+
+def _stream_words(master_seed: int, n_index: int, reps) -> np.ndarray:
+    """(len(reps), 4) uint64 rows: row j is
+    SeedSequence(master_seed, spawn_key=(n_index, reps[j]))
+    .generate_state(4, np.uint64), the PCG64 seed of that replication.
+
+    The seed, padded to the pool size, and n_index are words every row
+    shares; a replication index takes one word below 2**32 and two from
+    there on, so the two lengths are hashed as separate groups.
+    """
+    reps = np.asarray(reps, dtype=np.uint64)
+    shared = _uint32_words(master_seed)
+    shared += [np.zeros(1, dtype=np.uint32)] * (_POOL - len(shared))
+    shared += _uint32_words(n_index)
+    out = np.empty((reps.size, 4), dtype=np.uint64)
+    wide = reps > _MASK32
+    for group, n_words in ((~wide, 1), (wide, 2)):
+        if group.any():
+            r = reps[group]
+            words = [(r & _MASK32).astype(np.uint32),
+                     (r >> 32).astype(np.uint32)]
+            out[group] = _seed_hash(shared + words[:n_words])
+    return out
+
+
+class _HashedSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state words are already hashed: PCG64 asks it
+    for generate_state(4, np.uint64), and it returns one row of
+    ``_stream_words``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def replication_rng(master_seed: int, n_index: int, rep: int,
+                    words: Optional[np.ndarray] = None) -> np.random.Generator:
+    """Independent stream for replication ``rep`` of grid point ``n_index``:
+    PCG64 seeded as by SeedSequence(master_seed, spawn_key=(n_index, rep)).
+    ``words``, the stream's row of ``_stream_words`` when the caller has
+    hashed a whole grid point, saves hashing it again."""
+    if words is None:
+        words = _stream_words(master_seed, n_index, [rep])[0]
+    return np.random.Generator(np.random.PCG64(_HashedSeed(words)))
+
+
+def _replication_rngs(config: ExperimentConfig, n_index: int):
+    """The streams of every replication of grid point ``n_index``, in
+    order, each built only when it is taken."""
+    words = _stream_words(config.master_seed, n_index,
+                          np.arange(config.replications))
+    return (replication_rng(config.master_seed, n_index, rep, row)
+            for rep, row in enumerate(words))
 
 
 def _replication_sums(config: ExperimentConfig, n_index: int,
@@ -223,14 +338,61 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
     replication order.
     """
     sums = np.empty(config.replications)
+    rngs = _replication_rngs(config, n_index)
     block = max(1, _BLOCK // width)
     for start in range(0, config.replications, block):
-        reps = range(start, min(start + block, config.replications))
-        u = np.empty((len(reps), width))
-        for rep, row in zip(reps, u):
-            replication_rng(config.master_seed, n_index, rep).random(out=row)
-        for rep, x in zip(reps, summands(1.0 - u)):
+        u = np.empty((min(block, config.replications - start), width))
+        for row, rng in zip(u, rngs):  # zip takes no stream past the block
+            rng.random(out=row)
+        np.subtract(1.0, u, out=u)
+        for rep, x in enumerate(summands(u), start):
             sums[rep] = float(np.dot(a, x))
+    return sums
+
+
+def _chain_sums(config: ExperimentConfig, n_index: int,
+                a: np.ndarray) -> np.ndarray:
+    """``_replication_sums`` of the ratios of the configured Engel or
+    Sylvester chain, driven by a continuous family.
+
+    A chain leaves the exact window of ``ratio_path`` within a few dozen
+    ratios, after which its ratios are 1/U_k.  So the first ``_HEAD``
+    ratios of a block of replications are walked in one ``ratio_path``
+    call, and the rest of each row is mapped elementwise as its stream
+    continues; a row still inside the window after the head is walked
+    whole.  A stream's doubles are sequential, so drawing a row in two
+    pieces draws the same numbers, and every sum is the same full-row dot
+    product as in ``_replication_sums``.
+    """
+    kind, family = config.scheme, config.reciprocal_family
+    n = a.size
+    ks = np.arange(1, n + 1)
+    h = min(_HEAD, n) + 1  # the head's draws: first digit and _HEAD ratios
+    sums = np.empty(config.replications)
+    rngs = _replication_rngs(config, n_index)
+    chunk = max(1, _BLOCK // (_HEAD + 1))
+    x = np.empty(n)  # one replication's ratios
+    tail = np.empty(n + 1 - h)
+    for start in range(0, config.replications, chunk):
+        streams = list(itertools.islice(rngs, chunk))
+        head = np.empty((len(streams), h))
+        for row, rng in zip(head, streams):
+            rng.random(out=row)
+        np.subtract(1.0, head, out=head)
+        head[:, 1:] = family.sampler(ks[:h - 1], head[:, 1:])
+        head_ratios, in_window = ratio_path(kind, head, return_live=True)
+        for j, rng in enumerate(streams):
+            x[:h - 1] = head_ratios[j]
+            if tail.size:
+                rng.random(out=tail)
+                np.subtract(1.0, tail, out=tail)
+                draws = family.sampler(ks[h - 1:], tail)
+                if in_window[j]:
+                    row = np.concatenate((head[j], draws))
+                    x[:] = ratio_path(kind, row[np.newaxis])[0]
+                else:
+                    np.divide(1.0, draws, out=x[h - 1:])
+            sums[start + j] = float(np.dot(a, x))
     return sums
 
 
@@ -281,6 +443,8 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
         if config.scheme == "direct":
             sums = _replication_sums(config, i, a, n,
                                      lambda v: family.reciprocals(ks, v))
+        elif config.scheme != "luroth" and not family.is_discrete():
+            sums = _chain_sums(config, i, a)
         else:  # a chain of n ratios walks n + 1 draws
             sums = _replication_sums(config, i, a, n + 1,
                                      lambda v: _chain_ratios(config.scheme,

@@ -95,13 +95,22 @@ def lemma_a1() -> tuple[float, float, float]:
     return a_val, b_val, a_val + b_val
 
 
+# |1 - z| up to which gauss_2f1_unit sums the logarithmic series; 40 of its
+# terms reach 4**-40 = 8e-25 relative there
+_LOG_SERIES_RADIUS = 0.25
+_LOG_SERIES_TERMS = 40
+
+
 def gauss_2f1_unit(beta: float, z: complex) -> complex:
     """2F1(1, 1-beta; 2-beta; z) for 0 <= beta < 1 and |z| <= 1, z != 1.
 
-    Uses the Euler integral (1-beta) * int_0^1 xi^(-beta) / (1 - xi z) d(xi)
-    with the substitution xi = s^(1/(1-beta)) absorbing the endpoint
-    singularity, so the transformed integrand is int_0^1 ds / (1 - s^p z)
-    with p = 1/(1-beta).
+    Near the pole, |1 - z| <= 1/4, it sums the logarithmic series for
+    c = a + b (Abramowitz-Stegun 15.3.10 with a = 1, b = 1 - beta):
+    b sum_n ((b)_n / n!) [psi(n+1) - psi(b+n) - log(1-z)] (1-z)^n.
+    Elsewhere it uses the Euler integral
+    (1-beta) * int_0^1 xi^(-beta) / (1 - xi z) d(xi) with the substitution
+    xi = s^(1/(1-beta)) absorbing the endpoint singularity, so the
+    transformed integrand is int_0^1 ds / (1 - s^p z) with p = 1/(1-beta).
     """
     if not 0.0 <= beta < 1.0:
         raise DomainError("gauss_2f1_unit requires beta in [0, 1)")
@@ -112,6 +121,14 @@ def gauss_2f1_unit(beta: float, z: complex) -> complex:
         raise PoleError("gauss_2f1_unit has a pole at z = 1")
     if z == 0.0:
         return 1.0 + 0.0j
+    w = 1.0 - z
+    if abs(w) <= _LOG_SERIES_RADIUS:
+        b = 1.0 - beta
+        n = np.arange(_LOG_SERIES_TERMS, dtype=float)
+        pochhammer = np.cumprod(np.r_[1.0, (b + n[:-1]) / (n[:-1] + 1.0)])
+        bracket = (special.digamma(n + 1.0) - special.digamma(b + n)
+                   - np.log(w))
+        return complex(b * np.sum(pochhammer * bracket * w ** n))
     p = 1.0 / (1.0 - beta)
 
     val, err = integrate.quad(lambda s: 1.0 / (1.0 - np.power(s, p) * z),

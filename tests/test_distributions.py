@@ -308,6 +308,23 @@ class TestCharComponents:
     def test_zero(self):
         assert char_components(uniform_family(), 1, 0.0) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5])
+    def test_discrete_near_zero_against_mpmath(self, beta):
+        # E exp(itZ) = z + (z - 1) z 2F1(1, 1-beta; 2-beta; z), z = exp(it),
+        # next to the pole of 2F1 at z = 1
+        fam = discrete_beta_family(beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e-5, -1e-5, 1e-6, -1e-6, 1e-7):
+                a_val, b_val = char_components(fam, 1, t)
+                with mpmath.workdps(30):
+                    z = mpmath.expj(t)
+                    psi = z + (z - 1) * z * mpmath.hyp2f1(
+                        1, 1 - mpmath.mpf(beta), 2 - mpmath.mpf(beta), z)
+                    a_ref, b_ref = float(psi.real - 1), float(psi.imag)
+                assert a_val == pytest.approx(a_ref, abs=1e-12)
+                assert b_val == pytest.approx(b_ref, abs=1e-12)
+
     def test_discrete_against_direct_sum(self):
         fam = discrete_beta_family("constant:0.5")
         t = 0.7

@@ -232,6 +232,37 @@ class TestVectorChains:
         assert r[inside].tolist() == [x for e in exact for x in e]
         assert np.array_equal(r[~inside], (1.0 / u[:, 1:])[~inside])
 
+    @pytest.mark.parametrize("kind", ["engel", "sylvester"])
+    @pytest.mark.parametrize("n", [0, 3, 30])  # 30: Engel rows both ways
+    def test_live_rows_are_the_chains_still_in_the_window(self, kind, n):
+        u = uniforms(4, 3000, n)
+        r, live = ratio_path(kind, u, return_live=True)
+        assert np.array_equal(r, ratio_path(kind, u))
+        phi = {"engel": lambda d: d - 1,
+               "sylvester": lambda d: d * (d - 1)}[kind]
+        expected = []
+        for row in u.tolist():  # the digits walked with Python ints
+            d = math.floor(1.0 / row[0]) + 1
+            for x in row[1:]:
+                if phi(d) >= 1e12:
+                    break
+                d = math.floor(phi(d) / x) + 1
+            expected.append(phi(d) < 1e12)
+        assert live.tolist() == expected
+
+    @pytest.mark.parametrize("kind", ["engel", "sylvester"])
+    def test_rows_not_live_after_a_head_continue_as_reciprocals(self, kind):
+        u = uniforms(5, 3000, 40)
+        full = ratio_path(kind, u)
+        for h in (1, 2, 4, 8):
+            head, live = ratio_path(kind, u[:, :h + 1], return_live=True)
+            assert np.array_equal(head, full[:, :h])
+            assert np.array_equal(full[~live, h:], 1.0 / u[~live, h + 1:])
+
+    def test_luroth_has_no_live_rows(self):
+        r, live = ratio_path("luroth", uniforms(6, 10, 3), return_live=True)
+        assert r.shape == (10, 3) and not live.any()
+
     def test_sylvester_no_overflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

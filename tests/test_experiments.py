@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppenheimlab import __version__, experiments
 from oppenheimlab.distributions import (
@@ -169,6 +171,27 @@ class TestReproducibility:
         assert np.array_equal(replication_rng(7, 2, 3).random(8),
                               replication_rng(7, 2, 3).random(8))
 
+    def test_stream_is_the_spawned_seed_sequence(self):
+        ss = np.random.SeedSequence(7, spawn_key=(2, 3))
+        reference = np.random.Generator(np.random.PCG64(ss))
+        assert np.array_equal(replication_rng(7, 2, 3).random(8),
+                              reference.random(8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**200),
+           n_index=st.integers(min_value=0, max_value=2**40),
+           reps=st.lists(st.one_of(
+               st.integers(min_value=0, max_value=2**32 - 1),
+               st.integers(min_value=2**32, max_value=2**64 - 1)),
+               min_size=1, max_size=6))
+    def test_stream_words_are_the_seed_sequence_hash(self, seed, n_index,
+                                                     reps):
+        words = experiments._stream_words(seed, n_index, reps)
+        assert words.shape == (len(reps), 4)
+        for rep, row in zip(reps, words):
+            ss = np.random.SeedSequence(seed, spawn_key=(n_index, rep))
+            assert np.array_equal(row, ss.generate_state(4, np.uint64))
+
     def test_weak_law_bit_identical(self):
         cfg = small_config()
         r1 = exact_weak_law_run(cfg)
@@ -185,10 +208,12 @@ class TestReproducibility:
         (exact_weak_law_run, dict(scheme="direct")),
         (exact_weak_law_run, dict(scheme="engel")),
         (exact_weak_law_run, dict(scheme="engel", family=MOBIUS_2)),
+        (exact_weak_law_run, dict(scheme="sylvester")),
         (distributional_run, dict(n_grid=(100, 400))),
         (distributional_run, dict(n_grid=(100, 400), mode="cor_4_3",
                                   beta="constant:0.5")),
-    ], ids=["direct", "engel", "engel-mobius", "classical", "cor43-half"])
+    ], ids=["direct", "engel", "engel-mobius", "sylvester", "classical",
+            "cor43-half"])
     def test_records_do_not_depend_on_block_size(self, monkeypatch, runner,
                                                  kw):
         cfg = small_config(**kw)
@@ -196,6 +221,22 @@ class TestReproducibility:
         for block in (1, 1000):  # one replication per block; ragged blocks
             monkeypatch.setattr(experiments, "_BLOCK", block)
             assert runner(cfg) == default
+
+    @pytest.mark.parametrize("kw", [
+        dict(scheme="engel"),
+        dict(scheme="sylvester"),
+        dict(scheme="engel", family=MOBIUS_2),
+        dict(scheme="sylvester",
+             family={"kind": "discrete_beta", "beta_n": 0.5}),
+    ], ids=["engel", "sylvester", "engel-mobius", "sylvester-discrete"])
+    def test_records_do_not_depend_on_head_size(self, monkeypatch, kw):
+        # at a head of 1 most Engel rows are still in the exact window and
+        # are walked whole; 10**6 walks every row in the head
+        cfg = small_config(**kw)
+        default = exact_weak_law_run(cfg)
+        for head in (1, 2, 10**6):
+            monkeypatch.setattr(experiments, "_HEAD", head)
+            assert exact_weak_law_run(cfg) == default
 
     def test_classical_is_cor43_beta_zero(self):
         classical = v_samples(small_config(), 200, 1)

@@ -4,6 +4,7 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import psi, sici
@@ -90,6 +91,21 @@ class TestGauss2F1:
             k = np.arange(4000)
             expected = np.sum(0.5 / (k + 0.5) * np.asarray(complex(z))**k)
             assert abs(gauss_2f1_unit(0.5, z) - expected) <= 1e-10
+
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.9])
+    def test_against_mpmath_on_both_sides_of_the_series_radius(self, beta):
+        # |1 - z| <= 1/4 takes the logarithmic series, the rest the Euler
+        # integral; t = 0.2527 and 0.2507 sit either side of the switch
+        ts = (1e-7, -1e-6, 1e-5, 1e-3, 0.1, 0.2507, 0.2527, 0.5, 3.0)
+        zs = [complex(math.cos(t), math.sin(t)) for t in ts]
+        zs += [0.8, 0.76, 0.9 + 0.1j, -0.9]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in zs:
+                ref = complex(mpmath.hyp2f1(1, 1 - mpmath.mpf(beta),
+                                            2 - mpmath.mpf(beta),
+                                            mpmath.mpc(z)))
+                assert abs(gauss_2f1_unit(beta, z) - ref) <= 1e-12 * abs(ref)
 
     def test_pole_at_z_one_beta_positive(self):
         with pytest.raises(PoleError):
