@@ -296,27 +296,44 @@ def _stream_words(master_seed: int, n_index: int, reps) -> np.ndarray:
     return out
 
 
-class _HashedSeed(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose state words are already hashed: PCG64 asks it
-    for generate_state(4, np.uint64), and it returns one row of
-    ``_stream_words``."""
+class _HashedSeed(np.random.bit_generator.ISpawnableSeedSequence):
+    """SeedSequence(entropy, spawn_key=spawn_key) with its PCG64 seed
+    already hashed: PCG64 asks for generate_state(4, np.uint64) and gets
+    ``words``, one row of ``_stream_words``.  Any other request, and
+    spawning, go to that SeedSequence, built when first needed."""
 
-    def __init__(self, words: np.ndarray):
+    def __init__(self, words: np.ndarray, entropy: int, spawn_key: tuple):
         self.words = words
+        self.entropy = entropy
+        self.spawn_key = spawn_key
+        self._seq = None
+
+    def _sequence(self) -> np.random.SeedSequence:
+        if self._seq is None:
+            self._seq = np.random.SeedSequence(self.entropy,
+                                               spawn_key=self.spawn_key)
+        return self._seq
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        if n_words == 4 and dtype is np.uint64:
+            return self.words
+        return self._sequence().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._sequence().spawn(n_children)
 
 
 def replication_rng(master_seed: int, n_index: int, rep: int,
                     words: Optional[np.ndarray] = None) -> np.random.Generator:
     """Independent stream for replication ``rep`` of grid point ``n_index``:
-    PCG64 seeded as by SeedSequence(master_seed, spawn_key=(n_index, rep)).
-    ``words``, the stream's row of ``_stream_words`` when the caller has
-    hashed a whole grid point, saves hashing it again."""
+    PCG64 seeded as by SeedSequence(master_seed, spawn_key=(n_index, rep)),
+    which it spawns from as that SeedSequence would.  ``words``, the
+    stream's row of ``_stream_words`` when the caller has hashed a whole
+    grid point, saves hashing it again."""
     if words is None:
         words = _stream_words(master_seed, n_index, [rep])[0]
-    return np.random.Generator(np.random.PCG64(_HashedSeed(words)))
+    return np.random.Generator(np.random.PCG64(
+        _HashedSeed(words, master_seed, (n_index, rep))))
 
 
 def _replication_rngs(config: ExperimentConfig, n_index: int):
@@ -350,19 +367,39 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
     return sums
 
 
+# ---------------------------------------------------------------------------
+# Exact weak laws
+# ---------------------------------------------------------------------------
+
+def _chain_ratios(kind: str, family: DistributionFamily, ks: np.ndarray,
+                  v: np.ndarray, return_live: bool = False):
+    """Ratios of a block of chains: column 0 stays the first digit's
+    uniform, and columns ks are mapped to draws of the family's members.
+    ``return_live`` is passed to ``ratio_path`` (continuous families only).
+
+    A discrete draw is U_k = 1/Z_k, so D_{k+1} = phi(D_k) Z_k + 1 and
+    R_k = Z_k for every kind: the exact integer digits, where the floor of
+    phi/fl(1/Z_k) in ``ratio_path`` could give phi Z_k - 1.
+    """
+    if family.is_discrete():
+        return family.reciprocals(ks, v[:, 1:])
+    v[:, 1:] = family.sampler(ks, v[:, 1:])
+    return ratio_path(kind, v, return_live)
+
+
 def _chain_sums(config: ExperimentConfig, n_index: int,
                 a: np.ndarray) -> np.ndarray:
     """``_replication_sums`` of the ratios of the configured Engel or
     Sylvester chain, driven by a continuous family.
 
     A chain leaves the exact window of ``ratio_path`` within a few dozen
-    ratios, after which its ratios are 1/U_k.  So the first ``_HEAD``
-    ratios of a block of replications are walked in one ``ratio_path``
-    call, and the rest of each row is mapped elementwise as its stream
-    continues; a row still inside the window after the head is walked
-    whole.  A stream's doubles are sequential, so drawing a row in two
-    pieces draws the same numbers, and every sum is the same full-row dot
-    product as in ``_replication_sums``.
+    ratios, after which its ratios are 1/U_k.  So ``_chain_ratios`` maps
+    the first ``_HEAD`` ratios of a block of replications in one call, and
+    the rest of each row is mapped elementwise as its stream continues; a
+    row still inside the window after the head is mapped whole by
+    ``_chain_ratios``, as the block loop maps it.  A stream's doubles are
+    sequential, so drawing a row in two pieces draws the same numbers, and
+    every sum is the same full-row dot product as in ``_replication_sums``.
     """
     kind, family = config.scheme, config.reciprocal_family
     n = a.size
@@ -375,44 +412,24 @@ def _chain_sums(config: ExperimentConfig, n_index: int,
     tail = np.empty(n + 1 - h)
     for start in range(0, config.replications, chunk):
         streams = list(itertools.islice(rngs, chunk))
-        head = np.empty((len(streams), h))
-        for row, rng in zip(head, streams):
+        u = np.empty((len(streams), h))
+        for row, rng in zip(u, streams):
             rng.random(out=row)
-        np.subtract(1.0, head, out=head)
-        head[:, 1:] = family.sampler(ks[:h - 1], head[:, 1:])
-        head_ratios, in_window = ratio_path(kind, head, return_live=True)
+        np.subtract(1.0, u, out=u)
+        head, live = _chain_ratios(kind, family, ks[:h - 1], u.copy(),
+                                   return_live=True)
         for j, rng in enumerate(streams):
-            x[:h - 1] = head_ratios[j]
-            if tail.size:
-                rng.random(out=tail)
-                np.subtract(1.0, tail, out=tail)
-                draws = family.sampler(ks[h - 1:], tail)
-                if in_window[j]:
-                    row = np.concatenate((head[j], draws))
-                    x[:] = ratio_path(kind, row[np.newaxis])[0]
-                else:
-                    np.divide(1.0, draws, out=x[h - 1:])
+            rng.random(out=tail)
+            np.subtract(1.0, tail, out=tail)
+            if live[j]:
+                row = np.concatenate((u[j], tail))[np.newaxis]
+                x[:] = _chain_ratios(kind, family, ks, row)[0]
+            else:
+                x[:h - 1] = head[j]
+                np.divide(1.0, family.sampler(ks[h - 1:], tail),
+                          out=x[h - 1:])
             sums[start + j] = float(np.dot(a, x))
     return sums
-
-
-# ---------------------------------------------------------------------------
-# Exact weak laws
-# ---------------------------------------------------------------------------
-
-def _chain_ratios(kind: str, family: DistributionFamily, ks: np.ndarray,
-                  v: np.ndarray) -> np.ndarray:
-    """Ratios of a block of chains: column 0 stays the first digit's
-    uniform, and columns ks are mapped to draws of the family's members.
-
-    A discrete draw is U_k = 1/Z_k, so D_{k+1} = phi(D_k) Z_k + 1 and
-    R_k = Z_k for every kind: the exact integer digits, where the floor of
-    phi/fl(1/Z_k) in ``ratio_path`` could give phi Z_k - 1.
-    """
-    if family.is_discrete():
-        return family.reciprocals(ks, v[:, 1:])
-    v[:, 1:] = family.sampler(ks, v[:, 1:])
-    return ratio_path(kind, v)
 
 
 def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:

@@ -177,6 +177,15 @@ class TestReproducibility:
         assert np.array_equal(replication_rng(7, 2, 3).random(8),
                               reference.random(8))
 
+    def test_stream_spawns_as_the_seed_sequence(self):
+        reference = np.random.default_rng(
+            np.random.SeedSequence(7, spawn_key=(2, 3)))
+        rng = replication_rng(7, 2, 3)
+        assert rng.bit_generator.seed_seq.spawn_key == (2, 3)
+        for _ in range(2):  # a second spawn continues the numbering
+            for child, ref in zip(rng.spawn(2), reference.spawn(2)):
+                assert np.array_equal(child.random(4), ref.random(4))
+
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**200),
            n_index=st.integers(min_value=0, max_value=2**40),

@@ -1,12 +1,12 @@
 """Paired benchmark of a base commit against this checkout, written as
 BENCH_<version>.json at the repository root.
 
-    python3 tools/bench.py [--base REV] [--pairs 10] [--seconds S]
-                           [--first-seed N] [--workload NAME ...]
+    python3 tools/bench.py --base REV [--first-seed N] [--workload NAME ...]
 
-The base commit (default HEAD) is exported with ``git archive`` into a
-temporary directory; the change is this checkout's working tree, uncommitted
-edits included.  For every workload and pair p, each tree runs its own
+The base commit REV is exported with ``git archive`` into a temporary
+directory; the change is this checkout's working tree, uncommitted edits
+included.  For every workload and each of the PAIRS pairs p, each tree runs
+its own
 
     perfbench/run.py --workload W --seed (first_seed + p) --seconds S --trace 0
 
@@ -19,8 +19,8 @@ holds: the change wins at least nine tenths of the pairs and the medians
 differ by more than the distance between the base's quartiles.  A machine
 note (cores, Python, NumPy, platform) says where the numbers were taken.
 
-S defaults to the benchmark's run_seconds.  Ten pairs of all four workloads
-take about 2 * 10 * 4 * S seconds; run it on an otherwise idle machine.
+S is the benchmark's run_seconds.  Ten pairs of all four workloads take
+about 2 * 10 * 4 * S seconds; run it on an otherwise idle machine.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from oppenheimlab import __version__  # noqa: E402
 
+PAIRS = 10  # alternating pairs per workload
 GAIN_SHARE = 0.9  # share of pairs the change must win to claim a gain
 
 
@@ -57,7 +58,10 @@ def export(rev: str, into: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev],
                              cwd=ROOT, check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
+        if hasattr(tarfile, "data_filter"):  # Python 3.10.12+, 3.11.4+
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
 
 
 def measure(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -98,14 +102,13 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--base", default="HEAD")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    p.add_argument("--base", required=True)
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--workload", action="append", choices=names)
     args = p.parse_args(argv)
     workloads = args.workload or names
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seconds = spec["run_seconds"]
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     base_rev = _git("rev-parse", args.base)
 
     runs = {w: {"base": [], "change": []} for w in workloads}
@@ -117,7 +120,7 @@ def main(argv=None) -> int:
                 order = [("base", base_tree), ("change", ROOT)]
                 for side, tree in order if i % 2 == 0 else order[::-1]:
                     runs[w][side].append(
-                        measure(tree, w, seed, args.seconds))
+                        measure(tree, w, seed, seconds))
                 print(f"{w} pair {i + 1}/{len(seeds)}: run_s "
                       f"{runs[w]['base'][-1]['run_s']:.4g} -> "
                       f"{runs[w]['change'][-1]['run_s']:.4g}", flush=True)
@@ -126,7 +129,7 @@ def main(argv=None) -> int:
         "version": __version__,
         "base": base_rev,
         "change": f"working tree on {_git('rev-parse', 'HEAD')}",
-        "command": f"perfbench/run.py --seconds {args.seconds:g} --trace 0",
+        "command": f"perfbench/run.py --seconds {seconds:g} --trace 0",
         "pairs": len(seeds),
         "seeds": seeds,
         "order": "base first on pairs 1, 3, 5, ...; change first on the "
