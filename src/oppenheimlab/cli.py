@@ -196,6 +196,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_ks_test(args) -> int:
+    if not args.tolerance >= 0:  # also rejects nan
+        raise DomainError("--tolerance must be a number >= 0")
     try:
         lines = Path(args.samples).read_text().splitlines()
         # numpy warns on a file without data; ks_distance rejects it instead

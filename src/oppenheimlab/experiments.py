@@ -3,10 +3,9 @@
 Reproducibility contract: every replication j of the grid point with index i
 draws from its own stream seeded as SeedSequence(master_seed,
 spawn_key=(i, j)); statistics are reduced in replication order, so a record
-is bit-identical across reruns.  Every Monte Carlo sum is drawn and reduced
-by ``_replication_sums``.  The PCG64 state words of those streams are that
-SeedSequence hash, computed for all of a grid point's replications at once
-in numpy (``_stream_words``).
+is bit-identical across reruns.  A lone stream (``replication_rng``) is PCG64
+on numpy's own SeedSequence.  Every Monte Carlo sum draws (``_draw``) from
+the streams of a grid point, hashed in one numpy pass (``_stream_words``).
 """
 
 from __future__ import annotations
@@ -97,10 +96,11 @@ class ExperimentConfig:
             raise DomainError("t_grid must be a nonempty list of finite "
                               "numbers")
         object.__setattr__(self, "t_grid", tg)
-        if _integer("master_seed", self.master_seed) < 0:
-            raise DomainError("master_seed must be >= 0")
-        if _integer("replications", self.replications) < 1:
-            raise DomainError("replications must be >= 1")
+        for name, least in (("master_seed", 0), ("replications", 1)):
+            value = _integer(name, getattr(self, name))
+            if value < least:
+                raise DomainError(f"{name} must be >= {least}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if not self.epsilon > 0:
             raise DomainError("epsilon must be > 0")
@@ -110,16 +110,10 @@ class ExperimentConfig:
                            family_from_config(self.family))
         object.__setattr__(self, "summand_family", _summand_family(self))
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["n_grid"] = list(self.n_grid)
-        d["t_grid"] = list(self.t_grid)
-        return d
-
     def digest(self) -> str:
         """Cache key of the config under this package version, so records of
         different versions sit side by side."""
-        payload = json.dumps({**self.to_dict(), "version": _pkg_version},
+        payload = json.dumps({**asdict(self), "version": _pkg_version},
                              sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -144,7 +138,7 @@ def _reject_unread(config: ExperimentConfig, names, reader: str):
         raise DomainError(f"unread by {reader}: {', '.join(unread)}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RunRecord:
     """Persisted outcome of one experiment.
 
@@ -155,22 +149,11 @@ class RunRecord:
     config_digest: str
     kind: str
     per_n: tuple  # one mapping per grid point
-    wall_time: float
+    wall_time: float = field(compare=False)
     version: str = _pkg_version
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RunRecord):
-            return NotImplemented
-        return (self.config_digest == other.config_digest
-                and self.kind == other.kind
-                and self.per_n == other.per_n
-                and self.version == other.version)
-
     def to_json(self) -> str:
-        d = {"config_digest": self.config_digest, "kind": self.kind,
-             "per_n": list(self.per_n), "wall_time": self.wall_time,
-             "version": self.version}
-        return json.dumps(d, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "RunRecord":
@@ -296,44 +279,30 @@ def _stream_words(master_seed: int, n_index: int, reps) -> np.ndarray:
     return out
 
 
-class _HashedSeed(np.random.bit_generator.ISpawnableSeedSequence):
-    """SeedSequence(entropy, spawn_key=spawn_key) with its PCG64 seed
-    already hashed: PCG64 asks for generate_state(4, np.uint64) and gets
-    ``words``, one row of ``_stream_words``.  Any other request, and
-    spawning, go to that SeedSequence, built when first needed."""
+class _HashedSeed(np.random.bit_generator.ISeedSequence):
+    """The PCG64 seed of one stream of a grid point, already hashed: PCG64
+    asks for generate_state(4, np.uint64) and gets ``words``, the stream's
+    row of ``_stream_words``."""
 
-    def __init__(self, words: np.ndarray, entropy: int, spawn_key: tuple):
+    def __init__(self, words: np.ndarray):
         self.words = words
-        self.entropy = entropy
-        self.spawn_key = spawn_key
-        self._seq = None
-
-    def _sequence(self) -> np.random.SeedSequence:
-        if self._seq is None:
-            self._seq = np.random.SeedSequence(self.entropy,
-                                               spawn_key=self.spawn_key)
-        return self._seq
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words == 4 and dtype is np.uint64:
-            return self.words
-        return self._sequence().generate_state(n_words, dtype)
-
-    def spawn(self, n_children):
-        return self._sequence().spawn(n_children)
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a hashed seed holds only the PCG64 state")
+        return self.words
 
 
 def replication_rng(master_seed: int, n_index: int, rep: int,
                     words: Optional[np.ndarray] = None) -> np.random.Generator:
     """Independent stream for replication ``rep`` of grid point ``n_index``:
-    PCG64 seeded as by SeedSequence(master_seed, spawn_key=(n_index, rep)),
-    which it spawns from as that SeedSequence would.  ``words``, the
-    stream's row of ``_stream_words`` when the caller has hashed a whole
-    grid point, saves hashing it again."""
-    if words is None:
-        words = _stream_words(master_seed, n_index, [rep])[0]
-    return np.random.Generator(np.random.PCG64(
-        _HashedSeed(words, master_seed, (n_index, rep))))
+    PCG64 seeded by SeedSequence(master_seed, spawn_key=(n_index, rep)),
+    which it spawns from.  ``words``, the stream's row of ``_stream_words``
+    when the caller has hashed a whole grid point, seeds the same PCG64
+    without that SeedSequence; such a stream does not spawn."""
+    seed = (np.random.SeedSequence(master_seed, spawn_key=(n_index, rep))
+            if words is None else _HashedSeed(words))
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _replication_rngs(config: ExperimentConfig, n_index: int):
@@ -343,6 +312,15 @@ def _replication_rngs(config: ExperimentConfig, n_index: int):
                           np.arange(config.replications))
     return (replication_rng(config.master_seed, n_index, rep, row)
             for rep, row in enumerate(words))
+
+
+def _draw(rngs, rows: int, width: int) -> np.ndarray:
+    """A block of uniforms in (0, 1]: row j is 1 - u for the next ``width``
+    doubles u of the j-th stream taken from ``rngs``."""
+    u = np.empty((rows, width))
+    for row, rng in zip(u, rngs):  # zip takes no stream past the block
+        rng.random(out=row)
+    return np.subtract(1.0, u, out=u)
 
 
 def _replication_sums(config: ExperimentConfig, n_index: int,
@@ -358,10 +336,7 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
     rngs = _replication_rngs(config, n_index)
     block = max(1, _BLOCK // width)
     for start in range(0, config.replications, block):
-        u = np.empty((min(block, config.replications - start), width))
-        for row, rng in zip(u, rngs):  # zip takes no stream past the block
-            rng.random(out=row)
-        np.subtract(1.0, u, out=u)
+        u = _draw(rngs, min(block, config.replications - start), width)
         for rep, x in enumerate(summands(u), start):
             sums[rep] = float(np.dot(a, x))
     return sums
@@ -412,10 +387,7 @@ def _chain_sums(config: ExperimentConfig, n_index: int,
     tail = np.empty(n + 1 - h)
     for start in range(0, config.replications, chunk):
         streams = list(itertools.islice(rngs, chunk))
-        u = np.empty((len(streams), h))
-        for row, rng in zip(u, streams):
-            rng.random(out=row)
-        np.subtract(1.0, u, out=u)
+        u = _draw(streams, len(streams), h)
         head, live = _chain_ratios(kind, family, ks[:h - 1], u.copy(),
                                    return_live=True)
         for j, rng in enumerate(streams):
@@ -432,6 +404,21 @@ def _chain_sums(config: ExperimentConfig, n_index: int,
     return sums
 
 
+def _passing_ell(check, config: ExperimentConfig,
+                 family: DistributionFamily, conditions: str) -> float:
+    """The ell of ``check``'s report on the configured weights and the
+    alphas of ``family`` up to the largest n, or ConditionCheckError naming
+    the conditions that fail."""
+    n_max = max(config.n_grid)
+    alphas = member_values(family.alpha, np.arange(1, n_max + 1))
+    report = check(config.weight_scheme, alphas, n_max)
+    if not report.passed:
+        failing = [k for k, (_, v) in report.conditions.items() if v != "pass"]
+        raise ConditionCheckError(f"weight scheme fails {conditions} "
+                                  "conditions: " + ", ".join(failing))
+    return report.ell
+
+
 def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     """Exceedance frequencies of |T_n - ell| > epsilon where
     T_n = (1/(rho_n log n)) sum_k a_{k,n} X_k, with X the direct reciprocals
@@ -441,17 +428,9 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     if config.scheme not in WEAK_LAW_SCHEMES:
         raise DomainError(f"unknown weak-law scheme {config.scheme!r}")
     _reject_unread(config, ("mode", "beta", "t_grid"), "weak-law runs")
-    family = config.reciprocal_family
-    scheme = config.weight_scheme
-
-    n_max = max(config.n_grid)
-    alphas = member_values(family.alpha, np.arange(1, n_max + 1))
-    report = check_theorem_3_2_conditions(scheme, alphas, n_max)
-    if not report.passed:
-        failing = [k for k, (_, v) in report.conditions.items() if v != "pass"]
-        raise ConditionCheckError(
-            "weight scheme fails weak-law conditions: " + ", ".join(failing))
-    ell = report.ell
+    family, scheme = config.reciprocal_family, config.weight_scheme
+    ell = _passing_ell(check_theorem_3_2_conditions, config, family,
+                       "weak-law")
 
     per_n = []
     for i, n in enumerate(config.n_grid):
@@ -537,16 +516,9 @@ def v_samples(config: ExperimentConfig, n: int,
 def limit_law_for(config: ExperimentConfig) -> StableLimitLaw:
     """Limit law of the configured mode: scale ell = lim sum_k a_{k,n} c_{1,k},
     no drift."""
-    scheme = config.weight_scheme
-    ks = np.arange(1, max(config.n_grid) + 1)
-    c1 = member_values(config.summand_family.alpha, ks)
-    report = check_theorem_4_1_conditions(scheme, c1, ks.size)
-    if not report.passed:
-        failing = [k for k, (_, v) in report.conditions.items() if v != "pass"]
-        raise ConditionCheckError(
-            "weight scheme fails distributional conditions: "
-            + ", ".join(failing))
-    return StableLimitLaw(c=report.ell, delta=0.0)
+    return StableLimitLaw(_passing_ell(
+        check_theorem_4_1_conditions, config, config.summand_family,
+        "distributional"))
 
 
 def distributional_run(config: ExperimentConfig) -> RunRecord:
@@ -597,8 +569,7 @@ def char_distance_check(n: int, t_vector: Sequence[float], m: int,
         raise DomainError("t_vector must have length n")
     if m < 10**5:
         raise DomainError("need at least 1e5 replications")
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(master_seed)))
+    rng = np.random.default_rng(master_seed)
     r = ratio_path(scheme_kind, 1.0 - rng.random((m, n + 1)))
     ecf = complex(np.mean(np.exp(1j * (r @ t))))
 

@@ -415,6 +415,16 @@ class TestKsTest:
         assert "finite" in err
         assert "ks=" not in out
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_bad_tolerance_exit_2(self, capsys, tmp_path, tolerance):
+        f = tmp_path / "samples.txt"
+        f.write_text("0.5\n1.5\n")
+        code, out, err = run_cli(capsys, "ks-test", str(f), "--c", "1.0",
+                                 "--tolerance", tolerance)
+        assert code == 2
+        assert "--tolerance" in err
+        assert out == ""
+
 
 class TestParser:
     def test_version_exits_zero(self, capsys):

@@ -14,10 +14,12 @@ one after the other, the base first on pairs 1, 3, 5, ... and the change
 first on the others, so a drift of the speed of the machine favours neither
 side.  For every end-to-end metric of BENCHMARK.json the file records each
 side's median and quartiles over the pairs, every run's value, the pairs
-the change won (ties count for neither side) and whether the gain rule
-holds: the change wins at least nine tenths of the pairs and the medians
-differ by more than the distance between the base's quartiles.  A machine
-note (cores, Python, NumPy, platform) says where the numbers were taken.
+the change won (ties count for neither side), whether the gain rule
+holds (the change wins at least nine tenths of the pairs and the medians
+differ by more than the distance between the base's quartiles), and whether
+the change's median is within the metric's bound: worse than the base's
+median by no more than that share of it.  A machine note (cores, Python,
+NumPy, platform) says where the numbers were taken.
 
 S is the benchmark's run_seconds.  Ten pairs of all four workloads take
 about 2 * 10 * 4 * S seconds; run it on an otherwise idle machine.
@@ -91,11 +93,13 @@ def summarise(metric: dict, base: list, change: list) -> dict:
     b, c = _spread(base), _spread(change)
     gain = (wins >= GAIN_SHARE * len(base)
             and sign * (b["median"] - c["median"]) > b["q3"] - b["q1"])
+    worse_by = sign * (c["median"] - b["median"])
     return {"unit": metric["unit"], "better": metric["better"],
             "base": b, "change": c, "change_wins": wins,
             "relative_median_change": (c["median"] - b["median"])
             / b["median"] if b["median"] else None,
-            "gain_shown": gain}
+            "gain_shown": gain,
+            "within_bound": worse_by <= metric["bound"] * abs(b["median"])}
 
 
 def main(argv=None) -> int:
