@@ -12,6 +12,7 @@ quadratures are kept as independent cross-checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -49,7 +50,7 @@ def make_sequence(seq, domain=None) -> Callable:
             raise DomainError(f"{rule}, got {float(v[~ok].flat[0])}")
         return values
 
-    if isinstance(seq, bool):
+    if isinstance(seq, (bool, np.bool_)):
         raise DomainError(f"a sequence tag cannot be a bool, got {seq!r}")
     if isinstance(seq, str):  # YAML 1.1 loads 2e0 and 1e-3 as strings
         try:
@@ -58,7 +59,7 @@ def make_sequence(seq, domain=None) -> Callable:
             pass
     if callable(seq):
         return lambda n: checked(seq(n))
-    if isinstance(seq, (int, float)):
+    if isinstance(seq, numbers.Real):  # numpy numbers too
         v = checked(float(seq))
         return lambda n: v
     if isinstance(seq, str):

@@ -85,6 +85,8 @@ class ExperimentConfig:
     t_grid: tuple = (0.5, 1.0, 2.0)
 
     def __post_init__(self):
+        for name in ("family", "weights", "beta"):  # as digest() writes them
+            object.__setattr__(self, name, _plain(getattr(self, name)))
         ng = tuple(_integer("each n_grid entry", n) for n in self.n_grid)
         if any(b <= a for a, b in zip(ng, ng[1:])):
             raise DomainError("n_grid must be increasing")
@@ -123,6 +125,20 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _plain(tag):
+    """tag with every numpy array a list and every numpy number a Python
+    one, inside mappings and lists too, so that it serialises as JSON."""
+    if isinstance(tag, np.ndarray):
+        return tag.tolist()
+    if isinstance(tag, np.generic):
+        return tag.item()
+    if isinstance(tag, dict):
+        return {key: _plain(value) for key, value in tag.items()}
+    if isinstance(tag, (list, tuple)):
+        return type(tag)(map(_plain, tag))
+    return tag
 
 
 _DEFAULTS = {f.name: f.default if f.default_factory is MISSING

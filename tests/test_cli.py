@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 from oppenheimlab import __version__, cli
 from oppenheimlab.cli import bundled_config_path, main
@@ -365,6 +366,28 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(cfg))
         assert code == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize("text", [
+        "experiment: [weak_law\n", "experiment: weak_law\n\tn_grid: [50]\n",
+        "experiment: weak_law\nn_grid: [50, 200\nreplications: 60\n",
+        "experiment: 'weak_law\n", "- a\nb: c\n"])
+    def test_malformed_yaml_exit_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "broken.yaml"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(tmp_path / "results"))
+        assert code == 2
+        assert "config error" in err and out == ""
+        assert not (tmp_path / "results").exists()
+
+    def test_configs_parse_as_safe_load(self):
+        # the loader run uses builds the same documents as yaml.safe_load
+        configs = sorted(bundled_config_path("x").parent.glob("*.yaml"))
+        assert configs
+        for path in configs:
+            text = path.read_text()
+            assert yaml.load(text, Loader=cli._YAML_LOADER) == \
+                yaml.safe_load(text)
 
 
 class TestKsTest:

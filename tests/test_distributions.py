@@ -53,6 +53,14 @@ class TestMakeSequence:
         with pytest.raises(DomainError):
             make_sequence(True)
 
+    def test_numpy_numbers(self):
+        assert make_sequence(np.int64(2))(3) == 2.0
+        assert make_sequence(np.float64(0.5))(3) == 0.5
+        with pytest.raises(DomainError, match="bool"):
+            make_sequence(np.bool_(True))
+        with pytest.raises(DomainError, match="finite"):
+            make_sequence(np.float64("nan"))
+
     def test_exponent_string_is_a_number(self):
         # YAML 1.1 loads 2e0 and 1e-3 as strings
         assert make_sequence("2e0")(3) == 2.0
@@ -384,6 +392,8 @@ class TestFamilyFromConfig:
     @pytest.mark.parametrize("kind, key, value", [
         ("mobius_clamped", "c_n", 0.5), ("mobius_remark2", "c_n", 1e-3),
         ("mobius_clamped", "c_n", "2e0"), ("mobius_remark2", "c_n", "1e-3"),
+        ("mobius_clamped", "c_n", np.int64(2)),
+        ("mobius_remark2", "c_n", np.float64(1e-3)),
         ("discrete_beta", "beta_n", 0.0), ("discrete_beta", "beta_n",
                                            "linear:0.09")])
     def test_domain_edges_accepted(self, kind, key, value):

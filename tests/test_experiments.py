@@ -128,6 +128,22 @@ class TestConfig:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert cfg.digest() == hashlib.sha256(text.encode()).hexdigest()
 
+    def test_numpy_tags_are_plain(self):
+        # arrays and numpy numbers in tags are kept as the lists and numbers
+        # a config file gives, so the digest can write them
+        betas = np.array([0.1, 0.2])
+        cfg = small_config(mode="cor_4_3", beta=betas)
+        assert cfg.beta == [0.1, 0.2] and type(cfg.beta[0]) is float
+        assert cfg.digest() == small_config(mode="cor_4_3",
+                                            beta=[0.1, 0.2]).digest()
+        family = {"kind": "mobius_clamped", "c_n": np.int64(2)}
+        weights = {"kind": "cesaro", "rho": [np.float64(1.0), 1.0]}
+        cfg = small_config(family=family, weights=weights)
+        assert type(cfg.family["c_n"]) is int
+        assert cfg.digest() == small_config(
+            family=MOBIUS_2,
+            weights={"kind": "cesaro", "rho": [1.0, 1.0]}).digest()
+
     def test_numpy_integers_are_python_ints(self):
         cfg = small_config(master_seed=np.int64(1), replications=np.int64(120))
         assert type(cfg.master_seed) is int

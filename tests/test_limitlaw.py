@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import levy_stable
 
 from oppenheimlab import limitlaw
-from oppenheimlab.errors import DomainError
+from oppenheimlab.errors import AccuracyError, DomainError
 from oppenheimlab.limitlaw import (
     StableLimitLaw,
     cdf,
@@ -155,6 +157,42 @@ class TestCdf:
         assert many == pytest.approx(single, rel=1e-12, abs=1e-300)
         assert all(math.isfinite(f) and 0.0 <= f <= 1.0 for f in single)
         assert single[-2:] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("panels, rule", [
+        (np.array([0.0, 60.0]), None),
+        (np.concatenate([[0.0], np.geomspace(0.1, 60.0, 32)]), None),
+        (None, limitlaw._gauss_legendre(6))])
+    def test_coarse_rule_raises(self, monkeypatch, panels, rule):
+        # the companion-rule estimate is real: one panel, the geometric
+        # panels started at 0.1, or a 6-point value rule each miss 1e-11
+        # on the table nodes
+        if panels is not None:
+            monkeypatch.setattr(limitlaw, "_PANELS", panels)
+        if rule is not None:
+            monkeypatch.setattr(limitlaw, "_RULE", rule)
+        with pytest.raises(AccuracyError, match="Zolotarev"):
+            limitlaw._cdf_pair(limitlaw._NODES)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8))
+    @example([-1e300, -50.0, -5.0, 0.0, 1e300])
+    @example([-745.0, -40.0, -3.5, 2.0, 1e5, 1.7e5, 1e10])
+    def test_direct_route_is_a_distribution(self, zs):
+        # any finite z: no error, F and 1 - F in [0, 1], summing to 1
+        cdf, sf = limitlaw._cdf_pair(np.array(zs))
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all((sf >= 0.0) & (sf <= 1.0))
+        assert np.max(np.abs(cdf + sf - 1.0)) <= 1e-12
+
+    def test_direct_route_dense_grid(self):
+        # every scale of z in one call, the right tail most densely
+        zs = np.concatenate([np.linspace(-60.0, 60.0, 2401),
+                             np.geomspace(60.0, 1e300, 3000),
+                             -np.geomspace(60.0, 1e300, 300)])
+        cdf, sf = limitlaw._cdf_pair(zs)
+        assert np.all((cdf >= 0.0) & (sf >= 0.0))
+        assert np.max(np.abs(cdf + sf - 1.0)) <= 1e-12
+        assert np.all(np.diff(cdf[:2401 + 3000]) >= -1e-15)
 
     def test_table_tracks_direct_route(self):
         # ten points per table interval
