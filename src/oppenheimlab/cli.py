@@ -25,7 +25,6 @@ from .distributions import centering_b, centering_b_quad, char_components, \
 from .errors import DomainError
 from .expansions import extract_digits
 from .experiments import (
-    DEFAULT_SEED,
     ExperimentConfig,
     distributional_run,
     exact_weak_law_run,
@@ -62,63 +61,67 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _verify_checks():
-    """Yields (name, achieved_error, tol, *notes) of the identity suite."""
-    a_val, b_val, total = lemma_a1()
-    yield "lemma_a1", abs(total - (1.0 - EULER_GAMMA)), 1e-8
+def _mobius_families() -> list:
+    return [make(c) for make in (mobius_clamped_family,
+                                 mobius_remark2_family)
+            for c in (0.5, 3.25, 1000.0)]
 
-    grid = (0.01, 0.03, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
-    worst = max(abs(cin(x) + cosine_integral(x) - math.log(x) - EULER_GAMMA)
-                for x in grid)
-    yield "cin_ci_identity", worst, 1e-10
 
-    worst = 0.0
-    for z in (0.5, -0.5, 0.5j, -0.9):
-        val = gauss_2f1_unit(0.0, z)
-        worst = max(worst, abs(val * z + np.log(1.0 - complex(z))))
-    yield "gauss_2f1_beta0", worst, 1e-10
-
-    yield "c2_discrete_half", abs(c2_discrete(0.5) - math.log(2.0)), 1e-8
-
-    betas = np.linspace(0.0, 0.95, 20)
-    worst = max(abs(c2_discrete(b) - c2_discrete_quad(b)) for b in betas)
-    yield "c2_discrete_quadrature", worst, 1e-10
-
-    mobius = [make(c) for make in (mobius_clamped_family,
-                                   mobius_remark2_family)
-              for c in (0.5, 3.25, 1000.0)]
-    worst = max(abs(centering_b_quad(fam, 1) / float(centering_b(fam, 1))
-                    - 1.0) for fam in mobius)
-    yield "b_closed_form", worst, 1e-10
-
-    worst = max(abs(complex(*char_components_quad(fam, 1, t))
-                    - complex(*char_components(fam, 1, t)))
-                for fam in (uniform_family(), *mobius)
-                for t in np.geomspace(1e-2, 10.0, 7))
-    yield "char_closed_form", worst, 1e-10
-
-    yield "cdf_table_midpoints", table_error(), 1e-8
-
+def _cdf_reference_error() -> tuple:
     abs_err, rel_err = reference_error()
-    yield "cdf_reference", rel_err, 1e-9, f"abs_error={abs_err:.3e}"
+    return rel_err, f"abs_error={abs_err:.3e}"
 
-    yield ("gamma_recovery", abs(gamma_from_harmonic(10**6) + EULER_GAMMA),
-           1e-6)
 
-    prof = proposition_2_4_profile(uniform_family(), 1,
-                                   (0.1, 0.05, 0.02, 0.01, 0.005))
-    yield ("proposition_2_4_uniform",
-           abs(prof.fitted_limit - (1.0 - EULER_GAMMA)), 1e-3)
+# The identity suite, one (name, tolerance, check) entry per identity, which
+# ``verify`` and the acceptance tests both run.  check() gives the achieved
+# error, or (error, note), and looks its functions up when it runs.
+IDENTITY_CHECKS = (
+    ("lemma_a1", 1e-8, lambda: abs(lemma_a1()[2] - (1.0 - EULER_GAMMA))),
+    ("cin_ci_identity", 1e-10, lambda: max(
+        abs(cin(x) + cosine_integral(x) - math.log(x) - EULER_GAMMA)
+        for x in (0.01, 0.03, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0))),
+    ("gauss_2f1_beta0", 1e-10, lambda: max(
+        abs(gauss_2f1_unit(0.0, z) * z + np.log(1.0 - complex(z)))
+        for z in (0.5, -0.5, 0.5j, -0.9))),
+    ("c2_discrete_half", 1e-8, lambda: abs(c2_discrete(0.5)
+                                           - math.log(2.0))),
+    ("c2_discrete_quadrature", 1e-10, lambda: max(
+        abs(c2_discrete(b) - c2_discrete_quad(b))
+        for b in np.linspace(0.0, 0.95, 20))),
+    ("b_closed_form", 1e-10, lambda: max(
+        abs(centering_b_quad(fam, 1) / float(centering_b(fam, 1)) - 1.0)
+        for fam in _mobius_families())),
+    ("char_closed_form", 1e-10, lambda: max(
+        abs(complex(*char_components_quad(fam, 1, t))
+            - complex(*char_components(fam, 1, t)))
+        for fam in (uniform_family(), *_mobius_families())
+        for t in np.geomspace(1e-2, 10.0, 7))),
+    ("cdf_table_midpoints", 1e-8, lambda: table_error()),
+    ("cdf_reference", 1e-9, _cdf_reference_error),
+    ("gamma_recovery", 1e-6, lambda: abs(gamma_from_harmonic(10**6)
+                                         + EULER_GAMMA)),
+    ("proposition_2_4_uniform", 1e-3, lambda: abs(proposition_2_4_profile(
+        uniform_family(), 1, (0.1, 0.05, 0.02, 0.01, 0.005)).fitted_limit
+        - (1.0 - EULER_GAMMA))),
+)
+
+
+def check_identity(name: str, tol: float, check) -> tuple[bool, str]:
+    """(passed, the PASS/FAIL line) of one entry of IDENTITY_CHECKS."""
+    result = check()
+    achieved, *notes = result if isinstance(result, tuple) else (result,)
+    ok = achieved <= tol
+    return ok, " ".join([f"{'PASS' if ok else 'FAIL'} {name} "
+                         f"achieved={achieved:.3e} tol={tol:.1e}", *notes])
 
 
 def cmd_verify(args) -> int:
-    failures = 0
-    for name, achieved, tol, *notes in _verify_checks():
-        ok = achieved <= tol
-        failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'} {name} "
-              f"achieved={achieved:.3e} tol={tol:.1e}", *notes)
-    return 0 if failures == 0 else 1
+    passed = True
+    for entry in IDENTITY_CHECKS:
+        ok, line = check_identity(*entry)
+        print(line)
+        passed = passed and ok
+    return 0 if passed else 1
 
 
 def _cdf_csv(law: StableLimitLaw, x_min: float, x_max: float,
@@ -167,8 +170,7 @@ def cmd_run(args) -> int:
         experiment = doc["experiment"]
         if experiment not in ("weak_law", "distributional"):
             raise DomainError(f"unknown experiment {experiment!r}")
-        # the other keys are the ExperimentConfig fields
-        settings = {"master_seed": DEFAULT_SEED, **doc}
+        settings = dict(doc)  # the other keys are the ExperimentConfig fields
         del settings["experiment"]
         if args.seed is not None:
             settings["master_seed"] = args.seed
@@ -179,7 +181,7 @@ def cmd_run(args) -> int:
         return 2
 
     results_dir = args.out or "results"
-    cached = load_record(config.digest(), results_dir)
+    cached = load_record(config.digest(experiment), results_dir)
     if cached is not None and not args.force:
         record = cached
         print(f"# cached record {record.config_digest[:12]}")

@@ -32,8 +32,8 @@ def make_sequence(seq, domain=None) -> Callable:
     array of the same shape, except that a constant returns its one float
     for any argument and broadcasts.  Accepted forms: a number,
     "constant:c", "linear:n" (optionally scaled as "linear:0.5"), "loglog"
-    (log log n, and 1 for n < 3), an explicit list (extended by its last
-    value), or a callable, which must accept index arrays itself.
+    (log log n, and 1 for n < 3), or an explicit list (extended by its
+    last value).  Anything else raises DomainError.
 
     Every value must be finite and, if ``domain`` is given as a pair
     (rule, vectorised predicate), satisfy the predicate; else DomainError
@@ -57,8 +57,6 @@ def make_sequence(seq, domain=None) -> Callable:
             seq = float(seq)
         except ValueError:
             pass
-    if callable(seq):
-        return lambda n: checked(seq(n))
     if isinstance(seq, numbers.Real):  # numpy numbers too
         v = checked(float(seq))
         return lambda n: v
@@ -75,7 +73,11 @@ def make_sequence(seq, domain=None) -> Callable:
                                   else 1.0, otypes=[float])
             return lambda n: checked(loglog(n)[()])
         raise DomainError(f"unknown sequence tag {seq!r}")
-    table = checked(np.asarray(list(seq), dtype=float))
+    try:
+        table = np.asarray(list(seq), dtype=float)
+    except (TypeError, ValueError) as exc:  # a callable, say
+        raise DomainError(f"not a sequence tag: {seq!r}") from exc
+    checked(table)
     if table.ndim != 1 or table.size == 0:
         raise DomainError(f"a sequence list must be flat, nonempty: {seq!r}")
     return lambda n: table[np.minimum(n, table.size) - 1]

@@ -61,21 +61,22 @@ _BLOCK = 2**15
 _HEAD = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Everything needed to rerun one experiment deterministically.
 
-    The fields are the keys of a run config, and their defaults are the
-    config defaults.  What the tags name is built on construction, so a bad
-    tag is a config error, and none of it is a field: ``weight_scheme`` from
-    ``weights``, ``reciprocal_family`` from ``family`` (the law of U in
-    Y = 1/U, and of the draws that drive a digit chain), and
-    ``summand_family``, whose reciprocals a distributional run sums.
+    The fields are the keys of a run config, passed by keyword only, and
+    their defaults are the config defaults.  What the tags name is built on
+    construction, so a bad tag is a config error, and none of it is a
+    field: ``weight_scheme`` from ``weights``, ``reciprocal_family`` from
+    ``family`` (the law of U in Y = 1/U, and of the draws that drive a
+    digit chain), and ``summand_family``, whose reciprocals a
+    distributional run sums.
     """
 
-    master_seed: int
     n_grid: tuple
     replications: int
+    master_seed: int = DEFAULT_SEED
     scheme: str = "direct"  # weak-law source: direct Y = 1/U, or a digit kind
     mode: str = "classical_1_2"  # distributional mode
     family: dict = field(default_factory=lambda: {"kind": "uniform"})
@@ -112,10 +113,12 @@ class ExperimentConfig:
                            family_from_config(self.family))
         object.__setattr__(self, "summand_family", _summand_family(self))
 
-    def digest(self) -> str:
-        """Cache key of the config under this package version, so records of
-        different versions sit side by side."""
-        payload = json.dumps({**asdict(self), "version": _pkg_version},
+    def digest(self, experiment: str) -> str:
+        """Cache key of the config run as ``experiment`` ("weak_law" or
+        "distributional") under this package version, so the records of
+        either experiment and of different versions sit side by side."""
+        payload = json.dumps({**asdict(self), "experiment": experiment,
+                              "version": _pkg_version},
                              sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -466,7 +469,7 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
         per_n.append({"n": int(n), "exceedance": exceed,
                       "t_median": float(np.median(stats)),
                       "t_mean": float(np.mean(stats)), "ell": float(ell)})
-    return RunRecord(config.digest(), "weak_law", tuple(per_n),
+    return RunRecord(config.digest("weak_law"), "weak_law", tuple(per_n),
                      time.perf_counter() - t_start)
 
 
@@ -554,15 +557,20 @@ def distributional_run(config: ExperimentConfig) -> RunRecord:
         v = v_samples(config, n, i)
         ks = ks_distance(v, law) if law.c > 0 else float(
             np.mean(np.abs(v) > config.epsilon))
-        ecf = np.array([np.mean(np.exp(1j * t * v)) for t in config.t_grid])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            ecf = np.array([np.mean(np.exp(1j * t * v))
+                            for t in config.t_grid])
+        if not np.isfinite(ecf).all():
+            raise DomainError(f"t_grid {list(config.t_grid)} overflows the "
+                              f"empirical characteristic function")
         xi = np.array([char_fn(law, t) for t in config.t_grid])
         per_n.append({
             "n": int(n), "ks": float(ks),
             "ecf_error": float(np.max(np.abs(ecf - xi))),
             "ell": float(law.c),
         })
-    return RunRecord(config.digest(), "distributional", tuple(per_n),
-                     time.perf_counter() - t_start)
+    return RunRecord(config.digest("distributional"), "distributional",
+                     tuple(per_n), time.perf_counter() - t_start)
 
 
 # ---------------------------------------------------------------------------

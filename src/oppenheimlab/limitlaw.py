@@ -38,6 +38,7 @@ _NODES = np.concatenate([np.linspace(-5.0, 2.0, 200),
                          np.geomspace(2.0, 1e10, 361)[1:]])
 _S_MAX = 60.0  # each side of theta* is integrated down to exp(-60) from it
 _Y_MAX = 300.0  # exp(-exp(y)) is exactly 0 in float well before y = 300
+_EXP_ZERO = 746.0  # exp(-x) is exactly 0 in float from x = 746 on
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,20 @@ def levy_cf_law() -> StableLimitLaw:
 
 
 def char_fn(law: StableLimitLaw, t):
-    """xi(t); t may be a scalar or an array.  t log|t| is 0 at t = 0."""
+    """xi(t); t may be a scalar or an array.  xi is exactly 0 where its
+    modulus exp(-(pi/2) c |t|) is 0 in float.  t log|t| is 0 at t = 0 and
+    for c = 0; where it overflows (|t| > 1e305, so c < 1e-297), c t log|t|
+    is (c t) log|t|."""
     t = np.asarray(t, dtype=float)
-    at = np.abs(t)
-    safe = np.where(at == 0.0, 1.0, at)
-    tlog = np.where(at == 0.0, 0.0, t * np.log(safe))
-    out = np.exp(-(math.pi / 2.0) * law.c * at
-                 - 1j * (law.c * tlog + law.delta * t))
+    with np.errstate(over="ignore"):
+        live = law.c * np.abs(t) < _EXP_ZERO / (math.pi / 2.0)
+        t = np.where(live, t, 0.0)
+        at = np.abs(t)
+        log_at = np.log(np.where((at == 0.0) | (law.c == 0.0), 1.0, at))
+        tlog = np.where(at == 0.0, 0.0, t * log_at)
+    ctlog = np.where(np.isinf(tlog), law.c * t * log_at, law.c * tlog)
+    out = np.where(live, np.exp(-(math.pi / 2.0) * law.c * at
+                                - 1j * (ctlog + law.delta * t)), 0.0)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -104,7 +112,20 @@ _CHECK = _gauss_legendre(12)  # its companion: |value - companion| bounds error
 
 
 def _cdf_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, 1 - F) of S(1, 0) at the finite points z, by a fixed panel rule.
+    """(F, 1 - F) of S(1, 0) at the finite points z, from ``_cdf_block`` on
+    blocks of at most the table's 560 points, whose arrays stay below
+    glibc's mmap threshold, certified by the worst estimate of all blocks
+    (5,600 points in one block cost twice as much per point)."""
+    cdf, sf, err = zip(*map(_cdf_block, np.split(
+        z, range(_NODES.size, z.size, _NODES.size))))
+    if not max(err) <= 1e-11:
+        raise AccuracyError("Zolotarev quadrature missed tolerance", max(err))
+    return np.concatenate(cdf), np.concatenate(sf)
+
+
+def _cdf_block(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(F, 1 - F, worst error estimate) of S(1, 0) at the finite points z,
+    by a fixed panel rule.
 
     theta* comes from bisection in log(pi/2 - theta) for all points at once
     (-pi/2 in the far left tail).  Each side of theta* is integrated in s at
@@ -114,8 +135,8 @@ def _cdf_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     integrand of each rule on each panel is one (nodes, points) array: at
     the 560 table nodes that is 72 kB, below glibc's 128 kB mmap threshold
     (one (16, 4 * 560) array per panel ran about twice as slowly).  The sum
-    over panels of |16-point - 12-point Gauss-Legendre| certifies every
-    integral that reaches the output to 1e-11."""
+    over panels of |16-point - 12-point Gauss-Legendre| estimates the error
+    of every integral that reaches the output."""
     target = z - math.log(math.pi / 2.0)
     lo = np.full(z.shape, math.log(1e-300))
     hi = np.full(z.shape, math.log(math.pi) - 1e-15)
@@ -152,12 +173,10 @@ def _cdf_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # above theta* reaches no output
     weight_hi = np.exp(-ey_star)
     err[n:2 * n][weight_hi == 0.0] = 0.0
-    worst = float(np.max(err, initial=0.0))
-    if not worst <= 1e-11:
-        raise AccuracyError("Zolotarev quadrature missed tolerance", worst)
     cdf_lo, cdf_hi, sf_lo, sf_hi = res.reshape(4, -1)
     cdf = e_star * cdf_lo + u_star * weight_hi * cdf_hi
-    return cdf / math.pi, (e_star * sf_lo + u_star * sf_hi) / math.pi
+    return (cdf / math.pi, (e_star * sf_lo + u_star * sf_hi) / math.pi,
+            float(np.max(err, initial=0.0)))
 
 
 def _cdf_direct(z) -> np.ndarray:

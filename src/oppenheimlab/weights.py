@@ -7,7 +7,7 @@ derived limits kappa and ell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -149,9 +149,17 @@ class ConditionReport:
 
 
 def _trend_verdict(values, target: str, tol: float = 1e-9) -> str:
-    """"pass" if the profile converges per the target ("bounded", "zero",
-    "limit"), "fail" if it clearly diverges, else "inconclusive"."""
+    """"pass" if the profile meets the target ("bounded", "zero", "limit";
+    "diverges": ends above its start and above 2; "no_growth": ends no
+    higher than it starts), "fail" if it clearly does not, else
+    "inconclusive"."""
     v = np.asarray(values, dtype=float)
+    if target == "diverges":
+        return "pass" if v[-1] > v[0] and v[-1] > 2.0 else "fail"
+    if target == "no_growth":
+        if v[-1] <= v[0] + 1e-12:
+            return "pass"
+        return "fail" if v[-1] > 2 * v[0] else "inconclusive"
     if target == "zero":
         if abs(v[-1]) < max(10 * tol, abs(v[0]) * 0.5) and \
                 abs(v[-1]) <= abs(v[0]) + tol:
@@ -166,10 +174,52 @@ def _trend_verdict(values, target: str, tol: float = 1e-9) -> str:
         growth = np.polyfit(np.log([n for n in range(1, v.size + 1)]), v, 1)[0]
         return "fail" if growth > 0.1 else "inconclusive"
     if target == "limit":
-        if shrinking:
-            return "pass"
-        return "inconclusive"
+        return "pass" if shrinking else "inconclusive"
     raise DomainError(f"unknown trend target {target!r}")
+
+
+def _rho_log(scheme: WeightScheme, n: int) -> float:
+    return scheme.rho(n) * math.log(n)
+
+
+# The weight conditions as (name, trend target, measure) rows: measure(
+# scheme, n, a, v) is the profile at n, from the weight row a and the first
+# n entries v of the checker's per-index row (alpha_k for Theorem 3.2,
+# c_{1,k} for Theorem 4.1).
+_THEOREM_3_2 = (
+    ("limit_ell", "limit", lambda s, n, a, v:
+     -float(np.sum(v * a * np.log(v * a))) / _rho_log(s, n)),
+    ("absolute_bounded", "bounded", lambda s, n, a, v:
+     float(np.sum(v * a * np.abs(np.log(v * a)))) / _rho_log(s, n)),
+    ("alpha_sum_bounded", "bounded", lambda s, n, a, v: float(
+        (v * a).sum())),
+    ("rho_log_diverges", "diverges", lambda s, n, a, v: _rho_log(s, n)),
+    ("max_weight_bounded", "no_growth", lambda s, n, a, v: float(a.max())),
+)
+_THEOREM_4_1 = (
+    ("kappa_limit", "limit", lambda s, n, a, v: float(a.sum())),
+    ("max_weight_to_zero", "zero", lambda s, n, a, v: float(a.max())),
+    ("ell_limit", "limit", lambda s, n, a, v: float(np.sum(a * v))),
+)
+
+
+def _condition_report(table, scheme: WeightScheme, values,
+                      n_max: int) -> ConditionReport:
+    """The (n, value) rows and verdict of every condition of ``table`` on
+    the geometric n-grid up to n_max.  ``values`` is a per-index row (see
+    ``index_row``) covering k <= n_max."""
+    grid = _geometric_grid(n_max)
+    v_all = index_row(values, grid[-1])
+    rows = [[] for _ in table]
+    for n in grid:
+        a = weights_row(scheme, n)
+        for profile, (_, _, measure) in zip(rows, table):
+            profile.append((n, measure(scheme, n, a, v_all[:n])))
+    conds = {name: (tuple(profile),
+                    _trend_verdict([value for _, value in profile], target))
+             for profile, (name, target, _) in zip(rows, table)}
+    return ConditionReport(conds, all(verdict == "pass"
+                                      for _, verdict in conds.values()))
 
 
 def check_theorem_3_2_conditions(scheme: WeightScheme,
@@ -180,41 +230,9 @@ def check_theorem_3_2_conditions(scheme: WeightScheme,
     bounded, sum_k alpha_k a_{k,n} is bounded, rho_n log n -> infinity, and
     sup_n max_k a_{k,n} < infinity (the extra corollary condition).
     ``alphas`` is a per-index row (see ``index_row``) covering k <= n_max."""
-    grid = _geometric_grid(n_max)
-    al_all = index_row(alphas, grid[-1])
-    conds = {}
-
-    ell_rows, abs_rows, sum_rows, rholog_rows, mw_rows = [], [], [], [], []
-    for n in grid:
-        a = weights_row(scheme, n)
-        x = al_all[:n] * a
-        denom = scheme.rho(n) * math.log(n)
-        ell_rows.append((n, -float(np.sum(x * np.log(x))) / denom))
-        abs_rows.append((n, float(np.sum(x * np.abs(np.log(x)))) / denom))
-        sum_rows.append((n, float(x.sum())))
-        rholog_rows.append((n, denom))
-        mw_rows.append((n, float(a.max())))
-
-    conds["limit_ell"] = (tuple(ell_rows),
-                          _trend_verdict([r[1] for r in ell_rows], "limit"))
-    conds["absolute_bounded"] = (
-        tuple(abs_rows), _trend_verdict([r[1] for r in abs_rows], "bounded"))
-    conds["alpha_sum_bounded"] = (
-        tuple(sum_rows), _trend_verdict([r[1] for r in sum_rows], "bounded"))
-    rl = [r[1] for r in rholog_rows]
-    conds["rho_log_diverges"] = (
-        tuple(rholog_rows),
-        "pass" if rl[-1] > rl[0] and rl[-1] > 2.0 else "fail")
-    mw = [r[1] for r in mw_rows]
-    conds["max_weight_bounded"] = (
-        tuple(mw_rows),
-        "pass" if mw[-1] <= mw[0] + 1e-12 else
-        ("fail" if mw[-1] > 2 * mw[0] else "inconclusive"))
-
-    passed = all(v == "pass" for _, v in conds.values())
-    ell = richardson_log_limit([r[0] for r in ell_rows],
-                               [r[1] for r in ell_rows]) if passed else None
-    return ConditionReport(conds, passed, ell=ell)
+    report = _condition_report(_THEOREM_3_2, scheme, alphas, n_max)
+    return replace(report, ell=richardson_log_limit(*zip(
+        *report.conditions["limit_ell"][0]))) if report.passed else report
 
 
 def check_theorem_4_1_conditions(scheme: WeightScheme,
@@ -223,29 +241,10 @@ def check_theorem_4_1_conditions(scheme: WeightScheme,
     """Checks the distributional-limit weight conditions: sum_k a_{k,n} has a
     limit kappa, m_n -> 0, and sum_k a_{k,n} c_{1,k} has a limit ell.
     ``c1`` is a per-index row (see ``index_row``) covering k <= n_max."""
-    grid = _geometric_grid(n_max)
-    c1_all = index_row(c1, grid[-1])
-    conds = {}
-
-    k_rows, m_rows, l_rows = [], [], []
-    for n in grid:
-        a = weights_row(scheme, n)
-        k_rows.append((n, float(a.sum())))
-        m_rows.append((n, float(a.max())))
-        l_rows.append((n, float(np.sum(a * c1_all[:n]))))
-
-    conds["kappa_limit"] = (tuple(k_rows),
-                            _trend_verdict([r[1] for r in k_rows], "limit"))
-    conds["max_weight_to_zero"] = (
-        tuple(m_rows), _trend_verdict([r[1] for r in m_rows], "zero"))
-    conds["ell_limit"] = (tuple(l_rows),
-                          _trend_verdict([r[1] for r in l_rows], "limit"))
-
-    passed = all(v == "pass" for _, v in conds.values())
-    return ConditionReport(
-        conds, passed,
-        ell=l_rows[-1][1] if passed else None,
-        kappa=k_rows[-1][1] if passed else None)
+    report = _condition_report(_THEOREM_4_1, scheme, c1, n_max)
+    last = {name: rows[-1][1] for name, (rows, _) in report.conditions.items()}
+    return replace(report, ell=last["ell_limit"], kappa=last[
+        "kappa_limit"]) if report.passed else report
 
 
 def _geometric_grid(n_max: int) -> list:

@@ -12,26 +12,16 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from oppenheimlab.errors import DomainError
+from oppenheimlab.cli import IDENTITY_CHECKS, check_identity
 from oppenheimlab.expansions import ratio_path
 from oppenheimlab.experiments import (
     ExperimentConfig,
     char_distance_check,
     distributional_run,
     exact_weak_law_run,
-    gamma_from_harmonic,
     v_samples,
 )
 from oppenheimlab.limitlaw import StableLimitLaw, ks_distance, sample_many
-from oppenheimlab.specfun import (
-    EULER_GAMMA,
-    c2_discrete,
-    c2_discrete_quad,
-    cin,
-    cosine_integral,
-    gauss_2f1_unit,
-    lemma_a1,
-)
 
 
 def report(capsys, name: str, ok: bool, detail: str):
@@ -40,54 +30,14 @@ def report(capsys, name: str, ok: bool, detail: str):
     assert ok, f"{name}: {detail}"
 
 
-def test_01_constant_sum_identity(capsys):
-    t0 = time.perf_counter()
-    a_val, b_val, total = lemma_a1()
-    elapsed = time.perf_counter() - t0
-    err = abs(total - (1.0 - EULER_GAMMA))
-    ok = err <= 1e-8 and elapsed < 1.0
-    report(capsys, "01 quadrature constant A+B = 1-gamma", ok,
-           f"err={err:.2e} time={elapsed:.3f}s")
-
-
-def test_02_cin_ci_identity(capsys):
-    worst = max(abs(cin(x) + cosine_integral(x) - math.log(x) - EULER_GAMMA)
-                for x in (0.01, 0.03, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0))
-    ok = worst <= 1e-10
-    report(capsys, "02 Cin/Ci log identity", ok, f"max err={worst:.2e}")
-
-
-def test_03_gamma_recovery(capsys):
-    t0 = time.perf_counter()
-    err = abs(gamma_from_harmonic(10**6) + EULER_GAMMA)
-    elapsed = time.perf_counter() - t0
-    ok = err <= 1e-6 and elapsed < 0.1
-    report(capsys, "03 gamma from harmonic numbers", ok,
-           f"err={err:.2e} time={elapsed:.3f}s")
-
-
-def test_04_c2_discrete_half(capsys):
-    # the digamma closed form and the independent quadrature, both vs log 2
-    err = abs(c2_discrete(0.5) - math.log(2.0))
-    err_quad = abs(c2_discrete_quad(0.5) - math.log(2.0))
-    ok = max(err, err_quad) <= 1e-8
-    report(capsys, "04 discrete centering constant at beta=1/2", ok,
-           f"err={err:.2e} quadrature err={err_quad:.2e}")
-
-
-def test_05_hypergeometric_slice(capsys):
-    worst0 = 0.0
-    for z in (0.5, -0.5, 0.5j, -0.9):
-        val = gauss_2f1_unit(0.0, z)
-        worst0 = max(worst0, abs(val + np.log(1.0 - complex(z)) / complex(z)))
-    worst_h = 0.0
-    k = np.arange(4000)
-    for z in (0.3, -0.4, 0.5, -0.9):
-        series = np.sum(0.5 / (k + 0.5) * complex(z)**k)
-        worst_h = max(worst_h, abs(gauss_2f1_unit(0.5, z) - series))
-    ok = worst0 <= 1e-10 and worst_h <= 1e-10
-    report(capsys, "05 hypergeometric slice closed forms", ok,
-           f"beta0 err={worst0:.2e} beta_half err={worst_h:.2e}")
+@pytest.mark.parametrize("name, tol, check", IDENTITY_CHECKS,
+                         ids=[name for name, _, _ in IDENTITY_CHECKS])
+def test_01_identities(capsys, name, tol, check):
+    # the identity suite of ``verify``, one PASS/FAIL line per identity
+    ok, line = check_identity(name, tol, check)
+    with capsys.disabled():
+        print(line)
+    assert ok, line
 
 
 def test_06_first_digit_frequencies(capsys):
@@ -169,9 +119,10 @@ def test_12_reproducibility(capsys):
                             replications=300)
     cfg2 = ExperimentConfig(master_seed=9, n_grid=(100, 500),
                             replications=300)
-    same_digest = cfg1.digest() == cfg2.digest()
+    same_digest = cfg1.digest("distributional") == \
+        cfg2.digest("distributional")
     r1 = distributional_run(cfg1)
     r2 = distributional_run(cfg2)
     ok = same_digest and r1 == r2 and r1.per_n == r2.per_n
     report(capsys, "12 bit-identical reruns per config digest", ok,
-           f"digest={cfg1.digest()[:12]} identical={r1 == r2}")
+           f"digest={r1.config_digest[:12]} identical={r1 == r2}")

@@ -180,6 +180,53 @@ class TestRun:
         assert not (tmp_path / "results").exists()
 
     @staticmethod
+    def _twins(tmp_path, settings):
+        """A weak-law and a distributional config that differ only in their
+        experiment, and one results directory."""
+        paths = []
+        for experiment in ("weak_law", "distributional"):
+            path = tmp_path / f"{experiment}.yaml"
+            path.write_text(f"experiment: {experiment}\n"
+                            "n_grid: [100, 200]\n" + settings)
+            paths.append(str(path))
+        return (*paths, str(tmp_path / "results"))
+
+    def test_cache_keeps_the_experiments_apart(self, capsys, tmp_path):
+        weak, dist, results = self._twins(tmp_path, "replications: 200\n")
+        assert run_cli(capsys, "run", weak, "--out", results)[0] == 0
+        code, out, _ = run_cli(capsys, "run", dist, "--out", results)
+        assert code == 0
+        assert "cached record" not in out and "ks" in out.splitlines()[0]
+        code, out, _ = run_cli(capsys, "run", weak, "--out", results)
+        assert code == 0
+        assert "cached record" in out and "exceedance" in out
+
+    def test_twin_record_does_not_pass_a_weak_law_check(self, capsys,
+                                                         tmp_path):
+        # weak-law runs do not read t_grid
+        weak, dist, results = self._twins(
+            tmp_path, "replications: 200\nt_grid: [1.0]\n")
+        assert run_cli(capsys, "run", dist, "--out", results)[0] == 0
+        code, out, err = run_cli(capsys, "run", weak, "--out", results)
+        assert code == 2 and "t_grid" in err and out == ""
+
+    def test_twin_record_does_not_pass_a_distributional_check(self, capsys,
+                                                              tmp_path):
+        # distributional runs need at least 100 replications
+        weak, dist, results = self._twins(tmp_path, "replications: 60\n")
+        assert run_cli(capsys, "run", weak, "--out", results)[0] == 0
+        code, out, err = run_cli(capsys, "run", dist, "--out", results)
+        assert code == 2 and "100 replications" in err and out == ""
+
+    def test_non_finite_ecf_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "huge-t.yaml"
+        cfg.write_text("experiment: distributional\nn_grid: [100]\n"
+                       "replications: 100\nt_grid: [1.0e+308]\n")
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(tmp_path / "results"))
+        assert code == 2 and "t_grid" in err and out == ""
+
+    @staticmethod
     def _tiny_weak_law(tmp_path):
         cfg = tmp_path / "ok.yaml"
         cfg.write_text(

@@ -61,6 +61,12 @@ class TestMakeSequence:
         with pytest.raises(DomainError, match="finite"):
             make_sequence(np.float64("nan"))
 
+    def test_callable_rejected(self):
+        # a config file cannot give a callable, so no tag is one
+        for bad in (lambda k: 1.0 / k, None):
+            with pytest.raises(DomainError, match="not a sequence tag"):
+                make_sequence(bad)
+
     def test_exponent_string_is_a_number(self):
         # YAML 1.1 loads 2e0 and 1e-3 as strings
         assert make_sequence("2e0")(3) == 2.0

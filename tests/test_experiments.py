@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -53,11 +54,23 @@ class TestConfig:
     def test_digest_stable_under_key_order(self):
         a = small_config()
         b = small_config()
-        assert a.digest() == b.digest()
+        assert a.digest("weak_law") == b.digest("weak_law")
 
     def test_digest_changes_with_seed(self):
-        assert small_config().digest() != \
-            small_config(master_seed=2).digest()
+        assert small_config().digest("weak_law") != \
+            small_config(master_seed=2).digest("weak_law")
+
+    def test_digest_changes_with_experiment(self):
+        # a weak-law and a distributional run of one config are two records
+        cfg = small_config()
+        assert cfg.digest("weak_law") != cfg.digest("distributional")
+        assert exact_weak_law_run(cfg).config_digest == cfg.digest("weak_law")
+
+    def test_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            ExperimentConfig(1, (50, 200), 120)
+        assert ExperimentConfig(n_grid=(50, 200), replications=120) == \
+            small_config(master_seed=experiments.DEFAULT_SEED)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -105,16 +118,17 @@ class TestConfig:
     def test_digest_includes_version(self, monkeypatch, tmp_path):
         # a record of another version sits beside the current one
         cfg = small_config()
-        current = RunRecord(cfg.digest(), "weak_law", ({"n": 10},), 0.1)
+        current = RunRecord(cfg.digest("weak_law"), "weak_law", ({"n": 10},),
+                            0.1)
         monkeypatch.setattr(experiments, "_pkg_version", "0.0.0")
-        other = RunRecord(cfg.digest(), "weak_law", ({"n": 10},), 0.1,
-                          version="0.0.0")
+        other = RunRecord(cfg.digest("weak_law"), "weak_law", ({"n": 10},),
+                          0.1, version="0.0.0")
         assert other.config_digest != current.config_digest
         save_record(other, tmp_path)
         monkeypatch.undo()
         save_record(current, tmp_path)
         assert len(list(tmp_path.iterdir())) == 2
-        assert load_record(cfg.digest(), tmp_path) == current
+        assert load_record(cfg.digest("weak_law"), tmp_path) == current
 
     def test_digest_hashes_the_fields_as_json(self):
         # tuples are written as the lists a config file gives
@@ -124,9 +138,10 @@ class TestConfig:
                    "family": {"kind": "uniform"},
                    "weights": {"kind": "cesaro"}, "beta": "constant:0",
                    "epsilon": 0.3, "t_grid": [0.5, 2.0],
-                   "version": __version__}
+                   "experiment": "distributional", "version": __version__}
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        assert cfg.digest() == hashlib.sha256(text.encode()).hexdigest()
+        assert cfg.digest("distributional") == \
+            hashlib.sha256(text.encode()).hexdigest()
 
     def test_numpy_tags_are_plain(self):
         # arrays and numpy numbers in tags are kept as the lists and numbers
@@ -134,21 +149,21 @@ class TestConfig:
         betas = np.array([0.1, 0.2])
         cfg = small_config(mode="cor_4_3", beta=betas)
         assert cfg.beta == [0.1, 0.2] and type(cfg.beta[0]) is float
-        assert cfg.digest() == small_config(mode="cor_4_3",
-                                            beta=[0.1, 0.2]).digest()
+        assert cfg.digest("distributional") == small_config(
+            mode="cor_4_3", beta=[0.1, 0.2]).digest("distributional")
         family = {"kind": "mobius_clamped", "c_n": np.int64(2)}
         weights = {"kind": "cesaro", "rho": [np.float64(1.0), 1.0]}
         cfg = small_config(family=family, weights=weights)
         assert type(cfg.family["c_n"]) is int
-        assert cfg.digest() == small_config(
+        assert cfg.digest("weak_law") == small_config(
             family=MOBIUS_2,
-            weights={"kind": "cesaro", "rho": [1.0, 1.0]}).digest()
+            weights={"kind": "cesaro", "rho": [1.0, 1.0]}).digest("weak_law")
 
     def test_numpy_integers_are_python_ints(self):
         cfg = small_config(master_seed=np.int64(1), replications=np.int64(120))
         assert type(cfg.master_seed) is int
         assert type(cfg.replications) is int
-        assert cfg.digest() == small_config().digest()
+        assert cfg.digest("weak_law") == small_config().digest("weak_law")
         assert exact_weak_law_run(cfg) == exact_weak_law_run(small_config())
 
 
@@ -501,6 +516,11 @@ class TestGammaRecovery:
     def test_value(self):
         assert gamma_from_harmonic(10**6) == pytest.approx(-EULER_GAMMA,
                                                            abs=1e-6)
+
+    def test_runs_fast(self):
+        t0 = time.perf_counter()
+        gamma_from_harmonic(10**6)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_monotone_in_n(self):
         vals = [gamma_from_harmonic(n) for n in (10, 100, 1000)]

@@ -100,6 +100,24 @@ class TestCharFn:
         assert law.c == pytest.approx(1.0 / math.log(2.0))
         assert law.delta == pytest.approx(EULER_GAMMA / math.log(2.0))
 
+    def test_zero_where_the_modulus_underflows(self):
+        # t log|t| overflows at |t| = 1e308, where exp(-(pi/2) c |t|) is 0
+        for c in (1.0, 2.0):
+            for t in (1e308, -1e308, 475.0 / c):
+                assert char_fn(StableLimitLaw(c), t) == 0.0
+        vals = char_fn(StableLimitLaw(1.0), np.array([0.0, 1e300, 1e308]))
+        assert np.array_equal(vals, [1.0, 0.0, 0.0])
+
+    def test_finite_at_huge_t_for_zero_and_tiny_c(self):
+        for t in (1e308, -1e308):
+            assert char_fn(StableLimitLaw(0.0), t) == 1.0
+        assert char_fn(StableLimitLaw(0.0, 0.5), 2.0) == pytest.approx(
+            complex(math.cos(1.0), -math.sin(1.0)), abs=1e-15)
+        # c |t| = 100, so |xi| = exp(-50 pi), though t log|t| overflows
+        val = char_fn(StableLimitLaw(1e-306), -1e308)
+        assert abs(val) == pytest.approx(math.exp(-50.0 * math.pi),
+                                         rel=1e-12)
+
     def test_negative_c_rejected(self):
         with pytest.raises(DomainError):
             StableLimitLaw(-1.0)
@@ -183,6 +201,22 @@ class TestCdf:
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
         assert np.all((sf >= 0.0) & (sf <= 1.0))
         assert np.max(np.abs(cdf + sf - 1.0)) <= 1e-12
+
+    def test_long_call_is_its_blocks(self):
+        # 5,600 points are ten blocks of the table's size, each evaluated as
+        # its own call would be and as one unblocked pass would be
+        zs = np.concatenate([np.random.default_rng(3).uniform(-50, 50, 3000),
+                             np.geomspace(50.0, 1e300, 2600)])
+        cdf, sf = limitlaw._cdf_pair(zs)
+        one_pass = limitlaw._cdf_block(zs)
+        assert cdf.tobytes() == one_pass[0].tobytes()
+        assert sf.tobytes() == one_pass[1].tobytes()
+        size = limitlaw._NODES.size
+        for start in range(0, zs.size, size):
+            block = slice(start, start + size)
+            cdf_b, sf_b = limitlaw._cdf_pair(zs[block])
+            assert cdf_b.tobytes() == cdf[block].tobytes()
+            assert sf_b.tobytes() == sf[block].tobytes()
 
     def test_direct_route_dense_grid(self):
         # every scale of z in one call, the right tail most densely

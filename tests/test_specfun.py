@@ -87,7 +87,7 @@ class TestGauss2F1:
 
     def test_beta_half_series(self):
         # 2F1(1, 1/2; 3/2; z) = sum_k z^k / (2k+1) = sum_k 0.5/(k+0.5) z^k
-        for z in (0.3, -0.4, 0.2 + 0.1j):
+        for z in (0.3, -0.4, 0.5, -0.9, 0.2 + 0.1j):
             k = np.arange(4000)
             expected = np.sum(0.5 / (k + 0.5) * np.asarray(complex(z))**k)
             assert abs(gauss_2f1_unit(0.5, z) - expected) <= 1e-10

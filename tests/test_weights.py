@@ -158,6 +158,42 @@ class TestConditionCheckers:
         assert rep.kappa == pytest.approx(1.0, abs=1e-12)
         assert rep.ell == pytest.approx(1.0, abs=1e-12)
 
+    def test_condition_names_in_order(self):
+        rep32 = check_theorem_3_2_conditions(cesaro_scheme(), np.ones(1000),
+                                             1000)
+        rep41 = check_theorem_4_1_conditions(cesaro_scheme(), np.ones(1000),
+                                             1000)
+        assert list(rep32.conditions) == [
+            "limit_ell", "absolute_bounded", "alpha_sum_bounded",
+            "rho_log_diverges", "max_weight_bounded"]
+        assert list(rep41.conditions) == [
+            "kappa_limit", "max_weight_to_zero", "ell_limit"]
+        assert rep32.kappa is None
+        ns = [n for n, _ in rep32.conditions["limit_ell"][0]]
+        assert ns == [n for n, _ in rep41.conditions["ell_limit"][0]]
+        assert ns[0] == 10 and ns[-1] == 1000 and len(ns) == 6
+
+    def test_normalizer_and_max_weight_verdicts(self):
+        def last_weight(top):  # a_{k,n} = 1/n, but a_{n,n} = top(n)
+            def a_row(n):
+                row = np.full(n, 1.0 / n)
+                row[-1] = top(n)
+                return row
+            return WeightScheme(a_row, make_sequence("constant"))
+
+        verdicts = [check_theorem_3_2_conditions(
+            last_weight(top), np.ones(1000), 1000).verdict(
+                "max_weight_bounded")
+            for top in (lambda n: 0.5, lambda n: 1.0 + math.log(n) / 10,
+                        math.log)]
+        assert verdicts == ["pass", "inconclusive", "fail"]
+        # rho_n = 1/log n holds rho_n log n at 1
+        flat = WeightScheme(lambda n: np.full(n, 1.0 / n),
+                            lambda n: 1.0 / math.log(n))
+        rep = check_theorem_3_2_conditions(flat, np.ones(1000), 1000)
+        assert rep.verdict("rho_log_diverges") == "fail"
+        assert not rep.passed and rep.ell is None
+
     def test_n_max_validation(self):
         with pytest.raises(DomainError):
             check_theorem_3_2_conditions(cesaro_scheme(), lambda k: 1.0, 5)
