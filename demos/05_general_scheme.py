@@ -58,8 +58,8 @@ def main():
     print("\nweight-condition verdicts:")
     for name, sch in [("cesaro", cesaro_scheme()),
                       ("power alpha=0.5", power_alpha_scheme(0.5))]:
-        weak = check_theorem_3_2_conditions(sch, lambda k: 1.0, 10**5)
-        dist = check_theorem_4_1_conditions(sch, lambda k: 1.0, 10**5)
+        weak = check_theorem_3_2_conditions(sch, np.ones(10**5), 10**5)
+        dist = check_theorem_4_1_conditions(sch, np.ones(10**5), 10**5)
         print(f"  {name:>16}: weak-law passed={weak.passed} "
               f"(ell={weak.ell:.3f}), distributional passed={dist.passed} "
               f"(kappa={dist.kappa:.3f})")

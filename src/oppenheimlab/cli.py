@@ -23,7 +23,7 @@ from .distributions import centering_b, centering_b_quad, char_components, \
     char_components_quad, mobius_clamped_family, mobius_remark2_family, \
     proposition_2_4_profile, uniform_family
 from .errors import DomainError
-from .expansions import extract_digits
+from .expansions import KINDS, extract_digits
 from .experiments import (
     ExperimentConfig,
     distributional_run,
@@ -227,9 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("expand", help="digit expansion of a rational")
     pe.add_argument("number", help="decimal string or p/q")
-    pe.add_argument("--kind", default="luroth",
-                    choices=("luroth", "engel", "sylvester",
-                             "continued_fraction"))
+    pe.add_argument("--kind", default="luroth", choices=KINDS)
     pe.add_argument("--count", type=int, default=10)
     pe.add_argument("--format", default="text", choices=("text", "json"))
     pe.add_argument("--out")

@@ -25,6 +25,18 @@ from .specfun import QUAD_TOL, fourier_integral, gauss_2f1_unit
 DISCRETE_KINDS = {"discrete_beta"}
 
 
+def parse_real(value) -> Optional[float]:
+    """value as a float if it is a real number (numpy's too; not a bool) or
+    a numeric string, as YAML 1.1 loads 2e0 and 5e-1; else None."""
+    try:
+        if isinstance(value, str) or (isinstance(value, numbers.Real)
+                                      and not isinstance(value, bool)):
+            return float(value)
+    except ValueError:  # a string that is not a number
+        pass
+    return None
+
+
 def make_sequence(seq, domain=None) -> Callable:
     """Turn a sequence tag into a vectorised index function (1-based).
 
@@ -52,13 +64,9 @@ def make_sequence(seq, domain=None) -> Callable:
 
     if isinstance(seq, (bool, np.bool_)):
         raise DomainError(f"a sequence tag cannot be a bool, got {seq!r}")
-    if isinstance(seq, str):  # YAML 1.1 loads 2e0 and 1e-3 as strings
-        try:
-            seq = float(seq)
-        except ValueError:
-            pass
-    if isinstance(seq, numbers.Real):  # numpy numbers too
-        v = checked(float(seq))
+    v = parse_real(seq)
+    if v is not None:
+        checked(v)
         return lambda n: v
     if isinstance(seq, str):
         tag, _, arg = seq.partition(":")
@@ -105,8 +113,8 @@ class DistributionFamily:
     ``sampler(ks, v)`` maps uniforms v in (0, 1] to draws: of member ks if it
     is an index, or of member ks[j] from v[..., j] if it is an index array
     (ks and v broadcast, so v may be a block of rows).  Continuous kinds
-    carry their CDF, density, the supremum of their support and the shift s
-    of ``shift_scale``; the discrete kind carries its beta instead, which
+    carry the shift s of ``shift_scale``, from which their CDF, density and
+    support edge follow; the discrete kind carries its beta instead, which
     fixes its atoms (see ``discrete_beta_family``).
     """
 
@@ -114,11 +122,7 @@ class DistributionFamily:
     alpha: Callable
     sampler: Callable[..., np.ndarray]
     beta: Optional[Callable] = None  # discrete_beta only
-    # continuous kinds only
-    cdf: Optional[Callable[[int, float], float]] = None
-    density: Optional[Callable[[int, float], float]] = None
-    support_max: Optional[Callable] = None
-    shift: Optional[Callable] = None
+    shift: Optional[Callable] = None  # continuous kinds only
 
     def is_discrete(self) -> bool:
         return self.kind in DISCRETE_KINDS
@@ -131,41 +135,42 @@ class DistributionFamily:
             return discrete_digits(self.beta(ks), v)
         return 1.0 / self.sampler(ks, v)
 
+    def _shift(self) -> Callable:
+        if self.shift is None:
+            raise DomainError(f"the {self.kind} family has no (s, c) form")
+        return self.shift
+
     def shift_scale(self, ks) -> tuple[np.ndarray, np.ndarray]:
         """(s, c) of continuous members ks, as arrays of their shape: member
         k is the law of 1/Y with Y = s_k + c_k/V and V uniform on (0, 1]."""
-        if self.shift is None:
-            raise DomainError(f"the {self.kind} family has no (s, c) form")
-        return member_values(self.shift, ks), member_values(self.alpha, ks)
+        return member_values(self._shift(), ks), member_values(self.alpha, ks)
+
+    def support_max(self, ks):
+        """The support edge 1/(s + c) of continuous members ks."""
+        return 1.0 / (self._shift()(ks) + self.alpha(ks))
+
+    def cdf(self, n: int, t: float) -> float:
+        """F_n(t) = c t / (1 - s t) below the support edge, 1 from it on."""
+        s, c = self._shift()(n), self.alpha(n)
+        if t <= 0.0:
+            return 0.0
+        return 1.0 if t >= 1.0 / (s + c) else c * t / (1.0 - s * t)
+
+    def density(self, n: int, u: float) -> float:
+        """f_n(u) = c / (1 - s u)^2 on [0, 1/(s + c)), else 0."""
+        s, c = self._shift()(n), self.alpha(n)
+        return c / (1.0 - s * u) ** 2 if 0.0 <= u < 1.0 / (s + c) else 0.0
 
 
 def _continuous_family(kind: str, c_n, domain, shift,
                        sampler) -> DistributionFamily:
     """The law of U = 1/Y with Y = s + c/V and V uniform on (0, 1], where
-    c = c_n lies in ``domain`` (see ``make_sequence``) and s = shift(c):
-    F_n(t) = c t / (1 - s t) below the support edge 1/(s + c), and 1 from
-    it on.  ``sampler(c, v)`` maps uniforms to draws of U."""
+    c = c_n lies in ``domain`` (see ``make_sequence``) and s = shift(c).
+    ``sampler(c, v)`` maps uniforms to draws of U."""
     cseq = make_sequence(c_n, domain)
-
-    def edge(c):
-        return 1.0 / (shift(c) + c)
-
-    def cdf(n, t):
-        c = cseq(n)
-        if t <= 0.0:
-            return 0.0
-        return 1.0 if t >= edge(c) else c * t / (1.0 - shift(c) * t)
-
-    def density(n, u):
-        c = cseq(n)
-        return c / (1.0 - shift(c) * u) ** 2 if 0.0 <= u < edge(c) else 0.0
-
     return DistributionFamily(
-        kind=kind, cdf=cdf, alpha=cseq,
-        sampler=lambda ks, v: sampler(cseq(ks), v), density=density,
-        support_max=lambda n: edge(cseq(n)),
-        shift=lambda n: shift(cseq(n)),
-    )
+        kind=kind, alpha=cseq, sampler=lambda ks, v: sampler(cseq(ks), v),
+        shift=lambda n: shift(cseq(n)))
 
 
 def uniform_family() -> DistributionFamily:
@@ -201,15 +206,9 @@ def discrete_beta_family(beta_n="constant:0") -> DistributionFamily:
     """
     bseq = make_sequence(beta_n, ("discrete_beta needs 0 <= beta_n < 1",
                                   lambda b: (b >= 0.0) & (b < 1.0)))
-
-    def sampler(ks, v):
-        return 1.0 / discrete_digits(bseq(ks), v)
-
-    def alpha(n):
-        return 1.0 - bseq(n)
-
     return DistributionFamily(
-        kind="discrete_beta", alpha=alpha, sampler=sampler, beta=bseq)
+        kind="discrete_beta", alpha=lambda n: 1.0 - bseq(n),
+        sampler=lambda ks, v: 1.0 / discrete_digits(bseq(ks), v), beta=bseq)
 
 
 _FACTORIES = {
@@ -232,7 +231,7 @@ def from_config(what: str, cfg, factories: dict, default_kind=None):
         raise DomainError(f"unknown {what} kind {kind!r}")
     try:
         return factories[kind](**args)
-    except TypeError as exc:  # a missing, unknown or non-numeric setting
+    except TypeError as exc:  # a missing or unknown setting
         raise DomainError(f"{kind} {what}: {exc}") from None
 
 

@@ -35,15 +35,16 @@ class DigitSequence:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown expansion kind {self.kind!r}")
-        if self.kind == "luroth" and any(d < 2 for d in self.digits):
-            raise DomainError("luroth digits must be >= 2")
-        if self.kind == "engel" and any(
-                b < a for a, b in zip(self.digits, self.digits[1:])):
-            raise DomainError("engel digits must be nondecreasing")
-        if self.kind == "sylvester" and any(
-                b < a * a - a + 1
-                for a, b in zip(self.digits, self.digits[1:])):
-            raise DomainError("sylvester digit growth invariant violated")
+        phi = _PHI.get(self.kind)
+        # as the codec keeps them: each state phi(D_k), and phi(D_0) = 1 for
+        # x <= 1, bounds the next digit, D_{k+1} - 1 >= phi(D_k) (R_k >= 1),
+        # and the remainder r after D_n, r phi(D_n) <= 1
+        states = [1, *map(phi, self.digits)] if phi else None
+        if states and (any(b - 1 < s for s, b in zip(states, self.digits))
+                       or not 0 <= (self.remainder or 0) * states[-1] <= 1):
+            raise DomainError(f"{self.kind} digits need D_(k+1) - 1 >= "
+                              "phi(D_k) with phi(D_0) = 1, and a remainder "
+                              "0 <= r <= 1/phi(D_n)")
 
     def resum(self) -> Fraction:
         """Exact value of the partial series plus the remainder tail."""
@@ -71,23 +72,36 @@ def _oppenheim_digit(r: Fraction) -> int:
     return (1 / r).__floor__() + 1
 
 
+# chain state phi(D) of each Oppenheim kind: the remainder after digit D is
+# U/phi(D) for a U in (0, 1], the draw of the digit family's member in a
+# random chain (uniform for the classical expansions), so the next digit is
+# floor(phi(D)/U) + 1 and R_k = (D_{k+1} - 1)/phi(D_k).  phi fixes the
+# codec, the digit invariant and the chain: a new kind is one entry here.
+_PHI = {
+    "luroth": lambda d: 1,
+    "engel": lambda d: d - 1,
+    "sylvester": lambda d: d * (d - 1),
+}
+
+
+def _oppenheim_codec(phi):
+    """The _CODECS entry of the Oppenheim kind with chain state phi:
+    r' = (d - 1)(d r - 1)/phi(d) and r = (phi(d) r'/(d - 1) + 1)/d."""
+    return (_oppenheim_digit,
+            lambda r, d: (d - 1) * (d * r - 1) / phi(d),
+            lambda r, d: (phi(d) * r / (d - 1) + 1) / d)
+
+
 # kind -> (digit rule, remainder map r -> r', its inverse r' -> r)
 _CODECS = {
-    "luroth": (_oppenheim_digit,
-               lambda r, d: d * (d - 1) * r - (d - 1),
-               lambda r, d: (r + d - 1) / (d * (d - 1))),
-    "engel": (_oppenheim_digit,
-              lambda r, d: d * r - 1,
-              lambda r, d: (r + 1) / d),
-    "sylvester": (_oppenheim_digit,
-                  lambda r, d: r - Fraction(1, d),
-                  lambda r, d: r + Fraction(1, d)),
+    **{kind: _oppenheim_codec(phi) for kind, phi in _PHI.items()},
     # Gauss map on (0, 1)
     "continued_fraction": (lambda r: (1 / r).__floor__(),
                            lambda r, d: 1 / r - d,
                            lambda r, d: 1 / (d + r)),
 }
 KINDS = tuple(_CODECS)
+OPPENHEIM_KINDS = tuple(_PHI)
 
 
 def extract_digits(kind: str, x, count: int) -> DigitSequence:
@@ -115,24 +129,9 @@ def extract_digits(kind: str, x, count: int) -> DigitSequence:
                          terminated=len(digits) < count)
 
 
-# chain state phi(D): given D_k, the next digit is D_{k+1} = floor(phi/U) + 1
-# for U the draw of the digit family's member k (uniform for the classical
-# expansions), and the ratio variable is R_k = (D_{k+1} - 1)/phi.  A new
-# Oppenheim kind is one entry here and one in _CODECS.
-_PHI = {
-    "luroth": lambda d: 1,
-    "engel": lambda d: d - 1,
-    "sylvester": lambda d: d * (d - 1),
-}
-
-
 def ratios(kind: str, digits: Sequence[int]) -> list:
     """Ratio variables R_k = (D_{k+1} - 1)/phi(D_k) of a digit sequence, as
-    exact rationals.
-
-    luroth: R_k = D_{k+1} - 1; engel: (D_{k+1} - 1)/(D_k - 1);
-    sylvester: (D_{k+1} - 1)/(D_k (D_k - 1)).
-    """
+    exact rationals."""
     if kind not in _PHI:
         raise DomainError(f"no ratio law for kind {kind!r}")
     out = []

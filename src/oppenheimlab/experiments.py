@@ -36,7 +36,7 @@ from .distributions import (
     uniform_family,
 )
 from .errors import ConditionCheckError, DomainError
-from .expansions import ratio_path
+from .expansions import OPPENHEIM_KINDS, ratio_path
 from .limitlaw import StableLimitLaw, char_fn, ks_distance
 from .specfun import EULER_GAMMA, c2_discrete
 from .weights import (
@@ -52,7 +52,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SEED = 20260823
 _WEIGHT_KINDS = {"cesaro": cesaro_scheme, "power_alpha": power_alpha_scheme}
-WEAK_LAW_SCHEMES = ("direct", "luroth", "engel", "sylvester")
+WEAK_LAW_SCHEMES = ("direct", *OPPENHEIM_KINDS)
 # uniforms per block of replications mapped in one call (256 kB of doubles)
 _BLOCK = 2**15
 # ratios of an Engel or Sylvester chain walked for a block of replications at

@@ -66,7 +66,8 @@ def char_fn(law: StableLimitLaw, t):
     """xi(t); t may be a scalar or an array.  xi is exactly 0 where its
     modulus exp(-(pi/2) c |t|) is 0 in float.  t log|t| is 0 at t = 0 and
     for c = 0; where it overflows (|t| > 1e305, so c < 1e-297), c t log|t|
-    is (c t) log|t|."""
+    is (c t) log|t|.  DomainError where |xi| > 0 and the phase
+    c t log|t| + delta t is not finite in float."""
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
         live = law.c * np.abs(t) < _EXP_ZERO / (math.pi / 2.0)
@@ -74,9 +75,13 @@ def char_fn(law: StableLimitLaw, t):
         at = np.abs(t)
         log_at = np.log(np.where((at == 0.0) | (law.c == 0.0), 1.0, at))
         tlog = np.where(at == 0.0, 0.0, t * log_at)
-    ctlog = np.where(np.isinf(tlog), law.c * t * log_at, law.c * tlog)
-    out = np.where(live, np.exp(-(math.pi / 2.0) * law.c * at
-                                - 1j * (ctlog + law.delta * t)), 0.0)
+        ctlog = np.where(np.isinf(tlog), law.c * t * log_at, law.c * tlog)
+        phase = ctlog + law.delta * t
+    if not np.all(np.isfinite(phase)):
+        raise DomainError(f"the phase of xi overflows for {law} at t = "
+                          f"{float(t[~np.isfinite(phase)].flat[0])!r}")
+    out = np.where(live, np.exp(-(math.pi / 2.0) * law.c * at - 1j * phase),
+                   0.0)
     return complex(out) if out.ndim == 0 else out
 
 

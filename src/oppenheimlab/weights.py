@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import make_sequence
+from .distributions import make_sequence, parse_real
 from .errors import DomainError
 
 
@@ -31,14 +31,21 @@ def _rho(tag) -> Callable:
                                lambda r: r > 0.0))
 
 
+def _alpha(alpha, what: str) -> float:
+    """alpha (see ``parse_real``) as a float, which must be finite, < 1."""
+    a = parse_real(alpha)
+    if a is None or not -math.inf < a < 1.0:
+        raise DomainError(f"{what} requires a finite alpha < 1, got {alpha!r}")
+    return a
+
+
 def cesaro_scheme(rho="constant") -> WeightScheme:
     return WeightScheme(lambda n: np.full(n, 1.0 / n), _rho(rho))
 
 
 def power_alpha_scheme(alpha: float, rho="constant") -> WeightScheme:
     """a_{k,n} = k^(-alpha) / sum_{j<=n} j^(-alpha), alpha < 1."""
-    if not -math.inf < alpha < 1.0:
-        raise DomainError("power_alpha requires a finite alpha < 1")
+    alpha = _alpha(alpha, "power_alpha")
 
     def a_row(n):
         w = np.arange(1, n + 1, dtype=float) ** (-alpha)
@@ -54,8 +61,7 @@ def iterated_scheme(alpha: float, r: int, rho="constant") -> WeightScheme:
     and cw its partial sums, so row n of M^r is e_n pushed r times through
     the transpose map v -> w * revcumsum(v / cw).
     """
-    if not -math.inf < alpha < 1.0:
-        raise DomainError("iterated scheme requires a finite alpha < 1")
+    alpha = _alpha(alpha, "iterated scheme")
     if r < 0:
         raise DomainError("r must be >= 0")
 
@@ -116,8 +122,7 @@ def iterated_mean(values: Sequence[float], alpha: float,
                   r: int) -> np.ndarray:
     """r-iterated alpha-weighted means: order r+1 averages order r with
     weights w_k = k^(-alpha)."""
-    if not -math.inf < alpha < 1.0:
-        raise DomainError("iterated_mean requires a finite alpha < 1")
+    alpha = _alpha(alpha, "iterated_mean")
     if r < 0:
         raise DomainError("r must be >= 0")
     out = np.asarray(values, dtype=float)

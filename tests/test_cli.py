@@ -357,6 +357,31 @@ class TestRun:
             outs.append(json.loads(out)["per_n"])
         assert outs[0] == outs[1]
 
+    def test_exponent_alpha_is_a_number(self, capsys, tmp_path):
+        # alpha: 5e-1 exited 2 ("'<' not supported between ... 'str'")
+        outs = []
+        for alpha in ("0.5", "5e-1"):
+            cfg = tmp_path / f"a{alpha}.yaml"
+            cfg.write_text("experiment: weak_law\nn_grid: [50, 200]\n"
+                           "replications: 60\n"
+                           f"weights: {{kind: power_alpha, alpha: {alpha}}}\n")
+            code, out, _ = run_cli(capsys, "run", str(cfg), "--format",
+                                   "json", "--out", str(tmp_path / "res"))
+            assert code == 0
+            outs.append(json.loads(out)["per_n"])
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("alpha", ["abc", "true", "[0.5]"])
+    def test_non_numeric_alpha_exit_2(self, capsys, tmp_path, alpha):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("experiment: weak_law\nn_grid: [50, 200]\n"
+                       "replications: 60\n"
+                       f"weights: {{kind: power_alpha, alpha: {alpha}}}\n")
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(tmp_path / "results"))
+        assert code == 2 and out == ""
+        assert "config error" in err and "finite alpha < 1, got" in err
+
     def test_large_remark2_scale_runs(self, capsys, tmp_path):
         # its centering used to miss the b quadrature's tolerance (exit 1)
         cfg = tmp_path / "remark2.yaml"

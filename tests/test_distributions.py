@@ -1,5 +1,6 @@
 """Distribution families: CDFs, samplers, constants, characteristic parts."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from scipy.special import sici
 
 from oppenheimlab.distributions import (
+    DistributionFamily,
     centering_b,
     centering_b_quad,
     char_components,
@@ -190,6 +192,42 @@ class TestCdfSamplerAgreement:
         xs = fam.sampler(1, _uniforms(0, 10_000))
         assert xs.max() <= fam.support_max(1) + 1e-12
         assert xs.min() > 0.0
+
+
+class TestMemberLaw:
+    """A continuous member's CDF, density and support edge follow from its
+    (s, c); the family stores nothing else."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(DistributionFamily)] == [
+            "kind", "alpha", "sampler", "beta", "shift"]
+
+    @pytest.mark.parametrize("fam, s, c", [
+        (uniform_family(), 0.0, 1.0),
+        (mobius_clamped_family(2), 2.0, 2.0),
+        (mobius_remark2_family(0.5), 1.0, 0.5)])
+    def test_closed_forms(self, fam, s, c):
+        edge = 1.0 / (s + c)
+        assert fam.support_max(1) == edge
+        for t in (0.0, 0.3 * edge, 0.9 * edge):
+            assert fam.cdf(1, t) == c * t / (1.0 - s * t)
+            assert fam.density(1, t) == c / (1.0 - s * t) ** 2
+        for t in (edge, 1.0):
+            assert fam.cdf(1, t) == 1.0 and fam.density(1, t) == 0.0
+        assert fam.cdf(1, -0.5) == 0.0 and fam.density(1, -0.5) == 0.0
+
+    def test_list_family_per_member(self):
+        fam = mobius_clamped_family([1.0, 4.0])
+        assert np.array_equal(fam.support_max(np.arange(1, 4)),
+                              [0.5, 0.125, 0.125])
+        assert fam.cdf(2, 0.1) == 0.4 / 0.6
+
+    def test_discrete_kind_has_no_cdf_density_or_edge(self):
+        fam = discrete_beta_family(0.5)
+        for law in (lambda: fam.cdf(1, 0.3), lambda: fam.density(1, 0.3),
+                    lambda: fam.support_max(1)):
+            with pytest.raises(DomainError, match="discrete_beta"):
+                law()
 
 
 class TestDiscreteBeta:

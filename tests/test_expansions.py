@@ -1,17 +1,28 @@
 """Digit codecs and sampling chains for the series expansions."""
 
 import math
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oppenheimlab
+from oppenheimlab import cli, experiments
 from oppenheimlab.distributions import mobius_clamped_family
 from oppenheimlab.errors import DomainError, SchemeError
 from oppenheimlab.expansions import (
+    _CODECS,
+    _PHI,
+    KINDS,
+    OPPENHEIM_KINDS,
     DigitSequence,
     extract_digits,
     ratio_path,
@@ -81,6 +92,105 @@ class TestRoundTrips:
     @settings(max_examples=60, deadline=None)
     def test_cf_resum(self, x):
         assert extract_digits("continued_fraction", x, 40).resum() == x
+
+
+# the textbook remainder maps r -> r' after digit d, and their inverses
+TEXTBOOK_MAPS = {
+    "luroth": (lambda r, d: d * (d - 1) * r - (d - 1),
+               lambda r, d: (r + d - 1) / (d * (d - 1))),
+    "engel": (lambda r, d: d * r - 1, lambda r, d: (r + 1) / d),
+    "sylvester": (lambda r, d: r - Fraction(1, d),
+                  lambda r, d: r + Fraction(1, d)),
+}
+
+
+class TestPhiCodecs:
+    """Every Oppenheim codec and digit invariant is derived from phi."""
+
+    @given(r=rationals_01, s=st.fractions(min_value=0, max_value=1),
+           d=st.integers(min_value=2, max_value=10**4))
+    @settings(max_examples=200, deadline=None)
+    def test_phi_maps_equal_textbook_maps(self, r, s, d):
+        for kind, (step, inverse) in TEXTBOOK_MAPS.items():
+            digit, phi_step, phi_inverse = _CODECS[kind]
+            first = digit(r)
+            assert phi_step(r, first) == step(r, first)
+            assert phi_inverse(s, d) == inverse(s, d)
+            assert isinstance(phi_inverse(s, d), Fraction)
+
+    @pytest.mark.parametrize("kind", sorted(TEXTBOOK_MAPS))
+    @given(x=rationals_01)
+    @settings(max_examples=40, deadline=None)
+    def test_extraction_keeps_the_invariant(self, kind, x):
+        seq = extract_digits(kind, x, 8)
+        d, phi = seq.digits, _PHI[kind]
+        assert d[0] >= 2
+        assert all(b - 1 >= phi(a) for a, b in zip(d, d[1:]))
+        assert 0 < seq.remainder * phi(d[-1]) <= 1
+        rebuilt = DigitSequence(kind, d, remainder=seq.remainder)
+        assert rebuilt.resum() == seq.resum() == x
+
+    def test_wrong_answers_outside_the_unit_interval_raise(self):
+        # both resummed to values above 1 (7/4 and 2) at 0.13.0
+        with pytest.raises(DomainError, match="phi"):
+            DigitSequence("engel", (1, 2), remainder=Fraction(1, 2))
+        with pytest.raises(DomainError, match="phi"):
+            DigitSequence("sylvester", (1, 1))
+        # a remainder beyond 1/phi(D_n) resums above the last digit's cell
+        with pytest.raises(DomainError, match="remainder"):
+            DigitSequence("engel", (2,), remainder=Fraction(5))
+        with pytest.raises(DomainError, match="remainder"):
+            DigitSequence("luroth", (), remainder=Fraction(3, 2))
+
+    def test_empty_and_boundary_sequences_accepted(self):
+        assert DigitSequence("engel", ()).resum() == 0
+        assert DigitSequence("luroth", (), remainder=Fraction(1)).resum() == 1
+        # the codec's fixed point 1/(d - 1) -> 1/(d - 1) of Engel's map
+        seq = extract_digits("engel", Fraction(1, 71), 3)
+        assert seq.digits == (72, 72, 72) and seq.remainder == Fraction(1, 71)
+
+    def test_tables_are_derived_from_phi(self, capsys):
+        assert OPPENHEIM_KINDS == tuple(_PHI)
+        assert KINDS == (*_PHI, "continued_fraction")
+        assert experiments.WEAK_LAW_SCHEMES == ("direct", *_PHI)
+        assert cli.main(["expand", "--help"]) == 0
+        assert "--kind {" + ",".join(KINDS) + "}" in capsys.readouterr().out
+
+    def test_new_kind_is_one_phi_entry(self, tmp_path):
+        # a copy of the package with one more _PHI entry, phi(d) = d^2
+        pkg = tmp_path / "oppenheimlab"
+        shutil.copytree(Path(oppenheimlab.__file__).parent, pkg,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        source = (pkg / "expansions.py").read_text()
+        entry = '    "sylvester": lambda d: d * (d - 1),\n'
+        assert source.count(entry) == 1
+        (pkg / "expansions.py").write_text(
+            source.replace(entry, entry + '    "square": lambda d: d * d,\n'))
+        script = """
+from fractions import Fraction
+from oppenheimlab import cli, experiments
+from oppenheimlab.errors import DomainError
+from oppenheimlab.expansions import DigitSequence, extract_digits
+x = Fraction(113, 355)
+seq = extract_digits("square", x, 6)
+assert seq.resum() == x, seq
+assert all(b - 1 >= a * a for a, b in zip(seq.digits, seq.digits[1:]))
+try:
+    DigitSequence("square", (2, 4))
+    raise SystemExit("the invariant D_2 - 1 >= 4 was not checked")
+except DomainError:
+    pass
+assert cli.main(["expand", "113/355", "--kind", "square"]) == 0
+assert "square" in experiments.WEAK_LAW_SCHEMES
+record = experiments.exact_weak_law_run(experiments.ExperimentConfig(
+    n_grid=(50, 200), replications=20, scheme="square"))
+assert [row["n"] for row in record.per_n] == [50, 200]
+"""
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[0] == "4"  # D_1 = floor(355/113) + 1
 
 
 class TestValidation:

@@ -105,7 +105,7 @@ class TestConfig:
         ({"kind": "mobius_clamped", "cn": 2}, {"kind": "cesaro"}),
         ({"kind": "uniform", "c_n": 2}, {"kind": "cesaro"}),
         ({"kind": "uniform"}, {"kind": "cesaro", "alpha": 0.5}),
-        ({"kind": "uniform"}, {"kind": "power_alpha", "alpha": "0.5"})])
+        ({"kind": "uniform"}, {"kind": "power_alpha", "alpha": "half"})])
     def test_unknown_family_and_weight_settings(self, family, weights):
         with pytest.raises(DomainError):
             small_config(family=family, weights=weights)

@@ -118,6 +118,17 @@ class TestCharFn:
         assert abs(val) == pytest.approx(math.exp(-50.0 * math.pi),
                                          rel=1e-12)
 
+    def test_overflowing_phase_raises(self):
+        # delta t overflows although |xi| > 0: nan+nanj with a warning before
+        for law, t in ((StableLimitLaw(0.0, 2.0), 1e308),
+                       (StableLimitLaw(1e-300, 1e10), 1e300)):
+            with pytest.raises(DomainError, match="phase"):
+                char_fn(law, t)
+            with pytest.raises(DomainError, match="phase"):
+                char_fn(law, np.array([1.0, t]))
+        # where |xi| is 0 the phase is not needed
+        assert char_fn(StableLimitLaw(1.0, 1e300), 1e10) == 0.0
+
     def test_negative_c_rejected(self):
         with pytest.raises(DomainError):
             StableLimitLaw(-1.0)

@@ -5,6 +5,8 @@
                                    into a temporary results directory
     <sha256>  limit-cdf --law levy the CDF table of the continued-fraction law
     <sha256>  verify               the identity suite's report
+    <sha256>  expand --count 12    the digits of five rationals in every
+                                   codec, each with --format json
 
 Two checkouts print the same lines exactly when they produce the same
 payloads, so comparing the output of two trees checks a "bit-identical"
@@ -45,6 +47,14 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# (kind, number) pairs of the expand line: every kind on each rational its
+# codec accepts (continued fractions take x in (0, 1) only)
+_EXPAND_CASES = [(kind, x) for kind in ("luroth", "engel", "sylvester",
+                                        "continued_fraction")
+                 for x in ("1/3", "7/16", "0.4", "113/355", "1")
+                 if (kind, x) != ("continued_fraction", "1")]
+
+
 def main(names) -> None:
     names = names or sorted(p.stem for p in
                             (SRC / "oppenheimlab" / "configs").glob("*.yaml"))
@@ -56,7 +66,11 @@ def main(names) -> None:
             print(f"{_sha256(per_n)}  run {name} per_n", flush=True)
     print(f"{_sha256(_output('limit-cdf', '--law', 'levy'))}  "
           "limit-cdf --law levy", flush=True)
-    print(f"{_sha256(_output('verify'))}  verify")
+    print(f"{_sha256(_output('verify'))}  verify", flush=True)
+    expand = "".join(_output("expand", x, "--kind", kind, "--count", "12",
+                             "--format", "json")
+                     for kind, x in _EXPAND_CASES)
+    print(f"{_sha256(expand)}  expand --count 12")
 
 
 if __name__ == "__main__":
