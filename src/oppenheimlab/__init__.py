@@ -1,14 +1,13 @@
 """Numerical laboratory for series-expansion digit laws, exact weak laws,
 and index-1 stable limit laws."""
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .errors import (
     AccuracyError,
     ConditionCheckError,
     DomainError,
     PoleError,
-    SchemeError,
 )
 from .specfun import (
     EULER_GAMMA,

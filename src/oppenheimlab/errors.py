@@ -20,9 +20,5 @@ class AccuracyError(RuntimeError):
         self.achieved = achieved
 
 
-class SchemeError(ValueError):
-    """A digit scheme is degenerate for the requested operation."""
-
-
 class ConditionCheckError(RuntimeError):
     """A precondition check on a family or weight scheme failed."""

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SchemeError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,12 @@ def extract_digits(kind: str, x, count: int) -> DigitSequence:
 
 def ratios(kind: str, digits: Sequence[int]) -> list:
     """Ratio variables R_k = (D_{k+1} - 1)/phi(D_k) of a digit sequence, as
-    exact rationals."""
+    exact rationals; DomainError unless the digits keep the invariant of
+    ``DigitSequence`` (so every phi(D_k) > 0 and R_k >= 1)."""
     if kind not in _PHI:
         raise DomainError(f"no ratio law for kind {kind!r}")
-    out = []
-    for a, b in zip(digits, digits[1:]):
-        s = _PHI[kind](a)
-        if s == 0:
-            raise SchemeError(f"{kind} ratio degenerate at digit {a}")
-        out.append(Fraction(b - 1, s))
-    return out
+    digits = DigitSequence(kind, tuple(digits)).digits
+    return [Fraction(b - 1, _PHI[kind](a)) for a, b in zip(digits, digits[1:])]
 
 
 # ---------------------------------------------------------------------------

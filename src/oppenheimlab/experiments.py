@@ -546,11 +546,17 @@ def distributional_run(config: ExperimentConfig) -> RunRecord:
     # the modes sum family reciprocals, not digit-chain ratios, and two of
     # them sum discrete digits whatever the family
     discrete = config.mode in ("classical_1_2", "cor_4_3")
+    reader = f"distributional runs of mode {config.mode!r}"
     _reject_unread(config, ("scheme", "family") if discrete else ("scheme",),
-                   f"distributional runs of mode {config.mode!r}")
+                   reader)
+    if "rho" in config.weights:  # V_n and Theorem 4.1 never read rho_n
+        raise DomainError(f"unread by {reader}: "
+                          f"weights.rho={config.weights['rho']!r}")
     if config.replications < 100:
         raise DomainError("distributional runs need at least 100 replications")
     law = limit_law_for(config)
+    t = np.asarray(config.t_grid)
+    xi = char_fn(law, t)
 
     per_n = []
     for i, n in enumerate(config.n_grid):
@@ -558,12 +564,10 @@ def distributional_run(config: ExperimentConfig) -> RunRecord:
         ks = ks_distance(v, law) if law.c > 0 else float(
             np.mean(np.abs(v) > config.epsilon))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            ecf = np.array([np.mean(np.exp(1j * t * v))
-                            for t in config.t_grid])
+            ecf = np.exp(1j * np.multiply.outer(t, v)).mean(axis=1)
         if not np.isfinite(ecf).all():
             raise DomainError(f"t_grid {list(config.t_grid)} overflows the "
                               f"empirical characteristic function")
-        xi = np.array([char_fn(law, t) for t in config.t_grid])
         per_n.append({
             "n": int(n), "ks": float(ks),
             "ecf_error": float(np.max(np.abs(ecf - xi))),

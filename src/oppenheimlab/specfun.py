@@ -3,8 +3,10 @@
 and the discrete-family centering constant (closed form, with its quadrature
 kept as an independent cross-check).
 
-Everything here is deterministic and pure; oscillatory infinite integrals go
-through QUADPACK's Fourier rules (QAWO and QAWF, via ``fourier_integral``).
+Everything here is deterministic and pure.  Every quadrature reference goes
+through ``quad``, the one place that imports ``scipy.integrate``, so a run
+that computes no reference never loads it; oscillatory infinite integrals
+take QUADPACK's Fourier rules (QAWO and QAWF) there.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import AccuracyError, DomainError, PoleError
 
@@ -25,32 +27,42 @@ EULER_GAMMA = 0.577215664901532860606512090082
 QUAD_TOL = 1e-10
 
 
-def fourier_integral(f, a: float, weight: str) -> tuple[float, float]:
-    """Integral of f(x) cos(x) (weight "cos") or f(x) sin(x) (weight "sin")
-    over [a, infinity), with its error estimate, by QUADPACK's Fourier rules.
+def quad(f, a: float, b: float, what: str, slack: float, **options):
+    """Integral of f over [a, b] by QUADPACK to QUAD_TOL (``options`` go to
+    ``scipy.integrate.quad``), or AccuracyError naming ``what`` when the
+    error estimate exceeds slack * QUAD_TOL.  A complex integrand
+    (complex_func=True) is checked on the larger of its real and imaginary
+    estimates.
 
-    QAWO takes the first half-period [a, a + pi] and QAWF the rest: one QAWF
-    call from a raises "bad integrand behaviour" when f peaks steeply at a.
-    Both are asked for QUAD_TOL / 100, because QAWF's achieved error reached
-    QUAD_TOL / 40 against ``scipy.special.sici`` when asked for QUAD_TOL.
+    With weight="cos" or "sin" it integrates f(x) cos(x) or f(x) sin(x)
+    over [a, b = infinity]: QAWO takes the first half-period [a, a + pi] and
+    QAWF the rest, because one QAWF call from a raises "bad integrand
+    behaviour" when f peaks steeply at a.  Both are asked for QUAD_TOL / 100,
+    because QAWF's achieved error reached QUAD_TOL / 40 against
+    ``scipy.special.sici`` when asked for QUAD_TOL.
     """
-    eps = QUAD_TOL / 100.0
-    head, head_err = integrate.quad(f, a, a + math.pi, weight=weight,
-                                    wvar=1.0, epsabs=eps,
-                                    epsrel=QUAD_TOL, limit=500)
-    tail, tail_err = integrate.quad(f, a + math.pi, math.inf, weight=weight,
-                                    wvar=1.0, epsabs=eps, limit=500)
-    return head + tail, head_err + tail_err
+    from scipy import integrate  # only the references integrate
+
+    options = {"epsabs": QUAD_TOL, "epsrel": QUAD_TOL, "limit": 500,
+               **options}
+    pieces = [(a, b)]
+    if "weight" in options:  # QAWF reads no epsrel
+        options.update(wvar=1.0, epsabs=QUAD_TOL / 100.0)
+        pieces = [(a, a + math.pi), (a + math.pi, b)]
+    results = [integrate.quad(f, lo, hi, **options) for lo, hi in pieces]
+    err = sum(e for _, e in results)
+    err = max(err.real, err.imag)  # a float's imag is 0
+    if err > slack * QUAD_TOL:
+        raise AccuracyError(f"{what} quadrature missed tolerance", err)
+    return sum(v for v, _ in results)
 
 
 def cosine_integral(x: float) -> float:
     """Ci(x) = -integral of cos(t)/t over [x, infinity), for x > 0."""
     if x <= 0:
         raise DomainError("cosine_integral requires x > 0")
-    val, err = fourier_integral(lambda t: 1.0 / t, x, "cos")
-    if err > 10 * QUAD_TOL:
-        raise AccuracyError("cosine_integral did not converge", err)
-    return -val
+    return -quad(lambda t: 1.0 / t, x, math.inf, "cosine_integral", 10,
+                 weight="cos")
 
 
 def cin(x: float) -> float:
@@ -67,11 +79,7 @@ def cin(x: float) -> float:
         out = np.where(small, t / 2.0, (1.0 - np.cos(safe)) / safe)
         return out
 
-    val, err = integrate.quad(integrand, 0.0, x, epsabs=QUAD_TOL,
-                              epsrel=QUAD_TOL, limit=500)
-    if err > 100 * QUAD_TOL:
-        raise AccuracyError("cin quadrature missed tolerance", err)
-    return val
+    return quad(integrand, 0.0, x, "cin", 100)
 
 
 def lemma_a1() -> tuple[float, float, float]:
@@ -85,13 +93,9 @@ def lemma_a1() -> tuple[float, float, float]:
         safe = np.where(small, 1.0, t)
         return np.where(small, -t / 6.0, (np.sin(safe) - safe) / safe**2)
 
-    a_val, a_err = integrate.quad(a_integrand, 0.0, 1.0, epsabs=QUAD_TOL,
-                                  epsrel=QUAD_TOL, limit=500)
-    b_val, b_err = fourier_integral(lambda t: 1.0 / t**2, 1.0, "sin")
-    if a_err > 100 * QUAD_TOL:
-        raise AccuracyError("lemma_a1 A-integral missed tolerance", a_err)
-    if b_err > 10 * QUAD_TOL:
-        raise AccuracyError("lemma_a1 B-integral missed tolerance", b_err)
+    a_val = quad(a_integrand, 0.0, 1.0, "lemma_a1 A-integral", 100)
+    b_val = quad(lambda t: 1.0 / t**2, 1.0, math.inf, "lemma_a1 B-integral",
+                 10, weight="sin")
     return a_val, b_val, a_val + b_val
 
 
@@ -131,13 +135,8 @@ def gauss_2f1_unit(beta: float, z: complex) -> complex:
         return complex(b * np.sum(pochhammer * bracket * w ** n))
     p = 1.0 / (1.0 - beta)
 
-    val, err = integrate.quad(lambda s: 1.0 / (1.0 - np.power(s, p) * z),
-                              0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL,
-                              limit=500, complex_func=True)
-    err = max(err.real, err.imag)
-    if err > 1e3 * QUAD_TOL:
-        raise AccuracyError("gauss_2f1_unit quadrature missed tolerance", err)
-    return complex(val)
+    return quad(lambda s: 1.0 / (1.0 - np.power(s, p) * z), 0.0, 1.0,
+                "gauss_2f1_unit", 1e3, complex_func=True)
 
 
 def c2_discrete(beta):
@@ -178,8 +177,4 @@ def c2_discrete_quad(beta: float) -> float:
         ratio = -np.expm1(beta * p * np.log(s)) / (1.0 - x_safe)
         return np.where(near_one, beta, ratio)
 
-    val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=QUAD_TOL,
-                              epsrel=QUAD_TOL, limit=500)
-    if err > 100 * QUAD_TOL:
-        raise AccuracyError("c2_discrete_quad quadrature missed tolerance", err)
-    return val
+    return quad(integrand, 0.0, 1.0, "c2_discrete_quad", 100)

@@ -2,7 +2,10 @@
 
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,7 +422,9 @@ class TestRun:
         ("distributional", "family: {kind: mobius_clamped}", "family"),
         ("distributional", "mode: cor_4_3\nfamily: {kind: mobius_clamped}",
          "family"),
-        ("distributional", "mode: cor_4_2\nbeta: 'constant:0.5'", "beta")])
+        ("distributional", "mode: cor_4_2\nbeta: 'constant:0.5'", "beta"),
+        ("distributional", "weights: {kind: cesaro, rho: 'linear:-1'}",
+         "weights.rho")])
     def test_unread_setting_exit_2(self, capsys, tmp_path, experiment, lines,
                                    setting):
         # the run would ignore the setting and answer for its default
@@ -460,6 +465,36 @@ class TestRun:
             text = path.read_text()
             assert yaml.load(text, Loader=cli._YAML_LOADER) == \
                 yaml.safe_load(text)
+
+    def test_run_path_loads_no_quadrature(self, tmp_path):
+        # in a fresh interpreter, because pytest's filterwarnings setting
+        # imports scipy.integrate into this one
+        weak = "experiment: weak_law\nn_grid: [100]\nreplications: 20\n"
+        configs = {"direct.yaml": weak, "engel.yaml": weak + "scheme: engel\n",
+                   "betas.yaml": "experiment: distributional\nmode: cor_4_3\n"
+                                 "n_grid: [100]\nreplications: 150\n"
+                                 "beta: [0.5, 0.25, 0.1]\n"}
+        for name, text in configs.items():
+            (tmp_path / name).write_text(text)
+        out = str(tmp_path / "results")
+        targets = [str(tmp_path / name) for name in configs]
+        runs = [["run", target, "--force", "--out", out]
+                for target in (*targets, "luroth-classical")]
+        runs.append(["limit-cdf", "--points", "5"])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = f"""
+import sys
+sys.path.insert(0, {src!r})
+from oppenheimlab import cli
+for argv in {runs!r}:
+    assert cli.main(argv) == 0, argv
+assert "scipy.integrate" not in sys.modules, "a run loaded scipy.integrate"
+assert cli.main(["verify"]) == 0
+assert "scipy.integrate" in sys.modules, "verify ran no quadrature"
+"""
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
 
 class TestKsTest:

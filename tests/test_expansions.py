@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import oppenheimlab
 from oppenheimlab import cli, experiments
 from oppenheimlab.distributions import mobius_clamped_family
-from oppenheimlab.errors import DomainError, SchemeError
+from oppenheimlab.errors import DomainError
 from oppenheimlab.expansions import (
     _CODECS,
     _PHI,
@@ -221,12 +221,14 @@ class TestRatios:
         assert ratios("engel", (2, 3, 5)) == [Fraction(2), Fraction(2)]
         assert ratios("sylvester", (2, 3, 7)) == [Fraction(1), Fraction(1)]
 
-    def test_engel_degenerate(self):
-        # phi(1) = 0 for both chains
-        with pytest.raises(SchemeError):
-            ratios("engel", (1, 3))
-        with pytest.raises(SchemeError):
-            ratios("sylvester", (1, 3))
+    @pytest.mark.parametrize("kind, digits", [
+        ("engel", (1, 3)), ("sylvester", (1, 3)),  # phi(1) = 0
+        # digits that break D_(k+1) - 1 >= phi(D_k), whose ratios would be
+        # below 1
+        ("engel", (3, 2)), ("sylvester", (2, 2)), ("luroth", (0, 1))])
+    def test_engel_degenerate(self, kind, digits):
+        with pytest.raises(DomainError):
+            ratios(kind, digits)
 
 
 def uniforms(seed, m, n):

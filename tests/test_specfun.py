@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 from scipy.special import psi, sici
 
-from oppenheimlab.errors import DomainError, PoleError
+from oppenheimlab.errors import AccuracyError, DomainError, PoleError
 from oppenheimlab.specfun import (
     EULER_GAMMA,
     c2_discrete,
     c2_discrete_quad,
     cin,
     cosine_integral,
-    fourier_integral,
     gauss_2f1_unit,
     lemma_a1,
+    quad,
 )
 
 
@@ -170,10 +170,24 @@ class TestC2Discrete:
             c2_discrete(np.array([0.2, 1.0]))
 
 
-class TestFourierIntegral:
+class TestQuad:
     def test_dirichlet(self):
-        # int_pi^inf sin(t)/t dt = pi/2 - Si(pi)
-        val, err = fourier_integral(lambda t: 1.0 / t, math.pi, "sin")
+        # int_pi^inf sin(t)/t dt = pi/2 - Si(pi), with an error estimate
+        # within 1 x QUAD_TOL
+        val = quad(lambda t: 1.0 / t, math.pi, math.inf, "dirichlet", 1,
+                   weight="sin")
         assert val == pytest.approx(math.pi / 2.0 - sici(math.pi)[0],
                                     abs=1e-12)
-        assert err < 1e-10
+
+    @pytest.mark.parametrize("f, b, options", [
+        (math.exp, 2.0, {}),
+        # the real part is 0, with estimate 0: only the imaginary one counts
+        (lambda s: 1j * math.exp(s), 2.0, {"complex_func": True}),
+        (lambda t: 1.0 / t**2, math.inf, {"weight": "cos"}),
+    ])
+    def test_estimate_beyond_slack_raises(self, f, b, options):
+        # QUADPACK never estimates below 50 eps times the integral of |f|,
+        # so no nonzero integral meets a slack of 0
+        with pytest.raises(AccuracyError, match="the named integral") as info:
+            quad(f, 1.0, b, "the named integral", 0, **options)
+        assert info.value.achieved > 0.0
