@@ -3,14 +3,19 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppenheimlab import __version__, experiments
+from oppenheimlab import __version__, cli, experiments
 from oppenheimlab.distributions import (
     centering_b_quad,
     discrete_beta_family,
@@ -288,11 +293,41 @@ class TestReproducibility:
             "sylvester-discrete", "classical", "cor43-half"])
     def test_records_do_not_depend_on_block_size(self, monkeypatch, runner,
                                                  kw):
+        # with and without the helper thread, whatever the machine's CPUs
         cfg = small_config(**kw)
         default = runner(cfg)
-        for block in (1, 1000):  # one replication per block; ragged blocks
-            monkeypatch.setattr(experiments, "_BLOCK", block)
+        default_block = experiments._BLOCK
+        monkeypatch.setattr(experiments, "_HELPER_WIDTH", 1)
+        for helpers in (0, 1):
+            monkeypatch.setattr(experiments, "_HELPERS", helpers)
+            monkeypatch.setattr(experiments, "_BLOCK", default_block)
             assert runner(cfg) == default
+            for block in (1, 1000):  # one replication per block; ragged
+                monkeypatch.setattr(experiments, "_BLOCK", block)
+                assert runner(cfg) == default
+
+    def test_records_do_not_depend_on_blas_threads(self):
+        # np.dot under OpenBLAS threads a dot product of more than 10,000
+        # elements, and its last bit then depends on the thread count
+        script = (
+            "import json\n"
+            "from oppenheimlab.experiments import ExperimentConfig, "
+            "exact_weak_law_run\n"
+            "rec = exact_weak_law_run(ExperimentConfig(master_seed=3, "
+            "n_grid=(20001,), replications=8, scheme='engel', "
+            f"family={MOBIUS_2!r}))\n"
+            "print(json.dumps(rec.per_n))\n")
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        records = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True,
+                                  timeout=300)
+            records.append(done.stdout)
+        assert records[0] == records[1]
 
     @pytest.mark.parametrize("kw", [
         dict(scheme="engel"),
@@ -316,6 +351,109 @@ class TestReproducibility:
         cor43 = v_samples(small_config(mode="cor_4_3", beta="constant:0"),
                           200, 1)
         assert np.array_equal(classical, cor43)
+
+
+def _helper_raises(monkeypatch):
+    """Patches ``_draw`` so that the first block the helper thread takes
+    raises DomainError, while the caller's first block waits for the helper
+    to stop; returns the helper threads and the caller's blocks."""
+    monkeypatch.setattr(experiments, "_HELPERS", 1)
+    monkeypatch.setattr(experiments, "_HELPER_WIDTH", 1)
+    monkeypatch.setattr(experiments, "_BLOCK", 1)  # many blocks
+    draw = experiments._draw
+    helpers, caller_blocks = [], []
+    entered = threading.Event()
+
+    def draw_or_raise(streams, u):
+        if threading.current_thread() is threading.main_thread():
+            caller_blocks.append(len(streams))
+            assert entered.wait(timeout=60)
+            helpers[0].join(timeout=60)
+            return draw(streams, u)
+        helpers.append(threading.current_thread())
+        entered.set()
+        raise DomainError("raised in a block on the helper")
+
+    monkeypatch.setattr(experiments, "_draw", draw_or_raise)
+    return helpers, caller_blocks
+
+
+class TestBlockScheduler:
+    @pytest.mark.parametrize("kw", [
+        dict(scheme="direct"), dict(scheme="luroth"),
+        dict(scheme="engel", family=MOBIUS_2)],
+        ids=["direct", "luroth", "engel-mobius"])
+    def test_one_stream_per_replication(self, monkeypatch, kw):
+        # three helpers beside the caller, one replication per block, threads
+        # switched every microsecond: each stream is still built once, in
+        # replication order, and the record is the caller's alone
+        cfg = small_config(replications=600, **kw)
+        monkeypatch.setattr(experiments, "_HELPERS", 0)
+        alone = exact_weak_law_run(cfg)
+        calls = []
+        rng = experiments.replication_rng
+
+        def counted(master_seed, n_index, rep, words=None):
+            calls.append((n_index, rep))
+            return rng(master_seed, n_index, rep, words)
+
+        monkeypatch.setattr(experiments, "replication_rng", counted)
+        monkeypatch.setattr(experiments, "_HELPERS", 3)
+        monkeypatch.setattr(experiments, "_HELPER_WIDTH", 1)
+        monkeypatch.setattr(experiments, "_BLOCK", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = exact_weak_law_run(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [(i, rep) for i in range(len(cfg.n_grid))
+                         for rep in range(cfg.replications)]
+        assert shared == alone
+
+    @pytest.mark.parametrize("kw", [
+        dict(scheme="direct"), dict(scheme="engel", family=MOBIUS_2)],
+        ids=["direct", "engel-mobius"])
+    @pytest.mark.parametrize("width, block", [
+        (experiments._HELPER_WIDTH, 1),  # short rows in many blocks
+        (1, 2**15),  # every grid point in one block
+    ], ids=["short-rows", "one-block"])
+    def test_helper_left_out(self, monkeypatch, kw, width, block):
+        monkeypatch.setattr(experiments, "_HELPERS", 1)
+        monkeypatch.setattr(experiments, "_HELPER_WIDTH", width)
+        monkeypatch.setattr(experiments, "_BLOCK", block)
+        threads = set()
+        draw = experiments._draw
+
+        def recorded(streams, u):
+            threads.add(threading.current_thread())
+            return draw(streams, u)
+
+        monkeypatch.setattr(experiments, "_draw", recorded)
+        cfg = small_config(**kw)  # rows of 50 and 200, 120 replications
+        exact_weak_law_run(cfg)
+        assert threads == {threading.current_thread()}
+
+    @pytest.mark.parametrize("kw", [
+        dict(scheme="direct"), dict(scheme="engel", family=MOBIUS_2)],
+        ids=["direct", "engel-mobius"])
+    def test_helper_error_reaches_caller(self, monkeypatch, kw):
+        helpers, caller_blocks = _helper_raises(monkeypatch)
+        with pytest.raises(DomainError, match="on the helper"):
+            exact_weak_law_run(small_config(**kw))
+        assert len(helpers) == 1 and not helpers[0].is_alive()
+        # the caller took at most the block it had when the helper
+        # raised, and none after it
+        assert len(caller_blocks) <= 1
+
+    def test_helper_error_exits_2(self, monkeypatch, tmp_path, capsys):
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text("experiment: weak_law\nmaster_seed: 5\n"
+                       "n_grid: [50, 200]\nreplications: 60\n")
+        _helper_raises(monkeypatch)
+        code = cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "on the helper" in capsys.readouterr().err
 
 
 class TestWeakLaw:

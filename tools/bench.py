@@ -18,7 +18,8 @@ the change won (ties count for neither side), whether the gain rule
 holds (the change wins at least nine tenths of the pairs and the medians
 differ by more than the distance between the base's quartiles), and whether
 the change's median is within the metric's bound: worse than the base's
-median by no more than that share of it.  A machine note (cores, Python,
+median by no more than that share of it.  A machine note (cores, the CPUs
+the process may use, OPENBLAS_NUM_THREADS as the runs inherit it, Python,
 NumPy, platform) says where the numbers were taken.
 
 S is the benchmark's run_seconds.  Ten pairs of all four workloads take
@@ -139,6 +140,13 @@ def main(argv=None) -> int:
         "order": "base first on pairs 1, 3, 5, ...; change first on the "
                  "others",
         "machine": {"nproc": os.cpu_count(),
+                    # the CPUs a run may use, which decide whether a grid
+                    # point's blocks get a helper thread
+                    "cpus_usable": len(os.sched_getaffinity(0)),
+                    # inherited by every run; perfbench/run.py then sets it
+                    # to 1 for its samples
+                    "openblas_num_threads":
+                        os.environ.get("OPENBLAS_NUM_THREADS"),
                     "python": platform.python_version(),
                     "numpy": numpy.__version__,
                     "platform": platform.platform()},
