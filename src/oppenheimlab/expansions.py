@@ -8,6 +8,7 @@ draws of the digit family's members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -146,9 +147,14 @@ def ratios(kind: str, digits: Sequence[int]) -> list:
 # beyond this state size the floor correction in the digit chain is below
 # float resolution and the ratio draw is exactly 1/U
 _EXACT_STATE_LIMIT = 1e12
+# rows still in the exact window that ``ratio_path`` walks as arrays; fewer
+# are walked one at a time in Python floats.  Timed on a 2-CPU VM: a column
+# of the array walk costs about 5 us even for one row, and a Python-float
+# step about 0.4 us, so the walks cost the same at about 12 rows
+_FEW_ROWS = 12
 
 
-def ratio_path(kind: str, u: np.ndarray, return_live: bool = False):
+def ratio_path(kind: str, u: np.ndarray) -> np.ndarray:
     """(m, n) ratios R_1..R_n of m digit chains driven by an (m, n + 1)
     array of draws in (0, 1], one chain per row.
 
@@ -158,36 +164,40 @@ def ratio_path(kind: str, u: np.ndarray, return_live: bool = False):
     draws are the uniforms themselves.  Lüroth ratios are i.i.d.
     floor(1/U_k).  The Engel and Sylvester floors are exact while phi(D_k)
     is below the exact-arithmetic window; beyond it the floor is below
-    float resolution, so the rest of the row is 1/U.  Each column touches
-    only the rows still inside the window.
+    float resolution, so the rest of the row is 1/U.
 
-    With ``return_live`` it returns (ratios, live), where the boolean mask
-    ``live`` marks the rows whose state phi(D_{n+1}) is still inside the
-    window after the last column (none for Lüroth, which has no state):
-    only those rows need the exact floor if their chain is walked further.
+    Each column touches only the rows still inside the window, as arrays
+    while more than ``_FEW_ROWS`` are; the rows left are finished one at a
+    time in Python floats, which round as float64 arrays do.  A draw so
+    small that phi(D_k)/U_k overflows gives inf either way.
     """
     if kind == "luroth":
         r = 1.0 / u[:, 1:]
-        np.floor(r, out=r)
-        return (r, np.zeros(u.shape[0], dtype=bool)) if return_live else r
+        return np.floor(r, out=r)
     if kind not in _PHI:
         raise DomainError(f"no ratio chain for kind {kind!r}")
     phi = _PHI[kind]
     out = 1.0 / u[:, 1:]
+    n = out.shape[1]
     rows = np.arange(u.shape[0])
     d = np.floor(1.0 / u[:, 0]) + 1.0
-    for k in range(out.shape[1]):
+    k = 0
+    while rows.size > _FEW_ROWS and k < n:
         s = phi(d)
         live = s < _EXACT_STATE_LIMIT
         rows, s = rows[live], s[live]
-        if rows.size == 0:
-            break
         f = np.floor(s / u[rows, k + 1])
         out[rows, k] = f / s
         d = f + 1.0
-    if not return_live:
-        return out
-    live = np.zeros(u.shape[0], dtype=bool)
-    if rows.size:  # d is the state of these rows after the last column
-        live[rows[phi(d) < _EXACT_STATE_LIMIT]] = True
-    return out, live
+        k += 1
+    for row, digit in zip(rows.tolist(), d.tolist()):
+        draws, ratios = u[row], out[row]
+        for j in range(k, n):
+            s = phi(digit)
+            if not s < _EXACT_STATE_LIMIT:
+                break
+            q = s / draws.item(j + 1)
+            f = math.floor(q) if q < math.inf else q  # floor(inf) raises
+            ratios[j] = f / s
+            digit = f + 1.0
+    return out

@@ -4,14 +4,15 @@ Reproducibility contract: every replication j of the grid point with index i
 draws from its own stream seeded as SeedSequence(master_seed,
 spawn_key=(i, j)); statistics are reduced in replication order, so a record
 is bit-identical across reruns.  A lone stream (``replication_rng``) is PCG64
-on numpy's own SeedSequence.  Every Monte Carlo sum draws (``_draw``) from
-the streams of a grid point, hashed in one numpy pass (``_stream_words``).
+on numpy's own SeedSequence.  Every Monte Carlo sum, direct or along a digit
+chain, is one ``_replication_sums`` call: it draws (``_draw``) from the
+streams of a grid point, hashed in one numpy pass (``_stream_words``).
 
 The blocks of replications of a grid point run on the calling thread and,
-for long rows where the process may use a second CPU, one helper thread
-(``_each_block``): each row has its own stream and is written to the sums by
-its own index, and each row's dot product is split into pieces that BLAS
-never threads (``_row_sum``), so a record depends on neither thread count.
+for long rows where the process may use a second CPU, one helper thread:
+each row has its own stream and is written to the sums by its own index,
+and each row's dot product is split into pieces that BLAS never threads
+(``_row_sum``), so a record depends on neither thread count.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ _WEIGHT_KINDS = {"cesaro": cesaro_scheme, "power_alpha": power_alpha_scheme}
 WEAK_LAW_SCHEMES = ("direct", *OPPENHEIM_KINDS)
 # uniforms per block of replications mapped in one call (256 kB of doubles)
 _BLOCK = 2**15
-# ratios of an Engel or Sylvester chain walked for a block of replications at
-# once; after them almost every chain has left the exact window of
-# ``ratio_path``, so the rest of a row is elementwise
-_HEAD = 128
 # np.dot under OpenBLAS splits a dot product of more elements across its
 # threads, and the last bit of the sum then depends on their number
 _DOT_PIECE = 10_000
@@ -219,12 +216,18 @@ def save_record(record: RunRecord, directory) -> Path:
 
 def load_record(digest: str, directory) -> Optional[RunRecord]:
     """The cached record for ``digest``, or None (a cache miss) when there is
-    none, it cannot be parsed, or another package version wrote it."""
+    none, it cannot be parsed, it is another config's record or has no rows,
+    or another package version wrote it."""
     path = Path(directory) / f"{digest}.json"
     if not path.exists():
         return None
     try:
         record = RunRecord.from_json(path.read_text())
+        if record.config_digest != digest:
+            raise ValueError(f"the record of {record.config_digest!r}")
+        if not record.per_n or not all(isinstance(row, dict)
+                                       for row in record.per_n):
+            raise ValueError("per_n is not a nonempty list of mappings")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         logger.warning("cache miss for %s: unreadable record (%s)",
                        digest[:12], exc)
@@ -345,84 +348,6 @@ def replication_rng(master_seed: int, n_index: int, rep: int,
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _replication_rngs(config: ExperimentConfig, n_index: int):
-    """The streams of every replication of grid point ``n_index``, in
-    order, each built only when it is taken."""
-    words = _stream_words(config.master_seed, n_index,
-                          np.arange(config.replications))
-    return (replication_rng(config.master_seed, n_index, rep, row)
-            for rep, row in enumerate(words))
-
-
-def _each_block(config: ExperimentConfig, n_index: int, width: int,
-                length: int, work):
-    """Calls ``work(start, u, streams)`` for every block of replications of
-    grid point ``n_index``, whose rows are ``length`` summands long:
-    ``streams`` are the block's streams in replication order, ``start`` the
-    index of its first one, and ``u`` the block's first ``width`` uniforms
-    of each (``_draw``).  A block holds ``max(1, _BLOCK // width)``
-    replications.
-
-    The calling thread and, for rows of at least ``_HELPER_WIDTH`` in more
-    than one block, ``_HELPERS`` helper threads each take the next block
-    under one lock, which builds its streams, and draw and run ``work``
-    outside it.  ``work`` returns the block's arrays.
-
-    Each thread draws every block into one buffer of its own, and keeps
-    the arrays of its last block until its next block has made its own.
-    Were a block's draws and arrays all freed when it ends, glibc would
-    return the memory to the system and fault it in again for the next
-    block: 96,000 page faults and twice the time for cor43-beta-half at
-    n = 1e4, and 109,000 and 1.7 times the time for 300 classical
-    replications at n = 1e5.
-
-    Once a block has raised, no thread takes another, and the exception
-    reaches the caller after every thread has stopped.
-    """
-    rows = max(1, _BLOCK // width)
-    rngs = _replication_rngs(config, n_index)
-    blocks = range(0, config.replications, rows)
-    starts = iter(blocks)
-    lock = threading.Lock()
-    stop = threading.Event()
-    errors = []  # what the helpers raised
-
-    def take_blocks():
-        buffer = np.empty((rows, width))
-        kept = None  # the arrays of this thread's last block
-        while True:
-            with lock:
-                start = None if stop.is_set() else next(starts, None)
-                if start is None:
-                    return
-                streams = list(itertools.islice(rngs, rows))
-            try:
-                kept = work(start, _draw(streams, buffer[:len(streams)]),
-                            streams)
-            except BaseException:
-                stop.set()
-                raise
-
-    def helper():
-        try:
-            take_blocks()
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=helper) for _ in range(
-        _HELPERS if length >= _HELPER_WIDTH and len(blocks) > 1 else 0)]
-    for thread in helpers:
-        thread.start()
-    try:
-        take_blocks()
-    finally:
-        stop.set()  # every block is taken, or one has raised
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _draw(streams: list, u: np.ndarray) -> np.ndarray:
     """u filled with uniforms in (0, 1]: row j is 1 - v for the next
     doubles v of ``streams[j]``."""
@@ -445,20 +370,75 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
                       a: np.ndarray, width: int, summands) -> np.ndarray:
     """sum_k a_k X_k for every replication of grid point ``n_index``.
 
-    Row j of a block holds ``width`` uniforms from replication j's own
-    stream; ``summands`` maps the whole block of uniforms in (0, 1] to rows
-    of X in one call, and each row is reduced by ``_row_sum`` into its own
-    index of the sums.
+    A block holds ``max(1, _BLOCK // width)`` replications, and its row j
+    the first ``width`` uniforms in (0, 1] of replication j's own stream
+    (``_draw``).  ``summands`` maps the whole block to rows of X in one
+    call, and each row is reduced by ``_row_sum`` into its own index of the
+    sums.
+
+    The calling thread and, for rows of at least ``_HELPER_WIDTH`` in more
+    than one block, ``_HELPERS`` helper threads each take the next block
+    under one lock, which builds its streams, and draw and map it outside
+    the lock.
+
+    Each thread draws every block into one buffer of its own, and keeps
+    the rows of its last block until its next block has made its own.
+    Were a block's draws and rows all freed when it ends, glibc would
+    return the memory to the system and fault it in again for the next
+    block: 96,000 page faults and twice the time for cor43-beta-half at
+    n = 1e4, and 109,000 and 1.7 times the time for 300 classical
+    replications at n = 1e5.
+
+    Once a block has raised, no thread takes another, and the exception
+    reaches the caller after every thread has stopped.
     """
     sums = np.empty(config.replications)
+    rows = max(1, _BLOCK // width)
+    words = _stream_words(config.master_seed, n_index,
+                          np.arange(config.replications))
+    rngs = (replication_rng(config.master_seed, n_index, rep, row)
+            for rep, row in enumerate(words))  # each built when taken
+    blocks = range(0, config.replications, rows)
+    starts = iter(blocks)
+    lock = threading.Lock()
+    stop = threading.Event()
+    errors = []  # what the helpers raised
 
-    def work(start, u, streams):
-        xs = summands(u)
-        for rep, x in enumerate(xs, start):
-            sums[rep] = _row_sum(a, x)
-        return xs
+    def take_blocks():
+        buffer = np.empty((rows, width))
+        xs = None  # the rows of this thread's last block
+        while True:
+            with lock:
+                start = None if stop.is_set() else next(starts, None)
+                if start is None:
+                    return
+                streams = list(itertools.islice(rngs, rows))
+            try:
+                xs = summands(_draw(streams, buffer[:len(streams)]))
+                for rep, x in enumerate(xs, start):
+                    sums[rep] = _row_sum(a, x)
+            except BaseException:
+                stop.set()
+                raise
 
-    _each_block(config, n_index, width, width, work)
+    def helper():
+        try:
+            take_blocks()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=helper) for _ in range(
+        _HELPERS if width >= _HELPER_WIDTH and len(blocks) > 1 else 0)]
+    for thread in helpers:
+        thread.start()
+    try:
+        take_blocks()
+    finally:
+        stop.set()  # every block is taken, or one has raised
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
     return sums
 
 
@@ -467,10 +447,9 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
 # ---------------------------------------------------------------------------
 
 def _chain_ratios(kind: str, family: DistributionFamily, ks: np.ndarray,
-                  v: np.ndarray, return_live: bool = False):
+                  v: np.ndarray) -> np.ndarray:
     """Ratios of a block of chains: column 0 stays the first digit's
     uniform, and columns ks are mapped to draws of the family's members.
-    ``return_live`` is passed to ``ratio_path`` (continuous families only).
 
     A discrete draw is U_k = 1/Z_k, so D_{k+1} = phi(D_k) Z_k + 1 and
     R_k = Z_k for every kind: the exact integer digits, where the floor of
@@ -479,58 +458,18 @@ def _chain_ratios(kind: str, family: DistributionFamily, ks: np.ndarray,
     if family.is_discrete():
         return family.reciprocals(ks, v[:, 1:])
     v[:, 1:] = family.sampler(ks, v[:, 1:])
-    return ratio_path(kind, v, return_live)
-
-
-def _chain_sums(config: ExperimentConfig, n_index: int,
-                a: np.ndarray) -> np.ndarray:
-    """``_replication_sums`` of the ratios of the configured Engel or
-    Sylvester chain, driven by a continuous family.
-
-    A chain leaves the exact window of ``ratio_path`` within a few dozen
-    ratios, after which its ratios are 1/U_k.  So ``_chain_ratios`` maps
-    the first ``_HEAD`` ratios of a block of replications in one call, and
-    the rest of each row is mapped elementwise as its stream continues; a
-    row still inside the window after the head is mapped whole by
-    ``_chain_ratios``, as the block loop maps it.  A stream's doubles are
-    sequential, so drawing a row in two pieces draws the same numbers, and
-    every sum is the same ``_row_sum`` as in ``_replication_sums``.  Two
-    blocks may run at once, so each has its own row buffers.
-    """
-    kind, family = config.scheme, config.reciprocal_family
-    n = a.size
-    ks = np.arange(1, n + 1)
-    h = min(_HEAD, n) + 1  # the head's draws: first digit and _HEAD ratios
-    sums = np.empty(config.replications)
-
-    def work(start, u, streams):
-        head, live = _chain_ratios(kind, family, ks[:h - 1], u.copy(),
-                                   return_live=True)
-        x = np.empty(n)  # one replication's ratios
-        tail = np.empty(n + 1 - h)
-        for j, rng in enumerate(streams):
-            rng.random(out=tail)
-            np.subtract(1.0, tail, out=tail)
-            if live[j]:
-                row = np.concatenate((u[j], tail))[np.newaxis]
-                x[:] = _chain_ratios(kind, family, ks, row)[0]
-            else:
-                x[:h - 1] = head[j]
-                np.divide(1.0, family.sampler(ks[h - 1:], tail),
-                          out=x[h - 1:])
-            sums[start + j] = _row_sum(a, x)
-        return x, tail
-
-    _each_block(config, n_index, h, n, work)
-    return sums
+    return ratio_path(kind, v)
 
 
 def _passing_ell(check, config: ExperimentConfig,
                  family: DistributionFamily, conditions: str) -> float:
     """The ell of ``check``'s report on the configured weights and the
     alphas of ``family`` up to the largest n, or ConditionCheckError naming
-    the conditions that fail."""
+    the conditions that fail.  The check starts at n = 10, so a grid that
+    ends below it is a DomainError."""
     n_max = max(config.n_grid)
+    if n_max < 10:
+        raise DomainError(f"the largest n_grid entry, {n_max}, must be >= 10")
     alphas = member_values(family.alpha, np.arange(1, n_max + 1))
     report = check(config.weight_scheme, alphas, n_max)
     if not report.passed:
@@ -560,8 +499,6 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
         if config.scheme == "direct":
             sums = _replication_sums(config, i, a, n,
                                      lambda v: family.reciprocals(ks, v))
-        elif config.scheme != "luroth" and not family.is_discrete():
-            sums = _chain_sums(config, i, a)
         else:  # a chain of n ratios walks n + 1 draws
             sums = _replication_sums(config, i, a, n + 1,
                                      lambda v: _chain_ratios(config.scheme,

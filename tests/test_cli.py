@@ -253,6 +253,25 @@ class TestRun:
         assert "unreadable record" in caplog.text
         assert json.loads(record.read_text())["per_n"]
 
+    def test_other_configs_record_is_recomputed(self, capsys, caplog,
+                                                tmp_path):
+        # the seed-1 record copied to where the seed-2 record belongs
+        cfg, results = self._tiny_weak_law(tmp_path)
+        records, outs = [], []
+        for seed in ("1", "2"):
+            code, out, _ = run_cli(capsys, "run", str(cfg), "--seed", seed,
+                                   "--out", str(tmp_path / seed))
+            assert code == 0
+            records += (tmp_path / seed).iterdir()
+            outs.append(out)
+        results.mkdir()
+        (results / records[1].name).write_text(records[0].read_text())
+        code, out, _ = run_cli(capsys, "run", str(cfg), "--seed", "2",
+                               "--out", str(results))
+        assert code == 0
+        assert "cached record" not in out and out == outs[1]
+        assert "unreadable record" in caplog.text
+
     def test_other_version_record_not_served(self, capsys, tmp_path):
         cfg, results = self._tiny_weak_law(tmp_path)
         code, first, _ = run_cli(capsys, "run", str(cfg), "--out",
@@ -320,13 +339,17 @@ class TestRun:
         ("experiment: weak_law\nweights: {kind: cesaro, rho: 'linear:-1'}",
          "rho_n must be finite and > 0"),
         ("experiment: distributional\nmode: cor_4_3\nbeta: 'linear:0.01'",
-         "discrete_beta needs 0 <= beta_n < 1")])
+         "discrete_beta needs 0 <= beta_n < 1"),
+        # the weight conditions are checked from n = 10 on
+        ("experiment: weak_law\nn_grid: [5]",
+         "the largest n_grid entry, 5, must be >= 10")])
     def test_member_outside_domain_exit_2(self, capsys, tmp_path, lines,
                                           rule):
         # a linear tag is checked as its members are read: members 1 and
-        # 100 here, before any draw
+        # 100 here, before any draw; so is the grid's reach
         cfg = tmp_path / "bad.yaml"
-        cfg.write_text(f"{lines}\nn_grid: [50, 200]\nreplications: 100\n")
+        grid = "" if "n_grid" in lines else "n_grid: [50, 200]\n"
+        cfg.write_text(f"{lines}\n{grid}replications: 100\n")
         code, out, err = run_cli(capsys, "run", str(cfg), "--out",
                                  str(tmp_path / "results"))
         assert code == 2

@@ -1,5 +1,6 @@
 """Digit codecs and sampling chains for the series expansions."""
 
+import functools
 import math
 import os
 import shutil
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oppenheimlab
-from oppenheimlab import cli, experiments
+from oppenheimlab import cli, expansions, experiments
 from oppenheimlab.distributions import mobius_clamped_family
 from oppenheimlab.errors import DomainError
 from oppenheimlab.expansions import (
@@ -257,6 +258,15 @@ def exact_chain_ratios(kind, row):
     return [float(r) for r in ratios(kind, digits)]
 
 
+@functools.cache  # shared by the walks of test_kernel_matches_exact_chain
+def exact_block_ratios(kind, m, n, draws):
+    """(inside, values): the mask of the ratios inside the exact window of
+    ``draws(1, m, n)``, and their ``exact_chain_ratios`` in row order."""
+    exact = [exact_chain_ratios(kind, row) for row in draws(1, m, n).tolist()]
+    inside = np.arange(n) < np.array([len(e) for e in exact])[:, None]
+    return inside, np.array([x for e in exact for x in e])
+
+
 class TestVectorChains:
     def test_first_digit_law(self):
         # Lüroth digits are i.i.d., so one chain's digits sample the law
@@ -330,50 +340,38 @@ class TestVectorChains:
         with pytest.raises(DomainError):
             ratio_path("decimal", uniforms(1, 1, 3))
 
+    @pytest.mark.parametrize("few_rows", [0, expansions._FEW_ROWS, 10**9])
     @pytest.mark.parametrize("kind", ["engel", "sylvester"])
     @pytest.mark.parametrize("m,n,draws", [
         pytest.param(200_000, 4, uniforms, id="200000-4"),
         pytest.param(1, 60, uniforms, id="1-60"),
         pytest.param(20_000, 8, mobius_draws, id="mobius-20000-8")])
-    def test_kernel_matches_exact_chain(self, kind, m, n, draws):
+    def test_kernel_matches_exact_chain(self, monkeypatch, kind, m, n, draws,
+                                        few_rows):
+        # 0 walks every row as arrays to the end, 10**9 every row in floats
+        monkeypatch.setattr(expansions, "_FEW_ROWS", few_rows)
         u = draws(1, m, n)
         r = ratio_path(kind, u)
         assert r.shape == (m, n)
-        exact = [exact_chain_ratios(kind, row) for row in u.tolist()]
-        inside = np.arange(n) < np.array([len(e) for e in exact])[:, None]
-        assert r[inside].tolist() == [x for e in exact for x in e]
+        inside, exact = exact_block_ratios(kind, m, n, draws)
+        assert np.array_equal(r[inside], exact)
         assert np.array_equal(r[~inside], (1.0 / u[:, 1:])[~inside])
 
     @pytest.mark.parametrize("kind", ["engel", "sylvester"])
-    @pytest.mark.parametrize("n", [0, 3, 30])  # 30: Engel rows both ways
-    def test_live_rows_are_the_chains_still_in_the_window(self, kind, n):
-        u = uniforms(4, 3000, n)
-        r, live = ratio_path(kind, u, return_live=True)
-        assert np.array_equal(r, ratio_path(kind, u))
-        phi = {"engel": lambda d: d - 1,
-               "sylvester": lambda d: d * (d - 1)}[kind]
-        expected = []
-        for row in u.tolist():  # the digits walked with Python ints
-            d = math.floor(1.0 / row[0]) + 1
-            for x in row[1:]:
-                if phi(d) >= 1e12:
-                    break
-                d = math.floor(phi(d) / x) + 1
-            expected.append(phi(d) < 1e12)
-        assert live.tolist() == expected
-
-    @pytest.mark.parametrize("kind", ["engel", "sylvester"])
-    def test_rows_not_live_after_a_head_continue_as_reciprocals(self, kind):
-        u = uniforms(5, 3000, 40)
-        full = ratio_path(kind, u)
-        for h in (1, 2, 4, 8):
-            head, live = ratio_path(kind, u[:, :h + 1], return_live=True)
-            assert np.array_equal(head, full[:, :h])
-            assert np.array_equal(full[~live, h:], 1.0 / u[~live, h + 1:])
-
-    def test_luroth_has_no_live_rows(self):
-        r, live = ratio_path("luroth", uniforms(6, 10, 3), return_live=True)
-        assert r.shape == (10, 3) and not live.any()
+    def test_walks_agree_on_an_overflowing_draw(self, monkeypatch, kind):
+        # phi(D_k)/U_k overflows to inf on the smallest subnormal draw; the
+        # float walk must store that inf, where math.floor(inf) would raise
+        u = uniforms(7, 40, 30)
+        for row, col in enumerate((1, 2, 5)):
+            u[row, col] = 5e-324
+        walks = []
+        for few_rows in (0, 10**9):
+            monkeypatch.setattr(expansions, "_FEW_ROWS", few_rows)
+            with np.errstate(over="ignore", divide="ignore"):
+                walks.append(ratio_path(kind, u))
+        assert np.array_equal(walks[0], walks[1])
+        assert [walks[1][row, col - 1] for row, col in
+                enumerate((1, 2, 5))] == [math.inf] * 3
 
     def test_sylvester_no_overflow(self):
         with warnings.catch_warnings():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppenheimlab import __version__, cli, experiments
+from oppenheimlab import __version__, cli, expansions, experiments
 from oppenheimlab.distributions import (
     centering_b_quad,
     discrete_beta_family,
@@ -198,6 +198,13 @@ class TestRecordIO:
         assert load_record("abc123", tmp_path) is None
         path.write_text("[1, 2]")  # valid JSON, not a record
         assert load_record("abc123", tmp_path) is None
+        # another config's record, filed under this digest
+        path.write_text(text.replace("abc123", "def456"))
+        assert load_record("abc123", tmp_path) is None
+        for per_n in ([], "ab", [1], {"n": 10}):  # no rows to print
+            doc = {**json.loads(text), "per_n": per_n}
+            path.write_text(json.dumps(doc))
+            assert load_record("abc123", tmp_path) is None
 
     def test_save_leaves_no_temporary_files(self, tmp_path):
         rec = RunRecord("abc123", "weak_law", ({"n": 10},), 0.1)
@@ -335,15 +342,14 @@ class TestReproducibility:
         dict(scheme="engel", family=MOBIUS_2),
         dict(scheme="engel", family=REMARK2_SLOW),
     ], ids=["engel", "sylvester", "engel-mobius", "engel-remark2-slow"])
-    def test_records_do_not_depend_on_head_size(self, monkeypatch, kw):
-        # at a head of 1 most Engel rows are still in the exact window and
-        # are walked whole; 10**6 walks every row in the head; under
-        # REMARK2_SLOW every row is still in the window after the default
-        # head, so the whole-row remap runs at every head size
+    def test_records_do_not_depend_on_few_rows(self, monkeypatch, kw):
+        # at 0 every chain is walked as arrays to the end of the window, at
+        # 10**9 every chain in Python floats; under REMARK2_SLOW chains stay
+        # in the window for long, so both walks cover many columns
         cfg = small_config(**kw)
         default = exact_weak_law_run(cfg)
-        for head in (1, 2, 10**6):
-            monkeypatch.setattr(experiments, "_HEAD", head)
+        for few_rows in (0, 1, 10**9):
+            monkeypatch.setattr(expansions, "_FEW_ROWS", few_rows)
             assert exact_weak_law_run(cfg) == default
 
     def test_classical_is_cor43_beta_zero(self):

@@ -22,6 +22,11 @@ median by no more than that share of it.  A machine note (cores, the CPUs
 the process may use, OPENBLAS_NUM_THREADS as the runs inherit it, Python,
 NumPy, platform) says where the numbers were taken.
 
+An existing BENCH_<version>.json is never overwritten: the script exits
+non-zero and names it before running anything, so a rerun of one workload
+cannot replace a file of all four.  Bump the version or move the file away
+first.
+
 S is the benchmark's run_seconds.  Ten pairs of all four workloads take
 about 2 * 10 * 4 * S seconds; run it on an otherwise idle machine.
 """
@@ -111,6 +116,9 @@ def main(argv=None) -> int:
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--workload", action="append", choices=names)
     args = p.parse_args(argv)
+    out = ROOT / f"BENCH_{__version__}.json"
+    if out.exists():
+        sys.exit(f"{out.name} exists; not overwriting it")
     workloads = args.workload or names
     seconds = spec["run_seconds"]
     seeds = list(range(args.first_seed, args.first_seed + PAIRS))
@@ -155,7 +163,6 @@ def main(argv=None) -> int:
             [r[m["name"]] for r in runs[w]["change"]])
             for m in spec["end_to_end"]} for w in workloads},
     }
-    out = ROOT / f"BENCH_{__version__}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out.name}")
     return 0
