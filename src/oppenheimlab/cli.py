@@ -43,10 +43,13 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _emit(text: str, out):
-    if out:
-        Path(out).write_text(text + ("" if text.endswith("\n") else "\n"))
-    else:
+    if not out:
         print(text)
+        return
+    try:
+        Path(out).write_text(text + ("" if text.endswith("\n") else "\n"))
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
 def cmd_expand(args) -> int:
@@ -156,12 +159,9 @@ def bundled_config_path(name: str) -> Path:
 def cmd_run(args) -> int:
     path = Path(args.config)
     if not path.exists():
-        candidate = bundled_config_path(path.stem)
-        if candidate.exists():
-            path = candidate
-        else:
-            print(f"config not found: {args.config}", file=sys.stderr)
-            return 2
+        path = bundled_config_path(path.stem)
+        if not path.exists():
+            raise DomainError(f"config not found: {args.config}")
     try:
         doc = yaml.load(path.read_text(), Loader=_YAML_LOADER)
         if not isinstance(doc, dict) or "experiment" not in doc:
@@ -180,15 +180,21 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    results_dir = args.out or "results"
-    cached = load_record(config.digest(experiment), results_dir)
-    if cached is not None and not args.force:
-        record = cached
+    results_dir = Path(args.out or "results")
+    if results_dir.exists() and not results_dir.is_dir():
+        raise DomainError(f"--out {results_dir} is not a directory")
+    record = None if args.force else load_record(config.digest(experiment),
+                                                 results_dir)
+    if record is not None:
         print(f"# cached record {record.config_digest[:12]}")
     else:
         record = (exact_weak_law_run(config) if experiment == "weak_law"
                   else distributional_run(config))
-        save_record(record, results_dir)
+        try:
+            save_record(record, results_dir)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {results_dir}: "
+                              f"{exc.strerror}") from exc
 
     if args.format == "json":
         print(record.to_json())

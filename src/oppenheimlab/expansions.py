@@ -144,8 +144,8 @@ def ratios(kind: str, digits: Sequence[int]) -> list:
 # Vectorized digit chains for Monte Carlo experiments
 # ---------------------------------------------------------------------------
 
-# beyond this state size the floor correction in the digit chain is below
-# float resolution and the ratio draw is exactly 1/U
+# from this state size on the ratio is taken as 1/U, which exceeds the exact
+# floor(phi/U)/phi by less than 1/phi <= 1e-12 (R >= 1, so relatively too)
 _EXACT_STATE_LIMIT = 1e12
 # rows still in the exact window that ``ratio_path`` walks as arrays; fewer
 # are walked one at a time in Python floats.  Timed on a 2-CPU VM: a column
@@ -163,8 +163,8 @@ def ratio_path(kind: str, u: np.ndarray) -> np.ndarray:
     steps D_{k+1} = floor(phi(D_k)/U_k) + 1; for the uniform family the
     draws are the uniforms themselves.  Lüroth ratios are i.i.d.
     floor(1/U_k).  The Engel and Sylvester floors are exact while phi(D_k)
-    is below the exact-arithmetic window; beyond it the floor is below
-    float resolution, so the rest of the row is 1/U.
+    is below the exact-arithmetic window; beyond it the rest of the row is
+    1/U, within 1/phi(D_k) <= 1e-12 of the exact ratio, relatively too.
 
     Each column touches only the rows still inside the window, as arrays
     while more than ``_FEW_ROWS`` are; the rows left are finished one at a

@@ -18,7 +18,6 @@ and each row's dot product is split into pieces that BLAS never threads
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import math
@@ -60,6 +59,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SEED = 20260823
 _WEIGHT_KINDS = {"cesaro": cesaro_scheme, "power_alpha": power_alpha_scheme}
+_BETA_UNREAD_BY = "all runs but distributional runs of mode 'cor_4_3'"
 WEAK_LAW_SCHEMES = ("direct", *OPPENHEIM_KINDS)
 # uniforms per block of replications mapped in one call (256 kB of doubles)
 _BLOCK = 2**15
@@ -216,25 +216,24 @@ def save_record(record: RunRecord, directory) -> Path:
 
 def load_record(digest: str, directory) -> Optional[RunRecord]:
     """The cached record for ``digest``, or None (a cache miss) when there is
-    none, it cannot be parsed, it is another config's record or has no rows,
-    or another package version wrote it."""
+    none or it is unreadable: unparsable, another config's or version's (the
+    digest hashes the version), or without rows of one set of keys."""
     path = Path(directory) / f"{digest}.json"
     if not path.exists():
         return None
     try:
         record = RunRecord.from_json(path.read_text())
-        if record.config_digest != digest:
-            raise ValueError(f"the record of {record.config_digest!r}")
-        if not record.per_n or not all(isinstance(row, dict)
-                                       for row in record.per_n):
-            raise ValueError("per_n is not a nonempty list of mappings")
+        if (record.config_digest, record.version) != (digest, _pkg_version):
+            raise ValueError(f"the record of {record.config_digest[:12]} "
+                             f"under version {record.version}")
+        if not record.per_n or not all(
+                isinstance(row, dict) and row.keys() == record.per_n[0].keys()
+                for row in record.per_n):
+            raise ValueError("per_n is not a nonempty list of mappings with "
+                             "one set of keys")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         logger.warning("cache miss for %s: unreadable record (%s)",
                        digest[:12], exc)
-        return None
-    if record.version != _pkg_version:
-        logger.info("cache miss for %s: record version %s, package %s",
-                    digest[:12], record.version, _pkg_version)
         return None
     return record
 
@@ -377,9 +376,9 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
     sums.
 
     The calling thread and, for rows of at least ``_HELPER_WIDTH`` in more
-    than one block, ``_HELPERS`` helper threads each take the next block
-    under one lock, which builds its streams, and draw and map it outside
-    the lock.
+    than one block, ``_HELPERS`` helper threads run one loop: it takes the
+    next block and builds its streams in replication order under one lock,
+    and draws and maps the block outside it.
 
     Each thread draws every block into one buffer of its own, and keeps
     the rows of its last block until its next block has made its own.
@@ -389,54 +388,43 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
     n = 1e4, and 109,000 and 1.7 times the time for 300 classical
     replications at n = 1e5.
 
-    Once a block has raised, no thread takes another, and the exception
-    reaches the caller after every thread has stopped.
+    A loop ends when no block is left or a block it runs raises, and no
+    loop takes a block once one has raised: the caller, its loop ended,
+    waits only for the blocks the helpers hold, then re-raises.
     """
     sums = np.empty(config.replications)
     rows = max(1, _BLOCK // width)
     words = _stream_words(config.master_seed, n_index,
                           np.arange(config.replications))
-    rngs = (replication_rng(config.master_seed, n_index, rep, row)
-            for rep, row in enumerate(words))  # each built when taken
-    blocks = range(0, config.replications, rows)
-    starts = iter(blocks)
+    starts = iter(range(0, config.replications, rows))
     lock = threading.Lock()
-    stop = threading.Event()
-    errors = []  # what the helpers raised
+    errors = []  # what the blocks raised
 
     def take_blocks():
         buffer = np.empty((rows, width))
         xs = None  # the rows of this thread's last block
-        while True:
-            with lock:
-                start = None if stop.is_set() else next(starts, None)
-                if start is None:
-                    return
-                streams = list(itertools.islice(rngs, rows))
-            try:
+        try:
+            while True:
+                with lock:
+                    start = None if errors else next(starts, None)
+                    if start is None:
+                        return
+                    streams = [replication_rng(config.master_seed, n_index,
+                                               rep, words[rep]) for rep in
+                               range(start, min(start + rows, len(sums)))]
                 xs = summands(_draw(streams, buffer[:len(streams)]))
                 for rep, x in enumerate(xs, start):
                     sums[rep] = _row_sum(a, x)
-            except BaseException:
-                stop.set()
-                raise
-
-    def helper():
-        try:
-            take_blocks()
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
 
-    helpers = [threading.Thread(target=helper) for _ in range(
-        _HELPERS if width >= _HELPER_WIDTH and len(blocks) > 1 else 0)]
+    helpers = [threading.Thread(target=take_blocks) for _ in range(
+        _HELPERS if width >= _HELPER_WIDTH and len(sums) > rows else 0)]
     for thread in helpers:
         thread.start()
-    try:
-        take_blocks()
-    finally:
-        stop.set()  # every block is taken, or one has raised
-        for thread in helpers:
-            thread.join()
+    take_blocks()
+    for thread in helpers:
+        thread.join()
     if errors:
         raise errors[0]
     return sums
@@ -487,7 +475,8 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     t_start = time.perf_counter()
     if config.scheme not in WEAK_LAW_SCHEMES:
         raise DomainError(f"unknown weak-law scheme {config.scheme!r}")
-    _reject_unread(config, ("mode", "beta", "t_grid"), "weak-law runs")
+    _reject_unread(config, ("beta",), _BETA_UNREAD_BY)
+    _reject_unread(config, ("mode", "t_grid"), "weak-law runs")
     family, scheme = config.reciprocal_family, config.weight_scheme
     ell = _passing_ell(check_theorem_3_2_conditions, config, family,
                        "weak-law")
@@ -525,7 +514,7 @@ def _summand_family(config: ExperimentConfig) -> DistributionFamily:
         return discrete_beta_family(config.beta)
     if config.mode not in ("classical_1_2", "cor_4_2", "general_4_1"):
         raise DomainError(f"unknown mode {config.mode!r}")
-    _reject_unread(config, ("beta",), "modes other than 'cor_4_3'")
+    _reject_unread(config, ("beta",), _BETA_UNREAD_BY)
     if config.mode == "classical_1_2":
         return discrete_beta_family()
     return config.reciprocal_family
@@ -551,7 +540,7 @@ def centering_constants(family: DistributionFamily, scheme: WeightScheme,
     ((1 - beta_k), c2_discrete(beta_k)) for the discrete-beta family.
     """
     a = weights_row(scheme, n)
-    log_a = np.log(a)
+    log_a = np.log(a, where=a > 0, out=np.zeros(n))  # 0 log 0 = 0
     ks = np.arange(1, n + 1)
     c1 = member_values(family.alpha, ks)
     c2 = _c2_values(family, ks)

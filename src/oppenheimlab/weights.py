@@ -48,7 +48,7 @@ def power_alpha_scheme(alpha: float, rho="constant") -> WeightScheme:
     alpha = _alpha(alpha, "power_alpha")
 
     def a_row(n):
-        w = np.arange(1, n + 1, dtype=float) ** (-alpha)
+        w = (np.arange(1, n + 1, dtype=float) / n) ** (-alpha)  # <= n: finite
         return w / w.sum()
 
     return WeightScheme(a_row, _rho(rho))
@@ -187,15 +187,20 @@ def _rho_log(scheme: WeightScheme, n: int) -> float:
     return scheme.rho(n) * math.log(n)
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x log x of x >= 0, with 0 log 0 = 0 (a weight that underflowed)."""
+    return x * np.log(x, where=x > 0, out=np.zeros_like(x))
+
+
 # The weight conditions as (name, trend target, measure) rows: measure(
 # scheme, n, a, v) is the profile at n, from the weight row a and the first
 # n entries v of the checker's per-index row (alpha_k for Theorem 3.2,
 # c_{1,k} for Theorem 4.1).
 _THEOREM_3_2 = (
     ("limit_ell", "limit", lambda s, n, a, v:
-     -float(np.sum(v * a * np.log(v * a))) / _rho_log(s, n)),
+     -float(np.sum(_xlogx(v * a))) / _rho_log(s, n)),
     ("absolute_bounded", "bounded", lambda s, n, a, v:
-     float(np.sum(v * a * np.abs(np.log(v * a)))) / _rho_log(s, n)),
+     float(np.sum(np.abs(_xlogx(v * a)))) / _rho_log(s, n)),
     ("alpha_sum_bounded", "bounded", lambda s, n, a, v: float(
         (v * a).sum())),
     ("rho_log_diverges", "diverges", lambda s, n, a, v: _rho_log(s, n)),

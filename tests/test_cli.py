@@ -272,6 +272,39 @@ class TestRun:
         assert "cached record" not in out and out == outs[1]
         assert "unreadable record" in caplog.text
 
+    def test_record_with_a_short_row_is_recomputed(self, capsys, caplog,
+                                                   tmp_path):
+        # printed as a header and one row before failing on the second
+        cfg, results = self._tiny_weak_law(tmp_path)
+        code, first, _ = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(results))
+        assert code == 0
+        (record,) = results.iterdir()
+        doc = json.loads(record.read_text())
+        doc["per_n"][1] = {"n": 200}
+        record.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "run", str(cfg), "--out",
+                               str(results))
+        assert code == 0
+        assert "cached record" not in out and out == first
+        assert "unreadable record" in caplog.text
+
+    def test_force_reads_no_record(self, capsys, monkeypatch, tmp_path):
+        cfg, results = self._tiny_weak_law(tmp_path)
+        monkeypatch.setattr(cli, "load_record", None)  # not called
+        code, out, _ = run_cli(capsys, "run", str(cfg), "--out",
+                               str(results), "--force")
+        assert code == 0 and "exceedance" in out
+
+    def test_results_dir_under_a_file_exit_2(self, capsys, tmp_path):
+        # found only when the record is saved, after the run
+        cfg, results = self._tiny_weak_law(tmp_path)
+        results.write_text("not a directory\n")
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(results / "sub"))
+        assert code == 2 and out == ""
+        assert f"cannot write --out {results / 'sub'}" in err
+
     def test_other_version_record_not_served(self, capsys, tmp_path):
         cfg, results = self._tiny_weak_law(tmp_path)
         code, first, _ = run_cli(capsys, "run", str(cfg), "--out",
@@ -458,6 +491,8 @@ class TestRun:
                                  str(tmp_path / "results"))
         assert code == 2
         assert f"{setting}=" in err and out == ""
+        if setting == "beta":
+            assert "all runs but distributional runs of mode 'cor_4_3'" in err
         assert not (tmp_path / "results").exists()
 
     def test_bad_config_exit_2(self, capsys, tmp_path):
@@ -577,6 +612,24 @@ class TestKsTest:
         assert code == 2
         assert "--tolerance" in err
         assert out == ""
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("expand", "1/3"), "missing/x.txt"),
+    (("limit-cdf",), "missing/x.csv"),
+    (("run", "{config}"), "a-file")], ids=["expand", "limit-cdf", "run"])
+def test_unwritable_out_exit_2(capsys, monkeypatch, tmp_path, argv, out):
+    # run rejects a file as its results directory before it computes
+    monkeypatch.setattr(cli, "exact_weak_law_run", None)
+    config = tmp_path / "tiny.yaml"
+    config.write_text("experiment: weak_law\nn_grid: [50, 200]\n"
+                      "replications: 60\n")
+    (tmp_path / "a-file").write_text("not a directory\n")
+    out = tmp_path / out
+    code, stdout, err = run_cli(capsys, *(arg.format(config=config)
+                                          for arg in argv), "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert "error: " in err and f"--out {out}" in err
 
 
 class TestParser:

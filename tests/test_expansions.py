@@ -373,6 +373,29 @@ class TestVectorChains:
         assert [walks[1][row, col - 1] for row, col in
                 enumerate((1, 2, 5))] == [math.inf] * 3
 
+    @pytest.mark.parametrize("kind", ["engel", "sylvester"])
+    def test_ratios_past_the_window_are_near_exact(self, kind):
+        # past the window R_k is taken as 1/U_k; the exact ratio
+        # floor(phi/U_k)/phi is below it by less than 1/phi <= 1e-12
+        phi = _PHI[kind]
+        u = uniforms(3, 300, 60)
+        r = ratio_path(kind, u)
+        gaps = []
+        for draws, path in zip(u.tolist(), r.tolist()):
+            digit, past = math.floor(1.0 / draws[0]) + 1, 0
+            for draw, ratio in zip(draws[1:], path):
+                s = phi(digit)
+                p, q = draw.as_integer_ratio()
+                digit = s * q // p + 1  # floor(phi/U) + 1 in Python ints
+                if s >= 1e12:  # five ratios past the window
+                    exact = Fraction(digit - 1, s)
+                    gaps.append(abs(Fraction(ratio) - exact) / exact)
+                    past += 1
+                    if past == 5:
+                        break
+        assert len(gaps) > 1000
+        assert max(gaps) < 1e-12
+
     def test_sylvester_no_overflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +202,9 @@ class TestRecordIO:
         # another config's record, filed under this digest
         path.write_text(text.replace("abc123", "def456"))
         assert load_record("abc123", tmp_path) is None
-        for per_n in ([], "ab", [1], {"n": 10}):  # no rows to print
+        # no rows to print, or a row without the first row's keys
+        for per_n in ([], "ab", [1], {"n": 10},
+                      [{"n": 10, "x": 1.5}, {"n": 200}]):
             doc = {**json.loads(text), "per_n": per_n}
             path.write_text(json.dumps(doc))
             assert load_record("abc123", tmp_path) is None
@@ -384,6 +387,43 @@ def _helper_raises(monkeypatch):
     return helpers, caller_blocks
 
 
+def _caller_raises(monkeypatch, exc_type):
+    """Patches ``_draw`` so that the first block the calling thread takes
+    raises ``exc_type`` while the helper holds a block, which it finishes
+    only once the exception has left the caller's block loop; returns the
+    blocks the helper took, as its thread each, and the caller's."""
+    monkeypatch.setattr(experiments, "_HELPERS", 1)
+    monkeypatch.setattr(experiments, "_HELPER_WIDTH", 1)
+    monkeypatch.setattr(experiments, "_BLOCK", 1)  # many blocks
+    draw = experiments._draw
+    helper_blocks, caller_blocks = [], []
+    entered, raised = threading.Event(), threading.Event()
+    main = threading.main_thread()
+
+    def caller_in_block_loop():
+        frame = sys._current_frames().get(main.ident)
+        while frame is not None and frame.f_code.co_name != "take_blocks":
+            frame = frame.f_back
+        return frame is not None
+
+    def draw_or_raise(streams, u):
+        if threading.current_thread() is main:
+            caller_blocks.append(len(streams))
+            assert entered.wait(timeout=60)
+            raised.set()
+            raise exc_type("raised in a block on the caller")
+        helper_blocks.append(threading.current_thread())
+        entered.set()
+        assert raised.wait(timeout=60)
+        deadline = time.monotonic() + 60
+        while caller_in_block_loop() and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        return draw(streams, u)
+
+    monkeypatch.setattr(experiments, "_draw", draw_or_raise)
+    return helper_blocks, caller_blocks
+
+
 class TestBlockScheduler:
     @pytest.mark.parametrize("kw", [
         dict(scheme="direct"), dict(scheme="luroth"),
@@ -451,6 +491,16 @@ class TestBlockScheduler:
         # the caller took at most the block it had when the helper
         # raised, and none after it
         assert len(caller_blocks) <= 1
+
+    @pytest.mark.parametrize("exc_type", [DomainError, KeyboardInterrupt])
+    def test_caller_error_stops_helper(self, monkeypatch, exc_type):
+        # the helper finishes the block it holds and takes no other, and it
+        # has stopped when the exception reaches the caller
+        helper_blocks, caller_blocks = _caller_raises(monkeypatch, exc_type)
+        with pytest.raises(exc_type, match="on the caller"):
+            exact_weak_law_run(small_config())
+        assert len(helper_blocks) == 1 and not helper_blocks[0].is_alive()
+        assert caller_blocks == [1]
 
     def test_helper_error_exits_2(self, monkeypatch, tmp_path, capsys):
         cfg = tmp_path / "tiny.yaml"
@@ -633,6 +683,18 @@ class TestDistributional:
     def test_replication_floor(self):
         with pytest.raises(DomainError):
             distributional_run(small_config(replications=50))
+
+    def test_steep_power_alpha_run_completes(self):
+        # k^150 overflows from k = 114 on, and the weights that underflow
+        # to 0 add 0 log 0 = 0 to the centering
+        cfg = small_config(n_grid=(100, 1000, 10000), replications=100,
+                           weights={"kind": "power_alpha", "alpha": -150})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = distributional_run(cfg)
+        assert [row["n"] for row in rec.per_n] == [100, 1000, 10000]
+        assert all(math.isfinite(value) for row in rec.per_n
+                   for value in row.values())
 
     def test_rejects_scheme_other_than_direct(self):
         # the modes sum family reciprocals; a scheme would be ignored

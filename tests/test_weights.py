@@ -1,6 +1,7 @@
 """Weight arrays, normalizers, iterated means, and condition checkers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,23 @@ class TestConditionCheckers:
         # entropy of the normalized k^(-1/2) row: -sum a log a =
         # log n + log 2 - 1 + o(1), so the normalized limit is ell = 1
         assert rep.ell == pytest.approx(1.0, abs=0.05)
+
+    def test_steep_power_alpha_profiles_are_finite(self):
+        # k^300 overflows from k = 11 on: the row is built from (k/n)^300,
+        # and the weights that underflow to 0 add 0 log 0 = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = weights_row(power_alpha_scheme(-300), 200)
+            rep = check_theorem_3_2_conditions(power_alpha_scheme(-300),
+                                               np.ones(200), 200)
+        assert row.sum() == pytest.approx(1.0) and row[0] == 0.0
+        assert all(math.isfinite(value) for rows, _ in
+                   rep.conditions.values() for _, value in rows)
+        # the entropy profile still rises at n = 200
+        assert {name: rep.verdict(name) for name in rep.conditions} == {
+            "limit_ell": "inconclusive", "absolute_bounded": "inconclusive",
+            "alpha_sum_bounded": "pass", "rho_log_diverges": "pass",
+            "max_weight_bounded": "pass"}
 
     def test_constant_row_fails_4_1(self):
         # a_{k,n} = 1 for all k: max weight does not vanish
