@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 from .specfun import gauss_2f1_unit, quad
@@ -281,10 +280,12 @@ def reciprocal_char(family: DistributionFamily, ks, t) -> np.ndarray:
     ``shift_scale``): exp(ist) psi(ct), where for x >= 0
     psi(x) = E exp(ix/V) = cos x - x(pi/2 - Si x) + i(sin x - x Ci x) and
     psi(-x) is its conjugate.  ks and t broadcast."""
+    from scipy.special import sici  # no run or limit-cdf reaches this line
+
     s, c = family.shift_scale(ks)
     t = np.asarray(t, dtype=float)
     x = c * np.abs(t)
-    si, ci = special.sici(x)
+    si, ci = sici(x)
     # x Ci x -> 0 as x -> 0, where Ci is -inf
     x_ci = np.multiply(x, ci, out=np.zeros_like(x), where=x > 0.0)
     psi = np.cos(x) - x * (math.pi / 2.0 - si) + 1j * (np.sin(x) - x_ci)

@@ -59,19 +59,23 @@ def iterated_scheme(alpha: float, r: int, rho="constant") -> WeightScheme:
 
     One mean step is (M x)_m = sum_{k<=m} w_k x_k / cw_m with w_k = k^(-alpha)
     and cw its partial sums, so row n of M^r is e_n pushed r times through
-    the transpose map v -> w * revcumsum(v / cw).
+    the transpose map v -> w * revcumsum(v / cw).  A step is unchanged by
+    scaling w, and w_k = (k/n)^(-alpha) <= n cannot overflow.  Where a
+    partial sum cw_m underflows to 0, so did every weight w_k with k <= m,
+    and v_m / cw_m is taken as 0.
     """
     alpha = _alpha(alpha, "iterated scheme")
     if r < 0:
         raise DomainError("r must be >= 0")
 
     def a_row(n):
-        w = np.arange(1, n + 1, dtype=float) ** (-alpha)
+        w = (np.arange(1, n + 1, dtype=float) / n) ** (-alpha)
         cw = np.cumsum(w)
         row = np.zeros(n)
         row[-1] = 1.0
         for _ in range(r):
-            row = w * np.cumsum((row / cw)[::-1])[::-1]
+            ratio = np.divide(row, cw, where=cw > 0.0, out=np.zeros(n))
+            row = w * np.cumsum(ratio[::-1])[::-1]
         return row
 
     return WeightScheme(a_row, _rho(rho))
@@ -118,6 +122,29 @@ def richardson_log_limit(n_values: Sequence[int],
     return float(coef[-1])
 
 
+def _running_means(x: np.ndarray, alpha: float) -> np.ndarray:
+    """sum_{k<=m} w_k x_k / sum_{k<=m} w_k for every m, w_k = k^(-alpha).
+
+    The weights of the first m terms are scaled to (k/m)^(-alpha), which
+    cannot overflow.  Below alpha = 0 the leading partial sums can underflow
+    to 0; those means are taken again at the scale of the prefix they cover,
+    and DomainError is raised when that prefix is more than half of the
+    terms, so each pass at least halves the work left."""
+    out = np.empty_like(x)
+    m = x.size
+    while m:
+        w = (np.arange(1, m + 1, dtype=float) / m) ** (-alpha)
+        cw = np.cumsum(w)
+        lost = int(np.count_nonzero(cw == 0.0))  # a prefix: cw increases
+        if lost > m // 2:
+            raise DomainError(f"iterated_mean: the weights k^(-alpha) of "
+                              f"alpha = {alpha!r} underflow on the first "
+                              f"{lost} of {m} terms")
+        out[lost:m] = np.cumsum(w * x[:m])[lost:] / cw[lost:]
+        m = lost
+    return out
+
+
 def iterated_mean(values: Sequence[float], alpha: float,
                   r: int) -> np.ndarray:
     """r-iterated alpha-weighted means: order r+1 averages order r with
@@ -128,10 +155,8 @@ def iterated_mean(values: Sequence[float], alpha: float,
     out = np.asarray(values, dtype=float)
     if out.size == 0:
         raise DomainError("values must be nonempty")
-    w = np.arange(1, out.size + 1, dtype=float) ** (-alpha)
-    cw = np.cumsum(w)
     for _ in range(r):
-        out = np.cumsum(w * out) / cw
+        out = _running_means(out, alpha)
     return out
 
 

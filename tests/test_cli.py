@@ -59,10 +59,10 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         lines = [ln for ln in out.splitlines() if ln]
-        assert len(lines) == 11
+        assert len(lines) == 12
         assert all(ln.startswith("PASS") for ln in lines)
         for name in ("cdf_table_midpoints", "b_closed_form",
-                     "char_closed_form"):
+                     "char_closed_form", "c2_discrete_mpmath"):
             assert any(ln.startswith(f"PASS {name} ") for ln in lines)
         (ref,) = [ln for ln in lines if ln.startswith("PASS cdf_reference")]
         assert "abs_error=" in ref
@@ -524,7 +524,7 @@ class TestRun:
             assert yaml.load(text, Loader=cli._YAML_LOADER) == \
                 yaml.safe_load(text)
 
-    def test_run_path_loads_no_quadrature(self, tmp_path):
+    def test_run_path_loads_no_scipy(self, tmp_path):
         # in a fresh interpreter, because pytest's filterwarnings setting
         # imports scipy.integrate into this one
         weak = "experiment: weak_law\nn_grid: [100]\nreplications: 20\n"
@@ -534,19 +534,31 @@ class TestRun:
                                  "beta: [0.5, 0.25, 0.1]\n"}
         for name, text in configs.items():
             (tmp_path / name).write_text(text)
+        samples = tmp_path / "samples.txt"
+        np.savetxt(samples, sample_many(StableLimitLaw(1.0),
+                                        np.random.default_rng(0), 200))
         out = str(tmp_path / "results")
         targets = [str(tmp_path / name) for name in configs]
         runs = [["run", target, "--force", "--out", out]
-                for target in (*targets, "luroth-classical")]
-        runs.append(["limit-cdf", "--points", "5"])
+                for target in (*targets, "luroth-classical",
+                               "cor43-beta-half")]
+        runs += [["limit-cdf", "--points", "5"],
+                 ["limit-cdf", "--law", "levy", "--points", "5"],
+                 ["ks-test", str(samples)],
+                 ["expand", "7/16", "--kind", "engel"]]
         src = str(Path(cli.__file__).resolve().parents[1])
         script = f"""
 import sys
 sys.path.insert(0, {src!r})
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
 from oppenheimlab import cli
+assert not scipy_modules(), ("import", scipy_modules())
 for argv in {runs!r}:
     assert cli.main(argv) == 0, argv
-assert "scipy.integrate" not in sys.modules, "a run loaded scipy.integrate"
+    assert not scipy_modules(), (argv, scipy_modules())
 assert cli.main(["verify"]) == 0
 assert "scipy.integrate" in sys.modules, "verify ran no quadrature"
 """

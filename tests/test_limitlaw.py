@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.stats import levy_stable
 
 from oppenheimlab import limitlaw
@@ -335,6 +336,57 @@ class TestCdf:
         assert cdf(law, -1.1) == 0.0
         assert cdf(law, -0.9) == 1.0
         assert np.allclose(cdf_many(law, np.array([-2.0, 0.0])), [0.0, 1.0])
+
+
+class TestTableSpline:
+    """The table is scipy's not-a-knot CubicSpline, built and evaluated in
+    numpy: its coefficients and values must match scipy's bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        cdf_, sf = limitlaw._cdf_pair(limitlaw._NODES)
+        return CubicSpline(np.arcsinh(limitlaw._NODES),
+                           np.log(cdf_) - np.log(sf))
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        # sorted CMS draws of S(1, 0), clipped into the table's range, and
+        # the table's nodes
+        xs = sample_many(StableLimitLaw(1.0), np.random.default_rng(11),
+                         100_000)
+        return np.sort(np.concatenate([
+            np.clip(xs, limitlaw._NODES[0], limitlaw._NODES[-1]),
+            limitlaw._NODES]))
+
+    def test_coefficients(self, reference):
+        knots, coef = limitlaw._table().args
+        assert np.array_equal(knots, reference.x)
+        assert np.array_equal(coef, reference.c)
+
+    def test_values_at_knots_midpoints_and_nothing(self, reference):
+        knots = limitlaw._table().args[0]
+        for p in (knots, 0.5 * (knots[1:] + knots[:-1]), knots[-1:],
+                  np.empty(0)):
+            assert np.array_equal(limitlaw._table()(p), reference(p))
+
+    def test_values_at_sorted_and_shuffled_draws(self, reference, draws):
+        p = np.arcsinh(draws)
+        assert p.size >= limitlaw._SLICED_POINTS  # the per-interval route
+        assert np.array_equal(limitlaw._table()(p), reference(p))
+        shuffled = np.random.default_rng(12).permutation(p)
+        assert np.array_equal(limitlaw._table()(shuffled),
+                              reference(shuffled))
+
+    def test_scalar_cdf(self, reference):
+        for z in (-4.5, 0.3, 2.0, 1e9):
+            logit = reference(np.arcsinh(z))
+            assert cdf(StableLimitLaw(1.0), z) == 1.0 / (1.0 + np.exp(-logit))
+
+    def test_unsorted_input_is_the_sorted_input_permuted(self, draws):
+        law = StableLimitLaw(1.0)
+        order = np.random.default_rng(13).permutation(draws.size)
+        assert np.array_equal(cdf_many(law, draws[order]),
+                              cdf_many(law, draws)[order])
 
 
 class TestSampling:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +110,51 @@ class TestSchemes:
         row = weights_row(iterated_scheme(0.4, 3), xs.size)
         assert float(row @ xs) == pytest.approx(
             iterated_mean(xs, 0.4, 3)[-1], abs=1e-12)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_iterated_row_at_very_negative_alpha(self, r):
+        # k^150 overflows beyond k = 113; the row must stay finite weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = weights_row(iterated_scheme(-150, r), 200)
+        assert np.all(np.isfinite(row)) and np.all(row >= 0.0)
+        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+        if r == 1:
+            assert np.allclose(row, weights_row(power_alpha_scheme(-150), 200),
+                               rtol=1e-14, atol=0.0)
+
+    def test_iterated_row_unchanged_at_moderate_alpha(self):
+        # the transpose map on the unscaled weights k^(-alpha)
+        n = 200
+        w = np.arange(1, n + 1, dtype=float) ** 2.0
+        reference = w * np.cumsum((np.eye(n)[-1] / np.cumsum(w))[::-1])[::-1]
+        row = weights_row(iterated_scheme(-2.0, 1), n)
+        assert np.max(np.abs(row / reference - 1.0)) <= 1e-15
+
+    def test_iterated_mean_at_very_negative_alpha(self):
+        xs = np.linspace(1.0, 2.0, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ones = iterated_mean(np.ones(200), -150, 1)
+            out = iterated_mean(xs, -150, 1)
+        assert np.array_equal(ones, np.ones(200))
+        # exact means at a few m, in rational arithmetic
+        for m in (1, 2, 3, 150, 200):
+            w = [Fraction(k) ** 150 for k in range(1, m + 1)]
+            exact = sum(wk * Fraction(x) for wk, x in zip(w, xs)) / sum(w)
+            assert out[m - 1] == pytest.approx(float(exact), rel=1e-14)
+
+    def test_iterated_mean_unchanged_at_moderate_alpha(self):
+        xs = np.linspace(1.0, 2.0, 200)
+        w = np.arange(1, xs.size + 1, dtype=float) ** 2.0
+        reference = np.cumsum(w * xs) / np.cumsum(w)
+        out = iterated_mean(xs, -2.0, 1)
+        assert np.max(np.abs(out / reference - 1.0)) <= 1e-15
+
+    def test_iterated_mean_underflowing_weights_raise(self):
+        # at alpha = -1e6 every weight but the last underflows at each scale
+        with pytest.raises(DomainError, match="alpha = -1000000.0"):
+            iterated_mean(np.ones(200), -1e6, 1)
 
     def test_weights_row_validation(self):
         with pytest.raises(DomainError):
