@@ -9,7 +9,6 @@ failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import csv
 import json
 import math
@@ -288,26 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _reuse_freed_heap() -> None:
-    """Let glibc's malloc serve blocks below 32 MB from its heap and keep up
-    to 64 MB of freed heap.  By default it maps every block above 128 kB
-    afresh and gives freed heap above the top back to the kernel, so numpy's
-    temporaries fault their pages in again on every allocation; once no
-    scipy import had grown the heap, that made the CDF table build 45 %
-    slower (mixed-beta run_s 0.041 -> 0.060 s).  A C library without
-    mallopt is left as it is."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), \
-        ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _reuse_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

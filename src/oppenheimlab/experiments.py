@@ -47,6 +47,7 @@ from .expansions import OPPENHEIM_KINDS, ratio_path
 from .limitlaw import StableLimitLaw, char_fn, ks_distance
 from .specfun import EULER_GAMMA, c2_discrete
 from .weights import (
+    MIN_CHECK_N,
     WeightScheme,
     cesaro_scheme,
     check_theorem_3_2_conditions,
@@ -380,14 +381,6 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
     next block and builds its streams in replication order under one lock,
     and draws and maps the block outside it.
 
-    Each thread draws every block into one buffer of its own, and keeps
-    the rows of its last block until its next block has made its own.
-    Were a block's draws and rows all freed when it ends, glibc would
-    return the memory to the system and fault it in again for the next
-    block: 96,000 page faults and twice the time for cor43-beta-half at
-    n = 1e4, and 109,000 and 1.7 times the time for 300 classical
-    replications at n = 1e5.
-
     A loop ends when no block is left or a block it runs raises, and no
     loop takes a block once one has raised: the caller, its loop ended,
     waits only for the blocks the helpers hold, then re-raises.
@@ -401,8 +394,6 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
     errors = []  # what the blocks raised
 
     def take_blocks():
-        buffer = np.empty((rows, width))
-        xs = None  # the rows of this thread's last block
         try:
             while True:
                 with lock:
@@ -412,8 +403,8 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
                     streams = [replication_rng(config.master_seed, n_index,
                                                rep, words[rep]) for rep in
                                range(start, min(start + rows, len(sums)))]
-                xs = summands(_draw(streams, buffer[:len(streams)]))
-                for rep, x in enumerate(xs, start):
+                u = np.empty((len(streams), width))
+                for rep, x in enumerate(summands(_draw(streams, u)), start):
                     sums[rep] = _row_sum(a, x)
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
@@ -453,15 +444,18 @@ def _passing_ell(check, config: ExperimentConfig,
                  family: DistributionFamily, conditions: str) -> float:
     """The ell of ``check``'s report on the configured weights and the
     alphas of ``family`` up to the largest n, or ConditionCheckError naming
-    the conditions that fail.  The check starts at n = 10, so a grid that
-    ends below it is a DomainError."""
+    each condition that does not pass with its verdict.  The check's grid
+    needs two points from n = 10, so a grid that ends below
+    ``MIN_CHECK_N`` is a DomainError."""
     n_max = max(config.n_grid)
-    if n_max < 10:
-        raise DomainError(f"the largest n_grid entry, {n_max}, must be >= 10")
+    if n_max < MIN_CHECK_N:
+        raise DomainError(f"the largest n_grid entry, {n_max}, must be >= "
+                          f"{MIN_CHECK_N}")
     alphas = member_values(family.alpha, np.arange(1, n_max + 1))
     report = check(config.weight_scheme, alphas, n_max)
     if not report.passed:
-        failing = [k for k, (_, v) in report.conditions.items() if v != "pass"]
+        failing = [f"{k} ({v})" for k, (_, v) in report.conditions.items()
+                   if v != "pass"]
         raise ConditionCheckError(f"weight scheme fails {conditions} "
                                   "conditions: " + ", ".join(failing))
     return report.ell

@@ -115,31 +115,17 @@ _CHECK = _gauss_legendre(12)  # its companion: |value - companion| bounds error
 
 
 def _cdf_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, 1 - F) of S(1, 0) at the finite points z, from ``_cdf_block`` on
-    blocks of at most the table's 560 points, whose arrays stay below
-    glibc's mmap threshold, certified by the worst estimate of all blocks
-    (5,600 points in one block cost twice as much per point)."""
-    cdf, sf, err = zip(*map(_cdf_block, np.split(
-        z, range(_NODES.size, z.size, _NODES.size))))
-    if not max(err) <= 1e-11:
-        raise AccuracyError("Zolotarev quadrature missed tolerance", max(err))
-    return np.concatenate(cdf), np.concatenate(sf)
-
-
-def _cdf_block(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(F, 1 - F, worst error estimate) of S(1, 0) at the finite points z,
-    by a fixed panel rule.
+    """(F, 1 - F) of S(1, 0) at the finite points z, by a fixed panel rule.
 
     theta* comes from bisection in log(pi/2 - theta) for all points at once
     (-pi/2 in the far left tail).  Each side of theta* is integrated in s at
     distance (side length) exp(-s) from it, with the lengths factored out
     and F's integrand above theta* divided by its value there, so every
     integrand is at most 1 and the tolerances hold in both tails.  Each
-    integrand of each rule on each panel is one (nodes, points) array: at
-    the 560 table nodes that is 72 kB, below glibc's 128 kB mmap threshold
-    (one (16, 4 * 560) array per panel ran about twice as slowly).  The sum
-    over panels of |16-point - 12-point Gauss-Legendre| estimates the error
-    of every integral that reaches the output."""
+    integrand of each rule on each panel is one (nodes, points) array.  The
+    sum over panels of |16-point - 12-point Gauss-Legendre| estimates the
+    error of every integral that reaches the output, and AccuracyError is
+    raised when the worst estimate misses 1e-11."""
     target = z - math.log(math.pi / 2.0)
     lo = np.full(z.shape, math.log(1e-300))
     hi = np.full(z.shape, math.log(math.pi) - 1e-15)
@@ -177,9 +163,11 @@ def _cdf_block(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     weight_hi = np.exp(-ey_star)
     err[n:2 * n][weight_hi == 0.0] = 0.0
     cdf_lo, cdf_hi, sf_lo, sf_hi = res.reshape(4, -1)
+    worst = float(np.max(err, initial=0.0))
+    if not worst <= 1e-11:
+        raise AccuracyError("Zolotarev quadrature missed tolerance", worst)
     cdf = e_star * cdf_lo + u_star * weight_hi * cdf_hi
-    return (cdf / math.pi, (e_star * sf_lo + u_star * sf_hi) / math.pi,
-            float(np.max(err, initial=0.0)))
+    return cdf / math.pi, (e_star * sf_lo + u_star * sf_hi) / math.pi
 
 
 def _cdf_direct(z) -> np.ndarray:

@@ -94,6 +94,10 @@ def weights_row(scheme: WeightScheme, n: int) -> np.ndarray:
 # Profiles, extrapolation, and condition checkers
 # ---------------------------------------------------------------------------
 
+# the condition profiles start at n = 10, and a trend needs a second point
+MIN_CHECK_N = 11
+
+
 def index_row(values, n: int) -> np.ndarray:
     """values_1..values_n as a float array.
 
@@ -283,9 +287,9 @@ def check_theorem_4_1_conditions(scheme: WeightScheme,
 
 
 def _geometric_grid(n_max: int) -> list:
-    """Six log-spaced indices from 10 to n_max."""
-    if n_max < 10:
-        raise DomainError("n_max must be >= 10")
+    """Six log-spaced indices from 10 to n_max, at least two of them."""
+    if n_max < MIN_CHECK_N:
+        raise DomainError(f"n_max must be >= {MIN_CHECK_N}")
     lo, hi = math.log(10), math.log(n_max)
     ns = sorted({int(round(math.exp(lo + (hi - lo) * i / 5)))
                  for i in range(6)})

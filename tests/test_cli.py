@@ -373,9 +373,14 @@ class TestRun:
          "rho_n must be finite and > 0"),
         ("experiment: distributional\nmode: cor_4_3\nbeta: 'linear:0.01'",
          "discrete_beta needs 0 <= beta_n < 1"),
-        # the weight conditions are checked from n = 10 on
+        # the weight conditions are checked on a grid of at least two
+        # points from n = 10 on; a one-point profile shows no trend
         ("experiment: weak_law\nn_grid: [5]",
-         "the largest n_grid entry, 5, must be >= 10")])
+         "the largest n_grid entry, 5, must be >= 11"),
+        ("experiment: weak_law\nn_grid: [10]",
+         "the largest n_grid entry, 10, must be >= 11"),
+        ("experiment: distributional\nn_grid: [10]",
+         "the largest n_grid entry, 10, must be >= 11")])
     def test_member_outside_domain_exit_2(self, capsys, tmp_path, lines,
                                           rule):
         # a linear tag is checked as its members are read: members 1 and
@@ -389,6 +394,17 @@ class TestRun:
         assert rule in err
         assert out == "" and "nan" not in err
         assert not (tmp_path / "results").exists()
+
+    def test_condition_failure_names_its_verdicts(self, capsys, tmp_path):
+        # Cesaro's max weight 1/n has not halved by n = 20: no decay shows,
+        # and none is refuted either
+        cfg = tmp_path / "short.yaml"
+        cfg.write_text("experiment: distributional\nn_grid: [20]\n"
+                       "replications: 100\n")
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(tmp_path / "results"))
+        assert code == 1 and out == ""
+        assert "conditions: max_weight_to_zero (inconclusive)" in err
 
     def test_list_rho_is_a_per_n_table(self, capsys, tmp_path):
         cfg, results = self._tiny_weak_law(tmp_path)

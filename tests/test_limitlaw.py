@@ -1,5 +1,6 @@
 """Stable limit laws: characteristic function, CDF inversion, sampling."""
 
+import ctypes
 import json
 import math
 import subprocess
@@ -30,6 +31,13 @@ from oppenheimlab.limitlaw import (
 from oppenheimlab.specfun import EULER_GAMMA
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
 
 
 def relative_small_side(cdf, sf, ref_cdf, ref_sf):
@@ -215,14 +223,11 @@ class TestCdf:
         assert np.max(np.abs(cdf + sf - 1.0)) <= 1e-12
 
     def test_long_call_is_its_blocks(self):
-        # 5,600 points are ten blocks of the table's size, each evaluated as
-        # its own call would be and as one unblocked pass would be
+        # each point's value does not depend on the others in its call:
+        # every table-sized chunk of 5,600 points is its own call's result
         zs = np.concatenate([np.random.default_rng(3).uniform(-50, 50, 3000),
                              np.geomspace(50.0, 1e300, 2600)])
         cdf, sf = limitlaw._cdf_pair(zs)
-        one_pass = limitlaw._cdf_block(zs)
-        assert cdf.tobytes() == one_pass[0].tobytes()
-        assert sf.tobytes() == one_pass[1].tobytes()
         size = limitlaw._NODES.size
         for start in range(0, zs.size, size):
             block = slice(start, start + size)
@@ -297,6 +302,25 @@ class TestCdf:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "0"
+
+    @pytest.mark.skipif(not has_mallopt(),
+                        reason="the C library has no mallopt")
+    def test_library_callers_reuse_freed_heap(self):
+        # a script that imports only the package and builds the table gets
+        # the malloc thresholds too: without them numpy's temporaries fault
+        # fresh pages in on every panel (1,500 to 2,000 minor faults)
+        src = str(Path(limitlaw.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r})\n"
+                "import resource\n"
+                "import oppenheimlab\n"
+                "from oppenheimlab import limitlaw\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "limitlaw.cdf_many(limitlaw.StableLimitLaw(1.0), [0.0])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+                " - before)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) < 1000
 
     def test_non_finite_points(self):
         law = StableLimitLaw(1.0, 0.5)
