@@ -156,10 +156,17 @@ def _cdf_csv(law: StableLimitLaw, x_min: float, x_max: float,
 
 
 def _law(args) -> StableLimitLaw:
-    """The continued-fraction law for ``--law levy``, else S(c, delta)."""
+    """The continued-fraction law for ``--law levy``, which fixes its own c
+    and delta, else S(c, delta) with c = 1 and delta = 0 by default."""
     if args.law == "levy":
+        given = [f"--{name}" for name in ("c", "delta")
+                 if getattr(args, name) is not None]
+        if given:
+            raise DomainError(f"--law levy fixes its scale and shift; drop "
+                              f"{' and '.join(given)}")
         return levy_cf_law()
-    return StableLimitLaw(c=args.c, delta=args.delta)
+    return StableLimitLaw(c=1.0 if args.c is None else args.c,
+                          delta=0.0 if args.delta is None else args.delta)
 
 
 def cmd_cdf_table(args) -> int:
@@ -259,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     law = argparse.ArgumentParser(add_help=False)  # the options _law reads
-    law.add_argument("--c", type=float, default=1.0)
-    law.add_argument("--delta", type=float, default=0.0)
+    law.add_argument("--c", type=float, default=None)
+    law.add_argument("--delta", type=float, default=None)
     law.add_argument("--law", choices=("custom", "levy"), default="custom")
 
     pc = sub.add_parser("limit-cdf", parents=[law],

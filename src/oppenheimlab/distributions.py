@@ -36,6 +36,13 @@ def parse_real(value) -> Optional[float]:
     return None
 
 
+def parse_integer(name: str, value) -> int:
+    """value as an int, if it is an integer (numpy's too; a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_sequence(seq, domain=None) -> Callable:
     """Turn a sequence tag into a vectorised index function (1-based).
 

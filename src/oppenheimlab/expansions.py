@@ -147,11 +147,6 @@ def ratios(kind: str, digits: Sequence[int]) -> list:
 # from this state size on the ratio is taken as 1/U, which exceeds the exact
 # floor(phi/U)/phi by less than 1/phi <= 1e-12 (R >= 1, so relatively too)
 _EXACT_STATE_LIMIT = 1e12
-# rows still in the exact window that ``ratio_path`` walks as arrays; fewer
-# are walked one at a time in Python floats.  Timed on a 2-CPU VM: a column
-# of the array walk costs about 5 us even for one row, and a Python-float
-# step about 0.4 us, so the walks cost the same at about 12 rows
-_FEW_ROWS = 12
 
 
 def ratio_path(kind: str, u: np.ndarray) -> np.ndarray:
@@ -166,10 +161,8 @@ def ratio_path(kind: str, u: np.ndarray) -> np.ndarray:
     is below the exact-arithmetic window; beyond it the rest of the row is
     1/U, within 1/phi(D_k) <= 1e-12 of the exact ratio, relatively too.
 
-    Each column touches only the rows still inside the window, as arrays
-    while more than ``_FEW_ROWS`` are; the rows left are finished one at a
-    time in Python floats, which round as float64 arrays do.  A draw so
-    small that phi(D_k)/U_k overflows gives inf either way.
+    Each row's window is walked in Python floats, which round as float64
+    arrays do; a draw so small that phi(D_k)/U_k overflows gives inf.
     """
     if kind == "luroth":
         r = 1.0 / u[:, 1:]
@@ -178,26 +171,14 @@ def ratio_path(kind: str, u: np.ndarray) -> np.ndarray:
         raise DomainError(f"no ratio chain for kind {kind!r}")
     phi = _PHI[kind]
     out = 1.0 / u[:, 1:]
-    n = out.shape[1]
-    rows = np.arange(u.shape[0])
-    d = np.floor(1.0 / u[:, 0]) + 1.0
-    k = 0
-    while rows.size > _FEW_ROWS and k < n:
-        s = phi(d)
-        live = s < _EXACT_STATE_LIMIT
-        rows, s = rows[live], s[live]
-        f = np.floor(s / u[rows, k + 1])
-        out[rows, k] = f / s
-        d = f + 1.0
-        k += 1
-    for row, digit in zip(rows.tolist(), d.tolist()):
-        draws, ratios = u[row], out[row]
-        for j in range(k, n):
+    first = np.floor(1.0 / u[:, 0]) + 1.0
+    for draws, ratios, digit in zip(u, out, first.tolist()):
+        for k in range(out.shape[1]):
             s = phi(digit)
             if not s < _EXACT_STATE_LIMIT:
                 break
-            q = s / draws.item(j + 1)
+            q = s / draws.item(k + 1)
             f = math.floor(q) if q < math.inf else q  # floor(inf) raises
-            ratios[j] = f / s
+            ratios[k] = f / s
             digit = f + 1.0
     return out

@@ -21,7 +21,6 @@ import hashlib
 import json
 import logging
 import math
-import numbers
 import os
 import threading
 import time
@@ -39,6 +38,7 @@ from .distributions import (
     family_from_config,
     from_config,
     member_values,
+    parse_integer,
     reciprocal_char,
     uniform_family,
 )
@@ -52,6 +52,7 @@ from .weights import (
     cesaro_scheme,
     check_theorem_3_2_conditions,
     check_theorem_4_1_conditions,
+    iterated_scheme,
     power_alpha_scheme,
     weights_row,
 )
@@ -59,7 +60,8 @@ from .weights import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_SEED = 20260823
-_WEIGHT_KINDS = {"cesaro": cesaro_scheme, "power_alpha": power_alpha_scheme}
+_WEIGHT_KINDS = {"cesaro": cesaro_scheme, "iterated": iterated_scheme,
+                 "power_alpha": power_alpha_scheme}
 _BETA_UNREAD_BY = "all runs but distributional runs of mode 'cor_4_3'"
 WEAK_LAW_SCHEMES = ("direct", *OPPENHEIM_KINDS)
 # uniforms per block of replications mapped in one call (256 kB of doubles)
@@ -107,7 +109,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("family", "weights", "beta"):  # as digest() writes them
             object.__setattr__(self, name, _plain(getattr(self, name)))
-        ng = tuple(_integer("each n_grid entry", n) for n in self.n_grid)
+        ng = tuple(parse_integer("each n_grid entry", n)
+                   for n in self.n_grid)
         if any(b <= a for a, b in zip(ng, ng[1:])):
             raise DomainError("n_grid must be increasing")
         if not ng or min(ng) < 2:  # the statistics divide by log n
@@ -119,7 +122,7 @@ class ExperimentConfig:
                               "numbers")
         object.__setattr__(self, "t_grid", tg)
         for name, least in (("master_seed", 0), ("replications", 1)):
-            value = _integer(name, getattr(self, name))
+            value = parse_integer(name, getattr(self, name))
             if value < least:
                 raise DomainError(f"{name} must be >= {least}")
             object.__setattr__(self, name, value)
@@ -140,13 +143,6 @@ class ExperimentConfig:
                               "version": _pkg_version},
                              sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _integer(name: str, value) -> int:
-    """value as an int, if it is an integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _plain(tag):
@@ -443,10 +439,12 @@ def _chain_ratios(kind: str, family: DistributionFamily, ks: np.ndarray,
 def _passing_ell(check, config: ExperimentConfig,
                  family: DistributionFamily, conditions: str) -> float:
     """The ell of ``check``'s report on the configured weights and the
-    alphas of ``family`` up to the largest n, or ConditionCheckError naming
-    each condition that does not pass with its verdict.  The check's grid
-    needs two points from n = 10, so a grid that ends below
-    ``MIN_CHECK_N`` is a DomainError."""
+    alphas of ``family`` up to the largest n.  A report that does not pass
+    names each condition that does not with its verdict: in a
+    ConditionCheckError if some verdict is "fail", else in a DomainError,
+    since the grid is too short to decide.  The check's grid needs two
+    points from n = 10, so a grid that ends below ``MIN_CHECK_N`` is a
+    DomainError too."""
     n_max = max(config.n_grid)
     if n_max < MIN_CHECK_N:
         raise DomainError(f"the largest n_grid entry, {n_max}, must be >= "
@@ -454,10 +452,13 @@ def _passing_ell(check, config: ExperimentConfig,
     alphas = member_values(family.alpha, np.arange(1, n_max + 1))
     report = check(config.weight_scheme, alphas, n_max)
     if not report.passed:
-        failing = [f"{k} ({v})" for k, (_, v) in report.conditions.items()
-                   if v != "pass"]
-        raise ConditionCheckError(f"weight scheme fails {conditions} "
-                                  "conditions: " + ", ".join(failing))
+        named = ", ".join(f"{k} ({v})" for k, (_, v)
+                          in report.conditions.items() if v != "pass")
+        if any(v == "fail" for _, v in report.conditions.values()):
+            raise ConditionCheckError(f"weight scheme fails {conditions} "
+                                      f"conditions: {named}")
+        raise DomainError(f"n_grid up to {n_max} is too short to decide the "
+                          f"{conditions} conditions: {named}")
     return report.ell
 
 

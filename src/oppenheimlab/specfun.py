@@ -175,18 +175,31 @@ def gauss_2f1_unit(beta: float, z: complex) -> complex:
                 "gauss_2f1_unit", 1e3, complex_func=True)
 
 
+# zeta(2)..zeta(7), the coefficients of psi(1) - psi(1 - beta)
+# = sum_{k>=0} zeta(k + 2) beta^(k + 1)
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
+         1.03692775514337, 1.0173430619844492, 1.008349277381923)
+
+
 def c2_discrete(beta):
     """(1-beta)(psi(1) - psi(1-beta)) for beta in [0, 1), elementwise.
 
     Closed form of the discrete-family centering integral that
     ``c2_discrete_quad`` evaluates by quadrature.  Accepts a scalar (returns
     a float) or an array of betas (returns an array of the same shape).
+    Below beta = 2**-10, where the digamma difference of 1 and 1 - beta
+    loses relative accuracy, it sums the series to zeta(7) beta^6 by
+    Horner's rule; the first term left out is below 1e-18 of the sum.
     """
     b = np.asarray(beta, dtype=float)
     if not np.all((b >= 0.0) & (b < 1.0)):
         raise DomainError("c2_discrete requires beta in [0, 1)")
     c1 = 1.0 - b
-    out = c1 * _digamma_difference(1.0, c1)
+    series = _ZETA[-1]
+    for zeta in _ZETA[-2::-1]:
+        series = series * b + zeta
+    out = c1 * np.where(b < 2.0**-10, b * series,
+                        _digamma_difference(1.0, c1))
     return float(out) if out.ndim == 0 else out
 
 

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import make_sequence, parse_real
+from .distributions import make_sequence, parse_integer, parse_real
 from .errors import DomainError
 
 
@@ -37,6 +37,14 @@ def _alpha(alpha, what: str) -> float:
     if a is None or not -math.inf < a < 1.0:
         raise DomainError(f"{what} requires a finite alpha < 1, got {alpha!r}")
     return a
+
+
+def _order(r) -> int:
+    """r (see ``parse_integer``) as an int, which must be >= 0."""
+    r = parse_integer("r", r)
+    if r < 0:
+        raise DomainError("r must be >= 0")
+    return r
 
 
 def cesaro_scheme(rho="constant") -> WeightScheme:
@@ -65,8 +73,7 @@ def iterated_scheme(alpha: float, r: int, rho="constant") -> WeightScheme:
     and v_m / cw_m is taken as 0.
     """
     alpha = _alpha(alpha, "iterated scheme")
-    if r < 0:
-        raise DomainError("r must be >= 0")
+    r = _order(r)
 
     def a_row(n):
         w = (np.arange(1, n + 1, dtype=float) / n) ** (-alpha)
@@ -154,8 +161,7 @@ def iterated_mean(values: Sequence[float], alpha: float,
     """r-iterated alpha-weighted means: order r+1 averages order r with
     weights w_k = k^(-alpha)."""
     alpha = _alpha(alpha, "iterated_mean")
-    if r < 0:
-        raise DomainError("r must be >= 0")
+    r = _order(r)
     out = np.asarray(values, dtype=float)
     if out.size == 0:
         raise DomainError("values must be nonempty")

@@ -14,6 +14,7 @@ import yaml
 from oppenheimlab import __version__, cli
 from oppenheimlab.cli import bundled_config_path, main
 from oppenheimlab.limitlaw import StableLimitLaw, sample_many
+from oppenheimlab.weights import check_theorem_3_2_conditions, iterated_scheme
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +115,16 @@ class TestLimitCdf:
         xs, fs = np.array([ln.split(",") for ln in lines[1:]], float).T
         assert xs[0] == -5.0 and xs[-1] == 20.0
         assert np.all(np.diff(fs) >= 0.0)
+
+    @pytest.mark.parametrize("argv, named", [
+        (("--c", "5", "--delta", "2"), "drop --c and --delta"),
+        (("--delta", "0"), "drop --delta")], ids=["c-and-delta", "delta"])
+    def test_levy_with_c_or_delta_exit_2(self, capsys, argv, named):
+        # the continued-fraction law fixes its own scale and shift
+        code, out, err = run_cli(capsys, "limit-cdf", "--law", "levy", *argv)
+        assert code == 2
+        assert named in err
+        assert out == ""
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_points_below_one_exit_2(self, capsys, points):
@@ -397,14 +408,45 @@ class TestRun:
 
     def test_condition_failure_names_its_verdicts(self, capsys, tmp_path):
         # Cesaro's max weight 1/n has not halved by n = 20: no decay shows,
-        # and none is refuted either
+        # and none is refuted either, so the grid is too short to decide
         cfg = tmp_path / "short.yaml"
         cfg.write_text("experiment: distributional\nn_grid: [20]\n"
                        "replications: 100\n")
         code, out, err = run_cli(capsys, "run", str(cfg), "--out",
                                  str(tmp_path / "results"))
-        assert code == 1 and out == ""
+        assert code == 2 and out == ""
+        assert "n_grid up to 20 is too short to decide" in err
         assert "conditions: max_weight_to_zero (inconclusive)" in err
+
+    def test_iterated_weights_from_config(self, capsys, tmp_path):
+        cfg, results = self._tiny_weak_law(tmp_path)
+        cfg.write_text(cfg.read_text()
+                       + "weights: {kind: iterated, alpha: 0.5, r: 2}\n")
+        code, out, _ = run_cli(capsys, "run", str(cfg), "--out",
+                               str(results), "--format", "json")
+        assert code == 0
+        per_n = json.loads(out)["per_n"]
+        assert [row["n"] for row in per_n] == [50, 200]
+        # the uniform family's alphas are all 1
+        ell = check_theorem_3_2_conditions(iterated_scheme(0.5, 2),
+                                           np.ones(200), 200).ell
+        assert ell < 0.95  # Cesaro's ell is 1
+        assert all(row["ell"] == ell for row in per_n)
+
+    @pytest.mark.parametrize("r, rule", [
+        ("1.5", "r must be an integer, got 1.5"),
+        ("true", "r must be an integer, got True"),
+        ("-1", "r must be >= 0")], ids=["1.5", "true", "-1"])
+    def test_iterated_weights_need_integer_r_exit_2(self, capsys, tmp_path,
+                                                    r, rule):
+        cfg, results = self._tiny_weak_law(tmp_path)
+        cfg.write_text(cfg.read_text()
+                       + f"weights: {{kind: iterated, alpha: 0.5, r: {r}}}\n")
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(results))
+        assert code == 2
+        assert rule in err and out == ""
+        assert not results.exists()
 
     def test_list_rho_is_a_per_n_table(self, capsys, tmp_path):
         cfg, results = self._tiny_weak_law(tmp_path)
@@ -630,6 +672,15 @@ class TestKsTest:
         assert code == 2
         assert "finite" in err
         assert "ks=" not in out
+
+    def test_levy_with_c_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "samples.txt"
+        f.write_text("0.5\n1.5\n")
+        code, out, err = run_cli(capsys, "ks-test", str(f), "--law", "levy",
+                                 "--c", "3")
+        assert code == 2
+        assert "drop --c" in err
+        assert out == ""
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1"])
     def test_bad_tolerance_exit_2(self, capsys, tmp_path, tolerance):

@@ -1,6 +1,5 @@
 """Digit codecs and sampling chains for the series expansions."""
 
-import functools
 import math
 import os
 import shutil
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oppenheimlab
-from oppenheimlab import cli, expansions, experiments
+from oppenheimlab import cli, experiments
 from oppenheimlab.distributions import mobius_clamped_family
 from oppenheimlab.errors import DomainError
 from oppenheimlab.expansions import (
@@ -258,7 +257,6 @@ def exact_chain_ratios(kind, row):
     return [float(r) for r in ratios(kind, digits)]
 
 
-@functools.cache  # shared by the walks of test_kernel_matches_exact_chain
 def exact_block_ratios(kind, m, n, draws):
     """(inside, values): the mask of the ratios inside the exact window of
     ``draws(1, m, n)``, and their ``exact_chain_ratios`` in row order."""
@@ -340,16 +338,12 @@ class TestVectorChains:
         with pytest.raises(DomainError):
             ratio_path("decimal", uniforms(1, 1, 3))
 
-    @pytest.mark.parametrize("few_rows", [0, expansions._FEW_ROWS, 10**9])
     @pytest.mark.parametrize("kind", ["engel", "sylvester"])
     @pytest.mark.parametrize("m,n,draws", [
         pytest.param(200_000, 4, uniforms, id="200000-4"),
         pytest.param(1, 60, uniforms, id="1-60"),
         pytest.param(20_000, 8, mobius_draws, id="mobius-20000-8")])
-    def test_kernel_matches_exact_chain(self, monkeypatch, kind, m, n, draws,
-                                        few_rows):
-        # 0 walks every row as arrays to the end, 10**9 every row in floats
-        monkeypatch.setattr(expansions, "_FEW_ROWS", few_rows)
+    def test_kernel_matches_exact_chain(self, kind, m, n, draws):
         u = draws(1, m, n)
         r = ratio_path(kind, u)
         assert r.shape == (m, n)
@@ -358,19 +352,15 @@ class TestVectorChains:
         assert np.array_equal(r[~inside], (1.0 / u[:, 1:])[~inside])
 
     @pytest.mark.parametrize("kind", ["engel", "sylvester"])
-    def test_walks_agree_on_an_overflowing_draw(self, monkeypatch, kind):
+    def test_overflowing_draw_stores_inf(self, kind):
         # phi(D_k)/U_k overflows to inf on the smallest subnormal draw; the
-        # float walk must store that inf, where math.floor(inf) would raise
+        # walk must store that inf, where math.floor(inf) would raise
         u = uniforms(7, 40, 30)
         for row, col in enumerate((1, 2, 5)):
             u[row, col] = 5e-324
-        walks = []
-        for few_rows in (0, 10**9):
-            monkeypatch.setattr(expansions, "_FEW_ROWS", few_rows)
-            with np.errstate(over="ignore", divide="ignore"):
-                walks.append(ratio_path(kind, u))
-        assert np.array_equal(walks[0], walks[1])
-        assert [walks[1][row, col - 1] for row, col in
+        with np.errstate(over="ignore", divide="ignore"):
+            r = ratio_path(kind, u)
+        assert [r[row, col - 1] for row, col in
                 enumerate((1, 2, 5))] == [math.inf] * 3
 
     @pytest.mark.parametrize("kind", ["engel", "sylvester"])

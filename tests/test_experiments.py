@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppenheimlab import __version__, cli, expansions, experiments
+from oppenheimlab import __version__, cli, experiments
 from oppenheimlab.distributions import (
     centering_b_quad,
     discrete_beta_family,
@@ -45,9 +45,6 @@ from oppenheimlab.weights import cesaro_scheme
 
 MOBIUS_2 = {"kind": "mobius_clamped", "c_n": 2}
 DISCRETE_HALF = {"kind": "discrete_beta", "beta_n": 0.5}
-# draws so near 1 that every Engel chain is still in the exact window of
-# ratio_path after the default head of 128 ratios
-REMARK2_SLOW = {"kind": "mobius_remark2", "c_n": 1e-3}
 
 
 def small_config(**kw):
@@ -338,22 +335,6 @@ class TestReproducibility:
                                   timeout=300)
             records.append(done.stdout)
         assert records[0] == records[1]
-
-    @pytest.mark.parametrize("kw", [
-        dict(scheme="engel"),
-        dict(scheme="sylvester"),
-        dict(scheme="engel", family=MOBIUS_2),
-        dict(scheme="engel", family=REMARK2_SLOW),
-    ], ids=["engel", "sylvester", "engel-mobius", "engel-remark2-slow"])
-    def test_records_do_not_depend_on_few_rows(self, monkeypatch, kw):
-        # at 0 every chain is walked as arrays to the end of the window, at
-        # 10**9 every chain in Python floats; under REMARK2_SLOW chains stay
-        # in the window for long, so both walks cover many columns
-        cfg = small_config(**kw)
-        default = exact_weak_law_run(cfg)
-        for few_rows in (0, 1, 10**9):
-            monkeypatch.setattr(expansions, "_FEW_ROWS", few_rows)
-            assert exact_weak_law_run(cfg) == default
 
     def test_classical_is_cor43_beta_zero(self):
         classical = v_samples(small_config(), 200, 1)

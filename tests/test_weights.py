@@ -89,6 +89,14 @@ class TestSchemes:
         row = weights_row(iterated_scheme(0.3, 0), 7)
         assert np.allclose(row, np.eye(7)[-1])
 
+    @pytest.mark.parametrize("r", [1.5, True, -1, "2"])
+    def test_iterated_order_must_be_an_integer(self, r):
+        # rejected when the scheme or the means are made, not in range()
+        with pytest.raises(DomainError, match="^r must be"):
+            iterated_scheme(0.5, r)
+        with pytest.raises(DomainError, match="^r must be"):
+            iterated_mean([1.0, 2.0], 0.5, r)
+
     def test_iterated_rows_are_convex_weights(self):
         row = weights_row(iterated_scheme(0.5, 3), 40)
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
