@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 
 import oppenheimlab
 from oppenheimlab import cli, experiments
-from oppenheimlab.distributions import mobius_clamped_family
+from oppenheimlab.distributions import (
+    mobius_clamped_family,
+    mobius_remark2_family,
+)
 from oppenheimlab.errors import DomainError
 from oppenheimlab.expansions import (
     _CODECS,
@@ -244,6 +247,16 @@ def mobius_draws(seed, m, n):
     return u
 
 
+def remark2_draws(seed, m, n):
+    """Uniforms whose columns 1..n are mapped to draws of the Remark 2
+    family with c_n = 1e-3: draws so near 1 that every Engel chain stays in
+    the exact window of ratio_path for 128 ratios."""
+    u = uniforms(seed, m, n)
+    u[:, 1:] = mobius_remark2_family(1e-3).sampler(np.arange(1, n + 1),
+                                                   u[:, 1:])
+    return u
+
+
 def exact_chain_ratios(kind, row):
     """Ratios inside the exact window, as floats of the exact rationals of
     digits walked with Python ints from the same uniforms."""
@@ -342,7 +355,8 @@ class TestVectorChains:
     @pytest.mark.parametrize("m,n,draws", [
         pytest.param(200_000, 4, uniforms, id="200000-4"),
         pytest.param(1, 60, uniforms, id="1-60"),
-        pytest.param(20_000, 8, mobius_draws, id="mobius-20000-8")])
+        pytest.param(20_000, 8, mobius_draws, id="mobius-20000-8"),
+        pytest.param(200, 128, remark2_draws, id="remark2-200-128")])
     def test_kernel_matches_exact_chain(self, kind, m, n, draws):
         u = draws(1, m, n)
         r = ratio_path(kind, u)
@@ -350,6 +364,18 @@ class TestVectorChains:
         inside, exact = exact_block_ratios(kind, m, n, draws)
         assert np.array_equal(r[inside], exact)
         assert np.array_equal(r[~inside], (1.0 / u[:, 1:])[~inside])
+
+    @pytest.mark.parametrize("kind", ["engel", "sylvester"])
+    def test_rows_do_not_depend_on_the_other_rows(self, kind):
+        # each row walks its own window: a row gives the same ratios alone,
+        # among rows that leave the window at once or stay in it to the end
+        u = np.concatenate([uniforms(8, 30, 128), remark2_draws(9, 30, 128)])
+        u = u[np.random.default_rng(10).permutation(len(u))]
+        whole = ratio_path(kind, u)
+        for row in (0, 17, 59):
+            assert np.array_equal(ratio_path(kind, u[row:row + 1])[0],
+                                  whole[row])
+        assert np.array_equal(ratio_path(kind, u[::2]), whole[::2])
 
     @pytest.mark.parametrize("kind", ["engel", "sylvester"])
     def test_overflowing_draw_stores_inf(self, kind):

@@ -45,6 +45,9 @@ from oppenheimlab.weights import cesaro_scheme
 
 MOBIUS_2 = {"kind": "mobius_clamped", "c_n": 2}
 DISCRETE_HALF = {"kind": "discrete_beta", "beta_n": 0.5}
+# draws so near 1 that every Engel chain is still in the exact window of
+# ratio_path after the default head of 128 ratios
+REMARK2_SLOW = {"kind": "mobius_remark2", "c_n": 1e-3}
 
 
 def small_config(**kw):
@@ -291,13 +294,14 @@ class TestReproducibility:
         (exact_weak_law_run, dict(scheme="direct")),
         (exact_weak_law_run, dict(scheme="engel")),
         (exact_weak_law_run, dict(scheme="engel", family=MOBIUS_2)),
+        (exact_weak_law_run, dict(scheme="engel", family=REMARK2_SLOW)),
         (exact_weak_law_run, dict(scheme="sylvester")),
         (exact_weak_law_run, dict(scheme="sylvester", family=DISCRETE_HALF)),
         (distributional_run, dict(n_grid=(100, 400))),
         (distributional_run, dict(n_grid=(100, 400), mode="cor_4_3",
                                   beta="constant:0.5")),
-    ], ids=["direct", "engel", "engel-mobius", "sylvester",
-            "sylvester-discrete", "classical", "cor43-half"])
+    ], ids=["direct", "engel", "engel-mobius", "engel-remark2-slow",
+            "sylvester", "sylvester-discrete", "classical", "cor43-half"])
     def test_records_do_not_depend_on_block_size(self, monkeypatch, runner,
                                                  kw):
         # with and without the helper thread, whatever the machine's CPUs
