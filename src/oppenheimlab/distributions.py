@@ -75,18 +75,22 @@ def make_sequence(seq, domain=None) -> Callable:
         checked(v)
         return lambda n: v
     if isinstance(seq, str):
-        tag, _, arg = seq.partition(":")
-        if tag == "constant":
-            v = checked(float(arg) if arg else 1.0)
-            return lambda n: v
-        if tag == "linear":
-            scale = float(arg) if arg and arg != "n" else 1.0
-            return lambda n: checked(scale * n)
-        if tag == "loglog":  # math.log per index; [()] gives an index a float
+        tag, colon, arg = seq.partition(":")
+        if tag == "loglog" and not colon:  # a loglog tag takes no argument
+            # math.log per index; [()] gives an index a float
             loglog = np.vectorize(lambda k: math.log(math.log(k)) if k >= 3
                                   else 1.0, otypes=[float])
             return lambda n: checked(loglog(n)[()])
-        raise DomainError(f"unknown sequence tag {seq!r}")
+        if tag not in ("constant", "linear"):
+            raise DomainError(f"unknown sequence tag {seq!r}")
+        v = (1.0 if arg == "" or (tag, arg) == ("linear", "n")
+             else parse_real(arg))
+        if v is None:
+            raise DomainError(f"not a number in sequence tag {seq!r}")
+        if tag == "constant":
+            checked(v)
+            return lambda n: v
+        return lambda n: checked(v * n)
     try:
         table = np.asarray(list(seq), dtype=float)
     except (TypeError, ValueError) as exc:  # a callable, say

@@ -39,6 +39,7 @@ from .distributions import (
     from_config,
     member_values,
     parse_integer,
+    parse_real,
     reciprocal_char,
     uniform_family,
 )
@@ -107,8 +108,12 @@ class ExperimentConfig:
     t_grid: tuple = (0.5, 1.0, 2.0)
 
     def __post_init__(self):
-        for name in ("family", "weights", "beta"):  # as digest() writes them
+        for name in ("family", "weights", "beta", "n_grid", "t_grid"):
             object.__setattr__(self, name, _plain(getattr(self, name)))
+        for name in ("n_grid", "t_grid"):  # a string or number is no list
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise DomainError(f"{name} must be a list, got "
+                                  f"{getattr(self, name)!r}")
         ng = tuple(parse_integer("each n_grid entry", n)
                    for n in self.n_grid)
         if any(b <= a for a, b in zip(ng, ng[1:])):
@@ -116,19 +121,21 @@ class ExperimentConfig:
         if not ng or min(ng) < 2:  # the statistics divide by log n
             raise DomainError("n_grid must be nonempty, with entries >= 2")
         object.__setattr__(self, "n_grid", ng)
-        tg = tuple(float(t) for t in self.t_grid)
-        if not tg or not all(map(math.isfinite, tg)):
+        tg = tuple(map(parse_real, self.t_grid))
+        if not tg or not all(t is not None and math.isfinite(t) for t in tg):
             raise DomainError("t_grid must be a nonempty list of finite "
-                              "numbers")
+                              f"numbers, got {self.t_grid!r}")
         object.__setattr__(self, "t_grid", tg)
         for name, least in (("master_seed", 0), ("replications", 1)):
             value = parse_integer(name, getattr(self, name))
             if value < least:
                 raise DomainError(f"{name} must be >= {least}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if not self.epsilon > 0:
-            raise DomainError("epsilon must be > 0")
+        epsilon = parse_real(self.epsilon)
+        if epsilon is None or not epsilon > 0:
+            raise DomainError(f"epsilon must be a number > 0, got "
+                              f"{self.epsilon!r}")
+        object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "weight_scheme", from_config(
             "weights", self.weights, _WEIGHT_KINDS, default_kind="cesaro"))
         object.__setattr__(self, "reciprocal_family",

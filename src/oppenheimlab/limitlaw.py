@@ -64,9 +64,11 @@ def char_fn(law: StableLimitLaw, t):
     """xi(t); t may be a scalar or an array.  xi is exactly 0 where its
     modulus exp(-(pi/2) c |t|) is 0 in float.  t log|t| is 0 at t = 0 and
     for c = 0; where it overflows (|t| > 1e305, so c < 1e-297), c t log|t|
-    is (c t) log|t|.  DomainError where |xi| > 0 and the phase
-    c t log|t| + delta t is not finite in float."""
+    is (c t) log|t|.  DomainError at a nan t, and where |xi| > 0 and the
+    phase c t log|t| + delta t is not finite in float."""
     t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():
+        raise DomainError("t must not be nan")
     with np.errstate(over="ignore"):
         live = law.c * np.abs(t) < _EXP_ZERO / (math.pi / 2.0)
         t = np.where(live, t, 0.0)

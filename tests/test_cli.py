@@ -360,6 +360,11 @@ class TestRun:
         "n_grid: [50, 200]\nt_grid: []",
         "n_grid: [50, 200]\nt_grid: [.nan]",
         "n_grid: [50, 200]\nt_grid: [.inf]",
+        "n_grid: [50, 200]\nt_grid: '12'",
+        "n_grid: [50, 200]\nt_grid: 1.0",
+        "n_grid: [50, 200]\nt_grid: [true]",
+        "n_grid: [50, 200]\nepsilon: true",
+        "n_grid: 100",
         "n_grid: [50, 200]\nmaster_seed: -1",
         "n_grid: [50, 200]\nmaster_seed: 1.5",
         "n_grid: [50, 200]\nmaster_seed: true",
@@ -391,7 +396,18 @@ class TestRun:
         ("experiment: weak_law\nn_grid: [10]",
          "the largest n_grid entry, 10, must be >= 11"),
         ("experiment: distributional\nn_grid: [10]",
-         "the largest n_grid entry, 10, must be >= 11")])
+         "the largest n_grid entry, 10, must be >= 11"),
+        # a list setting is a list, and its entries numbers, as written
+        ("experiment: distributional\nt_grid: '12'",
+         "t_grid must be a list, got '12'"),
+        ("experiment: distributional\nt_grid: 1.0",
+         "t_grid must be a list, got 1.0"),
+        ("experiment: distributional\nt_grid: [true]",
+         "t_grid must be a nonempty list of finite numbers, got [True]"),
+        ("experiment: distributional\nepsilon: true",
+         "epsilon must be a number > 0, got True"),
+        ("experiment: distributional\nn_grid: 100",
+         "n_grid must be a list, got 100")])
     def test_member_outside_domain_exit_2(self, capsys, tmp_path, lines,
                                           rule):
         # a linear tag is checked as its members are read: members 1 and

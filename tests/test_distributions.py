@@ -49,11 +49,13 @@ class TestMakeSequence:
         f = make_sequence([1.0, 2.0, 3.0])
         assert [f(1), f(2), f(3), f(9)] == [1.0, 2.0, 3.0, 3.0]
 
-    def test_bad_tag(self):
+    @pytest.mark.parametrize("tag", [
+        "quadratic:n", True, "constant:abc", "linear:abc", "constant:2:3",
+        "constant:n", "loglog:5"])
+    def test_bad_tag(self, tag):
+        # the argument of a tag is a number, and loglog takes none
         with pytest.raises(DomainError):
-            make_sequence("quadratic:n")
-        with pytest.raises(DomainError):
-            make_sequence(True)
+            make_sequence(tag)
 
     def test_numpy_numbers(self):
         assert make_sequence(np.int64(2))(3) == 2.0

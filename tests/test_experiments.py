@@ -102,6 +102,21 @@ class TestConfig:
                 small_config(**bad)
         assert small_config(n_grid=(np.int64(50), 200)).n_grid == (50, 200)
 
+    @pytest.mark.parametrize("bad, name", [
+        (dict(n_grid=100), "n_grid"), (dict(n_grid="50"), "n_grid"),
+        (dict(t_grid=1.0), "t_grid"), (dict(t_grid="12"), "t_grid"),
+        (dict(t_grid=[True]), "t_grid"), (dict(t_grid=["a"]), "t_grid"),
+        (dict(epsilon=True), "epsilon"), (dict(epsilon="a"), "epsilon")])
+    def test_lists_and_numbers_are_read_as_written(self, bad, name):
+        # a string is no list of its characters and a bool is no number
+        with pytest.raises(DomainError, match=name):
+            small_config(**bad)
+
+    def test_numpy_grids_read_as_their_lists(self):
+        cfg = small_config(n_grid=np.array([50, 200]),
+                           t_grid=np.array([0.5, 2.0]))
+        assert cfg == small_config(n_grid=[50, 200], t_grid=(0.5, 2.0))
+
     def test_family_must_be_a_mapping(self):
         # a family object would not serialise into the digest
         with pytest.raises(DomainError, match="mapping"):

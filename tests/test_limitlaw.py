@@ -336,6 +336,14 @@ class TestCdf:
             with pytest.raises(DomainError):
                 cdf(StableLimitLaw(0.0), math.nan)
 
+    def test_char_fn_rejects_nan(self):
+        # as cdf does for a nan x: a nan t is no point of xi, not 0
+        for c in (1.0, 0.0):
+            with pytest.raises(DomainError, match="nan"):
+                char_fn(StableLimitLaw(c), math.nan)
+            with pytest.raises(DomainError, match="nan"):
+                char_fn(StableLimitLaw(c), np.array([0.5, math.nan]))
+
     def test_delta_is_pure_shift(self):
         base = StableLimitLaw(1.0, 0.0)
         shifted = StableLimitLaw(1.0, 2.0)
