@@ -3,7 +3,7 @@
 Subcommands: expand (digit codec), verify (deterministic identity suite),
 limit-cdf (CDF tables of the stable limit laws), run (Monte Carlo experiment
 configs), ks-test (samples vs a limit law).  Exit codes: 0 success, 1 check
-failure, 2 usage/config error.
+failure, 2 usage/config error (a size too large to allocate among them).
 """
 
 from __future__ import annotations
@@ -304,6 +304,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the array it could not get
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - surface as check failure
         print(f"failure: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ draws of the digit family's members.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -109,7 +110,11 @@ def extract_digits(kind: str, x, count: int) -> DigitSequence:
     """The first ``count`` digits of x and the exact remainder after them.
 
     The expansion stops early, ``terminated``, when the remainder hits zero
-    (only continued fractions of rationals do).
+    (only continued fractions of rationals do).  DomainError as soon as a
+    digit has more decimal digits than the interpreter prints of an int
+    (``sys.get_int_max_str_digits()``, or 4,300 where that limit is off):
+    Sylvester digits square at every step, so the next ones would take
+    minutes to compute and could not be printed.
     """
     if kind not in _CODECS:
         raise DomainError(f"no deterministic extractor for kind {kind!r}")
@@ -121,9 +126,15 @@ def extract_digits(kind: str, x, count: int) -> DigitSequence:
         raise DomainError(f"{kind} digits require x in (0, 1]")
     if count < 1:
         raise DomainError("count must be >= 1")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    too_long = 10 ** limit
     digits, r = [], x
     while len(digits) < count and r != 0:
         d = digit(r)
+        if d >= too_long:
+            raise DomainError(
+                f"{kind} digit {len(digits) + 1} of count {count} has more "
+                f"than {limit} decimal digits, the most an int prints")
         digits.append(d)
         r = step(r, d)
     return DigitSequence(kind, tuple(digits), x=x, remainder=r,

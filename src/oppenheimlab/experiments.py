@@ -251,45 +251,33 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _uint32_words(n: int) -> list:
-    """The little-endian 32-bit words of n >= 0 as SeedSequence splits an
-    entropy integer ([0] for 0), each a one-element array."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return [np.array([w], dtype=np.uint32) for w in words]
+def _word_count(n: int) -> int:
+    """How many 32-bit words SeedSequence splits an entropy integer n >= 0
+    into (one for 0)."""
+    return max(1, -(-n.bit_length() // 32))
 
 
-def _seed_hash(entropy: list) -> np.ndarray:
+def _seed_hash(pool: np.ndarray, n_mixed: int, entropy: list) -> np.ndarray:
     """(m, 4) uint64 words of SeedSequence.generate_state(4, np.uint64) for
-    m entropy inputs, given word by word: ``entropy[i]`` holds word i of
-    every input (or one word that all share), as a uint32 array.
+    m entropy inputs that share their first ``n_mixed`` words, whose mix is
+    ``pool`` (numpy's own SeedSequence.pool), and differ in the words after
+    them: ``entropy[i]`` holds the next word i of every input, as a uint32
+    array.
 
-    The hash constant advances the same way for every input, so the steps
-    of SeedSequence's mix_entropy and generate_state run on whole arrays.
+    SeedSequence's mix_entropy advances its hash constant by 4 steps per
+    word, the same way for every input, so the mix of the remaining words
+    and generate_state run on whole arrays.
     """
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return r ^ (r >> 16)
-
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
+    const = _INIT_A * pow(_MULT_A, 4 * n_mixed, 1 << 32) & _MASK32
+    pool = list(pool[:, None])  # arrays, since numpy scalars warn on a wrap
+    for word in entropy:
         for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
+            value = word ^ np.uint32(const)
+            const = const * _MULT_A & _MASK32
+            value = value * np.uint32(const)
+            r = (np.uint32(_MIX_L) * pool[dst]
+                 - np.uint32(_MIX_R) * (value ^ (value >> 16)))
+            pool[dst] = r ^ (r >> 16)
     const = _INIT_B
     state = []
     for i in range(2 * _POOL):
@@ -306,14 +294,14 @@ def _stream_words(master_seed: int, n_index: int, reps) -> np.ndarray:
     SeedSequence(master_seed, spawn_key=(n_index, reps[j]))
     .generate_state(4, np.uint64), the PCG64 seed of that replication.
 
-    The seed, padded to the pool size, and n_index are words every row
-    shares; a replication index takes one word below 2**32 and two from
-    there on, so the two lengths are hashed as separate groups.
+    The words every row shares, the seed padded to the pool size and
+    n_index, are mixed once by SeedSequence(master_seed,
+    spawn_key=(n_index,)); a replication index takes one word below 2**32
+    and two from there on, so the two lengths are hashed as separate groups.
     """
     reps = np.asarray(reps, dtype=np.uint64)
-    shared = _uint32_words(master_seed)
-    shared += [np.zeros(1, dtype=np.uint32)] * (_POOL - len(shared))
-    shared += _uint32_words(n_index)
+    pool = np.random.SeedSequence(master_seed, spawn_key=(n_index,)).pool
+    n_mixed = max(_POOL, _word_count(master_seed)) + _word_count(n_index)
     out = np.empty((reps.size, 4), dtype=np.uint64)
     wide = reps > _MASK32
     for group, n_words in ((~wide, 1), (wide, 2)):
@@ -321,7 +309,7 @@ def _stream_words(master_seed: int, n_index: int, reps) -> np.ndarray:
             r = reps[group]
             words = [(r & _MASK32).astype(np.uint32),
                      (r >> 32).astype(np.uint32)]
-            out[group] = _seed_hash(shared + words[:n_words])
+            out[group] = _seed_hash(pool, n_mixed, words[:n_words])
     return out
 
 

@@ -192,12 +192,18 @@ def _trend_verdict(values, target: str, tol: float = 1e-9) -> str:
     """"pass" if the profile meets the target ("bounded", "zero", "limit";
     "diverges": ends above its start and above 2; "no_growth": ends no
     higher than it starts), "fail" if it clearly does not, else
-    "inconclusive"."""
+    "inconclusive".  ``tol`` is relative to the profile's scale,
+    max(1, max |v|), so that the rounding noise of a large profile does not
+    cross it; a profile with a non-finite value fails, as it has no trend
+    to read."""
     v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        return "fail"
+    tol *= max(1.0, float(np.abs(v).max()))
     if target == "diverges":
         return "pass" if v[-1] > v[0] and v[-1] > 2.0 else "fail"
     if target == "no_growth":
-        if v[-1] <= v[0] + 1e-12:
+        if v[-1] <= v[0] + tol / 1000:
             return "pass"
         return "fail" if v[-1] > 2 * v[0] else "inconclusive"
     if target == "zero":

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -53,6 +54,26 @@ class TestExpand:
     def test_out_of_domain(self, capsys):
         code, _, err = run_cli(capsys, "expand", "3/2")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("number", ["1/3", "0.4", "7/16"])
+    def test_sylvester_digit_too_long_to_print_exit_2(self, capsys, number,
+                                                      fmt):
+        code, out, _ = run_cli(capsys, "expand", number, "--kind",
+                               "sylvester", "--count", "13")
+        assert code == 0 and len(out) > 4000
+        code, out, err = run_cli(capsys, "expand", number, "--kind",
+                                 "sylvester", "--count", "14", "--format",
+                                 fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error: sylvester digit 14 of count 14 ")
+
+    def test_long_sylvester_count_exits_at_once(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "expand", "1/3", "--kind",
+                               "sylvester", "--count", "40")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "digit 14 of count 40" in err
 
 
 class TestVerify:
@@ -145,9 +166,9 @@ class TestLimitCdf:
 
 class TestRun:
     def test_bundled_configs_exist(self):
-        for name in ("luroth-classical", "engel-weak-law",
-                     "sylvester-weak-law", "engel-mobius-weak-law",
-                     "cor43-beta-half"):
+        for name in ("luroth-classical", "luroth-weak-law",
+                     "engel-weak-law", "sylvester-weak-law",
+                     "engel-mobius-weak-law", "cor43-beta-half"):
             assert bundled_config_path(name).exists()
 
     def test_missing_config(self, capsys):
@@ -725,6 +746,31 @@ def test_unwritable_out_exit_2(capsys, monkeypatch, tmp_path, argv, out):
                                           for arg in argv), "--out", str(out))
     assert code == 2 and stdout == ""
     assert "error: " in err and f"--out {out}" in err
+
+
+@pytest.mark.parametrize("argv, target", [
+    (("run", "{config}", "--force"), "exact_weak_law_run"),
+    (("limit-cdf",), "cdf_many")],
+    ids=["run", "limit-cdf"])
+def test_allocation_failure_exit_2(capsys, monkeypatch, tmp_path, argv,
+                                   target):
+    # a stand-in for numpy's MemoryError: a real allocation that large could
+    # succeed on a machine that overcommits memory, and then be killed
+    message = ("Unable to allocate 74.5 GiB for an array with shape "
+               "(10000000000,) and data type float64")
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, target, fail)
+    config = tmp_path / "tiny.yaml"
+    config.write_text("experiment: weak_law\nn_grid: [50, 200]\n"
+                      "replications: 60\n")
+    code, out, err = run_cli(capsys, *(arg.format(config=config)
+                                       for arg in argv), "--out",
+                             str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 class TestParser:

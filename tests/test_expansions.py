@@ -205,6 +205,20 @@ class TestValidation:
         with pytest.raises(DomainError):
             extract_digits("luroth", Fraction(1, 2), 0)
 
+    @pytest.mark.parametrize("limit, index", [(4300, 14), (640, 12),
+                                              (0, 14)])
+    def test_digit_too_long_to_print(self, limit, index):
+        # Sylvester digits of 1/3 have 1124, 2248 and 4496 decimal digits
+        # at k = 12, 13, 14; a limit of 0 (off) reads as the default 4300
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            with pytest.raises(DomainError, match=f"sylvester digit {index} "
+                                                  "of count 40 "):
+                extract_digits("sylvester", Fraction(1, 3), 40)
+        finally:
+            sys.set_int_max_str_digits(default)
+
     def test_digit_invariants(self):
         with pytest.raises(DomainError):
             DigitSequence("luroth", (1, 2))

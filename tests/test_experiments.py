@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oppenheimlab import __version__, cli, experiments
@@ -274,6 +274,20 @@ class TestReproducibility:
         with pytest.raises(TypeError):
             replication_rng(7, 2, 3, words).spawn(1)
 
+    # the edges where a seed (1, 2, 4, 5), n_index or replication index
+    # takes one more 32-bit word
+    @example(seed=0, n_index=0, reps=[0, 2**32 - 1, 2**32])
+    @example(seed=0, n_index=2**32, reps=[0, 2**32 - 1, 2**32])
+    @example(seed=2**32 - 1, n_index=0, reps=[0, 2**32 - 1, 2**32])
+    @example(seed=2**32 - 1, n_index=2**32, reps=[0, 2**32 - 1, 2**32])
+    @example(seed=2**32, n_index=0, reps=[0, 2**32 - 1, 2**32])
+    @example(seed=2**32, n_index=2**32, reps=[0, 2**32 - 1, 2**32])
+    @example(seed=2**96, n_index=0, reps=[0, 2**32 - 1, 2**32])
+    @example(seed=2**96, n_index=2**32, reps=[0, 2**32 - 1, 2**32])
+    @example(seed=2**128 - 1, n_index=0, reps=[0, 2**32 - 1, 2**32])
+    @example(seed=2**128 - 1, n_index=2**32, reps=[0, 2**32 - 1, 2**32])
+    @example(seed=2**128, n_index=0, reps=[0, 2**32 - 1, 2**32])
+    @example(seed=2**128, n_index=2**32, reps=[0, 2**32 - 1, 2**32])
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**200),
            n_index=st.integers(min_value=0, max_value=2**40),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oppenheimlab.distributions import make_sequence
+from oppenheimlab import weights
 from oppenheimlab.errors import DomainError
 from oppenheimlab.weights import (
     WeightScheme,
@@ -229,6 +230,29 @@ class TestConditionCheckers:
         assert rep.passed
         assert rep.kappa == pytest.approx(1.0, abs=1e-12)
         assert rep.ell == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_max", [1000, 100_000])
+    @pytest.mark.parametrize("scheme", [cesaro_scheme(),
+                                        power_alpha_scheme(0.5)],
+                             ids=["cesaro", "power_alpha-0.5"])
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3, 1e8, 1e300])
+    def test_verdicts_do_not_depend_on_the_scale(self, alpha, scheme, n_max):
+        # the rounding noise of sum_k alpha a_{k,n} grows with alpha; at
+        # alpha = 1e8 and n_max = 1000 it crossed absolute tolerances
+        alphas = np.full(n_max, alpha)
+        rep32 = check_theorem_3_2_conditions(scheme, alphas, n_max)
+        rep41 = check_theorem_4_1_conditions(scheme, alphas, n_max)
+        assert rep32.passed and rep41.passed
+        assert rep41.ell == pytest.approx(alpha, rel=1e-12)
+
+    @pytest.mark.parametrize("target", ["bounded", "zero", "limit",
+                                        "no_growth", "diverges"])
+    def test_non_finite_profiles_never_pass(self, target):
+        inf, nan = math.inf, math.nan
+        for profile in ([inf, 1.0, 1.0], [1.0, inf, 1.0], [1.0, 1.0, inf],
+                        [inf, inf, inf], [-inf, -inf, -inf],
+                        [1.0, nan, 1.0], [nan, nan, nan]):
+            assert weights._trend_verdict(profile, target) != "pass"
 
     def test_condition_names_in_order(self):
         rep32 = check_theorem_3_2_conditions(cesaro_scheme(), np.ones(1000),
