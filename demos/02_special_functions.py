@@ -1,9 +1,9 @@
 """Deterministic special-function identities behind the limit theorems.
 
-Evaluates the cosine-integral split of the constant 1 - gamma, the
-Cin/Ci/log identity, the closed-form slices of the Gauss hypergeometric
-function, and the discrete centering constant's digamma closed form against
-its quadrature.
+Evaluates the two constants of Lemma A.1, whose sum is 1 - gamma, the
+beta = 0 slice of the Gauss hypergeometric function against its closed form,
+and the discrete centering constant c2's digamma closed form against its
+quadrature.
 """
 
 import math
@@ -13,8 +13,6 @@ from oppenheimlab import (
     EULER_GAMMA,
     c2_discrete,
     c2_discrete_quad,
-    cin,
-    cosine_integral,
     gauss_2f1_unit,
     lemma_a1,
 )
@@ -22,14 +20,11 @@ from oppenheimlab import (
 
 def main():
     a_val, b_val, total = lemma_a1()
+    print("Lemma A.1: A = int_0^1 (sin x - x)/x^2 dx, "
+          "B = int_1^inf sin(x)/x^2 dx")
     print(f"A = {a_val:+.12f}")
     print(f"B = {b_val:+.12f}")
     print(f"A + B = {total:.12f}  vs  1 - gamma = {1 - EULER_GAMMA:.12f}")
-
-    print("\nCin(x) + Ci(x) - log x - gamma:")
-    for x in (0.1, 1.0, 10.0):
-        gap = cin(x) + cosine_integral(x) - math.log(x) - EULER_GAMMA
-        print(f"  x = {x:5.1f}: {gap:+.3e}")
 
     print("\n2F1 slice at beta = 0 vs -log(1-z)/z:")
     for z in (0.5, -0.9):

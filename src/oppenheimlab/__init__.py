@@ -1,7 +1,7 @@
 """Numerical laboratory for series-expansion digit laws, exact weak laws,
 and index-1 stable limit laws."""
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 import ctypes
 
@@ -37,8 +37,6 @@ from .specfun import (
     EULER_GAMMA,
     c2_discrete,
     c2_discrete_quad,
-    cin,
-    cosine_integral,
     gauss_2f1_unit,
     lemma_a1,
 )
@@ -68,7 +66,6 @@ from .weights import (
     cesaro_scheme,
     check_theorem_3_2_conditions,
     check_theorem_4_1_conditions,
-    iterated_mean,
     iterated_scheme,
     power_alpha_scheme,
     weights_row,
@@ -80,7 +77,6 @@ from .limitlaw import (
     char_fn,
     ks_distance,
     levy_cf_law,
-    sample,
     sample_many,
 )
 from .experiments import (
@@ -90,7 +86,6 @@ from .experiments import (
     char_distance_check,
     distributional_run,
     exact_weak_law_run,
-    gamma_from_harmonic,
     load_record,
     replication_rng,
     save_record,

@@ -131,6 +131,12 @@ class ExperimentConfig:
             if value < least:
                 raise DomainError(f"{name} must be >= {least}")
             object.__setattr__(self, name, value)
+        # numpy raises ValueError, not MemoryError, for arrays this long
+        for name, size in (("replications", self.replications),
+                           ("the largest n_grid entry", ng[-1])):
+            if 8 * size > np.iinfo(np.intp).max:
+                raise DomainError(f"{name}, {size}, is too large for an "
+                                  "array of doubles")
         epsilon = parse_real(self.epsilon)
         if epsilon is None or not epsilon > 0:
             raise DomainError(f"epsilon must be a number > 0, got "
@@ -626,11 +632,3 @@ def char_distance_check(n: int, t_vector: Sequence[float], m: int,
     bound = float(np.sum(np.abs(t)))
     return {"estimate": float(estimate), "bound": bound, "se": se,
             "passed": bool(estimate <= bound + 3.0 * se)}
-
-
-def gamma_from_harmonic(n: int) -> float:
-    """log n - H_n, which converges (upward) to -gamma."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    h = float(np.sum(1.0 / np.arange(1, n + 1, dtype=float)))
-    return math.log(n) - h

@@ -347,10 +347,6 @@ def sample_many(law: StableLimitLaw, rng: np.random.Generator,
         - law.delta
 
 
-def sample(law: StableLimitLaw, rng: np.random.Generator) -> float:
-    return float(sample_many(law, rng, 1)[0])
-
-
 def ks_distance(samples, law: StableLimitLaw) -> float:
     """sup-gap between the empirical CDF of the samples and the law's CDF,
     taking both one-sided gaps at each sample point."""

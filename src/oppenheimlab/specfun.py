@@ -1,4 +1,4 @@
-"""Special-function kernel: cosine integrals, the A/B constants whose sum is
+"""Special-function kernel: the A/B constants of Lemma A.1, whose sum is
 1 - gamma, the (1, 1-beta, 2-beta) slice of the Gauss hypergeometric function,
 and the discrete-family centering constant (closed form, with its quadrature
 kept as an independent cross-check).
@@ -56,31 +56,6 @@ def quad(f, a: float, b: float, what: str, slack: float, **options):
     if err > slack * QUAD_TOL:
         raise AccuracyError(f"{what} quadrature missed tolerance", err)
     return sum(v for v, _ in results)
-
-
-def cosine_integral(x: float) -> float:
-    """Ci(x) = -integral of cos(t)/t over [x, infinity), for x > 0."""
-    if x <= 0:
-        raise DomainError("cosine_integral requires x > 0")
-    return -quad(lambda t: 1.0 / t, x, math.inf, "cosine_integral", 10,
-                 weight="cos")
-
-
-def cin(x: float) -> float:
-    """Cin(x) = integral of (1 - cos t)/t over [0, x], for x >= 0."""
-    if x < 0:
-        raise DomainError("cin requires x >= 0")
-    if x == 0:
-        return 0.0
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        small = np.abs(t) < 1e-8
-        safe = np.where(small, 1.0, t)
-        out = np.where(small, t / 2.0, (1.0 - np.cos(safe)) / safe)
-        return out
-
-    return quad(integrand, 0.0, x, "cin", 100)
 
 
 def lemma_a1() -> tuple[float, float, float]:

@@ -1,7 +1,7 @@
-"""Triangular weight arrays a_{k,n}, normalizers rho_n, iterated
-alpha-weighted means, and numeric checkers for the weight conditions of the
-exact weak law and the distributional limit theorem, which also report the
-derived limits kappa and ell.
+"""Triangular weight arrays a_{k,n} (among them the effective weights of
+iterated alpha-weighted means), normalizers rho_n, and numeric checkers for
+the weight conditions of the exact weak law and the distributional limit
+theorem, which also report the derived limits kappa and ell.
 """
 
 from __future__ import annotations
@@ -39,14 +39,6 @@ def _alpha(alpha, what: str) -> float:
     return a
 
 
-def _order(r) -> int:
-    """r (see ``parse_integer``) as an int, which must be >= 0."""
-    r = parse_integer("r", r)
-    if r < 0:
-        raise DomainError("r must be >= 0")
-    return r
-
-
 def cesaro_scheme(rho="constant") -> WeightScheme:
     return WeightScheme(lambda n: np.full(n, 1.0 / n), _rho(rho))
 
@@ -73,7 +65,9 @@ def iterated_scheme(alpha: float, r: int, rho="constant") -> WeightScheme:
     and v_m / cw_m is taken as 0.
     """
     alpha = _alpha(alpha, "iterated scheme")
-    r = _order(r)
+    r = parse_integer("r", r)
+    if r < 0:
+        raise DomainError("r must be >= 0")
 
     def a_row(n):
         w = (np.arange(1, n + 1, dtype=float) / n) ** (-alpha)
@@ -133,43 +127,6 @@ def richardson_log_limit(n_values: Sequence[int],
     return float(coef[-1])
 
 
-def _running_means(x: np.ndarray, alpha: float) -> np.ndarray:
-    """sum_{k<=m} w_k x_k / sum_{k<=m} w_k for every m, w_k = k^(-alpha).
-
-    The weights of the first m terms are scaled to (k/m)^(-alpha), which
-    cannot overflow.  Below alpha = 0 the leading partial sums can underflow
-    to 0; those means are taken again at the scale of the prefix they cover,
-    and DomainError is raised when that prefix is more than half of the
-    terms, so each pass at least halves the work left."""
-    out = np.empty_like(x)
-    m = x.size
-    while m:
-        w = (np.arange(1, m + 1, dtype=float) / m) ** (-alpha)
-        cw = np.cumsum(w)
-        lost = int(np.count_nonzero(cw == 0.0))  # a prefix: cw increases
-        if lost > m // 2:
-            raise DomainError(f"iterated_mean: the weights k^(-alpha) of "
-                              f"alpha = {alpha!r} underflow on the first "
-                              f"{lost} of {m} terms")
-        out[lost:m] = np.cumsum(w * x[:m])[lost:] / cw[lost:]
-        m = lost
-    return out
-
-
-def iterated_mean(values: Sequence[float], alpha: float,
-                  r: int) -> np.ndarray:
-    """r-iterated alpha-weighted means: order r+1 averages order r with
-    weights w_k = k^(-alpha)."""
-    alpha = _alpha(alpha, "iterated_mean")
-    r = _order(r)
-    out = np.asarray(values, dtype=float)
-    if out.size == 0:
-        raise DomainError("values must be nonempty")
-    for _ in range(r):
-        out = _running_means(out, alpha)
-    return out
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Per-condition verdicts for a weight scheme.
@@ -190,18 +147,23 @@ class ConditionReport:
 
 def _trend_verdict(values, target: str, tol: float = 1e-9) -> str:
     """"pass" if the profile meets the target ("bounded", "zero", "limit";
-    "diverges": ends above its start and above 2; "no_growth": ends no
-    higher than it starts), "fail" if it clearly does not, else
-    "inconclusive".  ``tol`` is relative to the profile's scale,
+    "diverges": ends above its start and still rises at its last step;
+    "no_growth": ends no higher than it starts), "fail" if it clearly does
+    not, else "inconclusive".  ``tol`` is relative to the profile's scale,
     max(1, max |v|), so that the rounding noise of a large profile does not
-    cross it; a profile with a non-finite value fails, as it has no trend
-    to read."""
+    cross it, and to max |v| alone for "diverges", whose verdict no
+    constant factor may change; a profile with a non-finite value fails,
+    as it has no trend to read."""
     v = np.asarray(values, dtype=float)
     if not np.isfinite(v).all():
         return "fail"
-    tol *= max(1.0, float(np.abs(v).max()))
+    scale = float(np.abs(v).max())
     if target == "diverges":
-        return "pass" if v[-1] > v[0] and v[-1] > 2.0 else "fail"
+        tol *= scale
+        if v[-1] <= v[0] + tol:
+            return "fail"
+        return "pass" if v[-1] > v[-2] + tol else "inconclusive"
+    tol *= max(1.0, scale)
     if target == "no_growth":
         if v[-1] <= v[0] + tol / 1000:
             return "pass"

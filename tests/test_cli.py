@@ -81,7 +81,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         lines = [ln for ln in out.splitlines() if ln]
-        assert len(lines) == 12
+        assert len(lines) == len(cli.IDENTITY_CHECKS)
         assert all(ln.startswith("PASS") for ln in lines)
         for name in ("cdf_table_midpoints", "b_closed_form",
                      "char_closed_form", "c2_discrete_mpmath"):
@@ -771,6 +771,22 @@ def test_allocation_failure_exit_2(capsys, monkeypatch, tmp_path, argv,
                              str(tmp_path / "out"))
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("lines, field", [
+    ("n_grid: [50, 200]\nreplications: 4611686018427387904", "replications"),
+    ("n_grid: [50, 4611686018427387904]\nreplications: 60",
+     "the largest n_grid entry")], ids=["replications", "n_grid"])
+def test_array_beyond_numpy_index_range_exit_2(capsys, tmp_path, lines,
+                                               field):
+    # 2**62 doubles pass numpy's index range, where it raises ValueError
+    # ("array is too big"), not MemoryError; the config rejects the size
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(f"experiment: weak_law\n{lines}\n")
+    code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                             str(tmp_path / "results"))
+    assert code == 2 and out == ""
+    assert f"{field}, 4611686018427387904, is too large" in err
 
 
 class TestParser:

@@ -32,7 +32,6 @@ from oppenheimlab.experiments import (
     char_distance_check,
     distributional_run,
     exact_weak_law_run,
-    gamma_from_harmonic,
     limit_law_for,
     load_record,
     replication_rng,
@@ -730,22 +729,3 @@ class TestCharDistance:
             char_distance_check(2, (0.1,), 10**5)
         with pytest.raises(DomainError):
             char_distance_check(2, (0.1, 0.2), 10**3)
-
-
-class TestGammaRecovery:
-    def test_value(self):
-        assert gamma_from_harmonic(10**6) == pytest.approx(-EULER_GAMMA,
-                                                           abs=1e-6)
-
-    def test_runs_fast(self):
-        t0 = time.perf_counter()
-        gamma_from_harmonic(10**6)
-        assert time.perf_counter() - t0 < 0.1
-
-    def test_monotone_in_n(self):
-        vals = [gamma_from_harmonic(n) for n in (10, 100, 1000)]
-        assert vals[0] < vals[1] < vals[2] < -EULER_GAMMA
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gamma_from_harmonic(0)

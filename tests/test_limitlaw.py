@@ -25,7 +25,6 @@ from oppenheimlab.limitlaw import (
     char_fn,
     ks_distance,
     levy_cf_law,
-    sample,
     sample_many,
 )
 from oppenheimlab.specfun import EULER_GAMMA
@@ -435,10 +434,6 @@ class TestSampling:
         rng = np.random.default_rng(2718)
         xs = sample_many(law, rng, 300_000)
         assert ks_distance(xs, law) < 0.004
-
-    def test_scalar_sample(self):
-        x = sample(StableLimitLaw(1.0), np.random.default_rng(1))
-        assert np.isfinite(x)
 
     def test_c_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -14,8 +14,6 @@ from oppenheimlab.specfun import (
     EULER_GAMMA,
     c2_discrete,
     c2_discrete_quad,
-    cin,
-    cosine_integral,
     gauss_2f1_unit,
     lemma_a1,
     quad,
@@ -24,45 +22,6 @@ from oppenheimlab.specfun import (
 
 def test_euler_gamma_value():
     assert EULER_GAMMA == pytest.approx(-psi(1.0), abs=1e-15)
-
-
-class TestCosineIntegrals:
-    def test_ci_against_scipy(self):
-        # the grid reaches x = 1e-4, where 1/t peaks inside the first period
-        xs = (*np.geomspace(1e-4, 1e3, 30), 0.1, 0.5, 2.0, 5.0, 10.0, 40.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for x in xs:
-                assert cosine_integral(x) == pytest.approx(sici(x)[1],
-                                                           abs=1e-12)
-
-    def test_ci_at_one(self):
-        # classical tabulated value of Ci(1)
-        assert cosine_integral(1.0) == pytest.approx(0.3374039229009681,
-                                                     abs=1e-12)
-
-    def test_cin_small_x_series(self):
-        # Cin(x) = x^2/4 - x^4/96 + x^6/4320 - ...
-        x = 1e-3
-        series = x**2 / 4 - x**4 / 96 + x**6 / 4320
-        assert cin(x) == pytest.approx(series, rel=1e-12)
-
-    def test_cin_ci_log_identity(self):
-        for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-            lhs = cin(x) + cosine_integral(x)
-            rhs = math.log(x) + EULER_GAMMA
-            assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            cosine_integral(0.0)
-        with pytest.raises(DomainError):
-            cosine_integral(-1.0)
-        with pytest.raises(DomainError):
-            cin(-0.5)
-
-    def test_cin_at_zero(self):
-        assert cin(0.0) == 0.0
 
 
 class TestLemmaA1:
@@ -192,6 +151,17 @@ class TestC2Discrete:
 
 
 class TestQuad:
+    def test_ci_against_scipy(self):
+        # Ci(x) = -int_x^inf cos(t)/t dt; the grid reaches x = 1e-4, where
+        # 1/t peaks steeply inside the first half-period that QAWO takes
+        xs = (*np.geomspace(1e-4, 1e3, 30), 0.1, 0.5, 2.0, 5.0, 10.0, 40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in xs:
+                ci = -quad(lambda t: 1.0 / t, x, math.inf, "Ci", 10,
+                           weight="cos")
+                assert ci == pytest.approx(sici(x)[1], abs=1e-12)
+
     def test_dirichlet(self):
         # int_pi^inf sin(t)/t dt = pi/2 - Si(pi), with an error estimate
         # within 1 x QUAD_TOL

@@ -1,7 +1,9 @@
-"""Weight arrays, normalizers, iterated means, and condition checkers."""
+"""Weight arrays, normalizers, iterated-mean weights, and condition
+checkers."""
 
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,13 +17,21 @@ from oppenheimlab.weights import (
     cesaro_scheme,
     check_theorem_3_2_conditions,
     check_theorem_4_1_conditions,
-    iterated_mean,
     index_row,
     iterated_scheme,
     power_alpha_scheme,
     richardson_log_limit,
     weights_row,
 )
+
+
+def _weighted_means(x, alpha, r):
+    """r passes of the running means sum_{k<=m} w_k x_k / sum_{k<=m} w_k,
+    w_k = k^(-alpha), over every m."""
+    w = np.arange(1, x.size + 1, dtype=float) ** (-alpha)
+    for _ in range(r):
+        x = np.cumsum(w * x) / np.cumsum(w)
+    return x
 
 
 class TestMakeRho:
@@ -92,22 +102,19 @@ class TestSchemes:
 
     @pytest.mark.parametrize("r", [1.5, True, -1, "2"])
     def test_iterated_order_must_be_an_integer(self, r):
-        # rejected when the scheme or the means are made, not in range()
+        # rejected when the scheme is made, not in range()
         with pytest.raises(DomainError, match="^r must be"):
             iterated_scheme(0.5, r)
-        with pytest.raises(DomainError, match="^r must be"):
-            iterated_mean([1.0, 2.0], 0.5, r)
 
     def test_iterated_rows_are_convex_weights(self):
         row = weights_row(iterated_scheme(0.5, 3), 40)
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(row > 0)
 
-    def test_iterated_matches_iterated_mean(self):
-        # applying the row to data reproduces the recursive means
-        rng = np.random.default_rng(0)
-        xs = rng.normal(size=30)
-        direct = iterated_mean(xs, 0.4, 2)
+    def test_iterated_row_gives_the_recursive_means(self):
+        # applying the row to data reproduces r weighted means in a row
+        xs = np.random.default_rng(0).normal(size=30)
+        direct = _weighted_means(xs, 0.4, 2)
         sch = iterated_scheme(0.4, 2)
         for n in (5, 17, 30):
             assert float(weights_row(sch, n) @ xs[:n]) == pytest.approx(
@@ -118,7 +125,7 @@ class TestSchemes:
         xs = np.random.default_rng(1).normal(size=10**5)
         row = weights_row(iterated_scheme(0.4, 3), xs.size)
         assert float(row @ xs) == pytest.approx(
-            iterated_mean(xs, 0.4, 3)[-1], abs=1e-12)
+            _weighted_means(xs, 0.4, 3)[-1], abs=1e-12)
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_iterated_row_at_very_negative_alpha(self, r):
@@ -140,30 +147,18 @@ class TestSchemes:
         row = weights_row(iterated_scheme(-2.0, 1), n)
         assert np.max(np.abs(row / reference - 1.0)) <= 1e-15
 
-    def test_iterated_mean_at_very_negative_alpha(self):
+    def test_iterated_row_gives_exact_means_at_very_negative_alpha(self):
         xs = np.linspace(1.0, 2.0, 200)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ones = iterated_mean(np.ones(200), -150, 1)
-            out = iterated_mean(xs, -150, 1)
-        assert np.array_equal(ones, np.ones(200))
+        sch = iterated_scheme(-150, 1)
         # exact means at a few m, in rational arithmetic
         for m in (1, 2, 3, 150, 200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                row = weights_row(sch, m)
             w = [Fraction(k) ** 150 for k in range(1, m + 1)]
             exact = sum(wk * Fraction(x) for wk, x in zip(w, xs)) / sum(w)
-            assert out[m - 1] == pytest.approx(float(exact), rel=1e-14)
-
-    def test_iterated_mean_unchanged_at_moderate_alpha(self):
-        xs = np.linspace(1.0, 2.0, 200)
-        w = np.arange(1, xs.size + 1, dtype=float) ** 2.0
-        reference = np.cumsum(w * xs) / np.cumsum(w)
-        out = iterated_mean(xs, -2.0, 1)
-        assert np.max(np.abs(out / reference - 1.0)) <= 1e-15
-
-    def test_iterated_mean_underflowing_weights_raise(self):
-        # at alpha = -1e6 every weight but the last underflows at each scale
-        with pytest.raises(DomainError, match="alpha = -1000000.0"):
-            iterated_mean(np.ones(200), -1e6, 1)
+            assert float(row @ xs[:m]) == pytest.approx(float(exact),
+                                                        rel=1e-14)
 
     def test_weights_row_validation(self):
         with pytest.raises(DomainError):
@@ -176,9 +171,10 @@ class TestProfiles:
         vals = [2.0 + 3.0 / math.log(n) for n in ns]
         assert richardson_log_limit(ns, vals) == pytest.approx(2.0, abs=1e-9)
 
-    def test_iterated_mean_alpha0_is_cesaro(self):
+    def test_iterated_alpha0_is_cesaro(self):
         xs = np.array([1.0, 2.0, 3.0, 4.0])
-        out = iterated_mean(xs, 0.0, 1)
+        out = [weights_row(iterated_scheme(0.0, 1), n) @ xs[:n]
+               for n in range(1, 5)]
         assert np.allclose(out, np.cumsum(xs) / np.arange(1, 5))
 
 
@@ -244,6 +240,11 @@ class TestConditionCheckers:
         rep41 = check_theorem_4_1_conditions(scheme, alphas, n_max)
         assert rep32.passed and rep41.passed
         assert rep41.ell == pytest.approx(alpha, rel=1e-12)
+        # rho_n log n diverges for any constant rho: at rho = 0.1 it stayed
+        # below an absolute 2 up to n = 1000 and failed
+        for rho in (0.1, 1e-3):
+            assert check_theorem_3_2_conditions(
+                replace(scheme, rho=lambda n: rho), alphas, n_max).passed
 
     @pytest.mark.parametrize("target", ["bounded", "zero", "limit",
                                         "no_growth", "diverges"])
@@ -289,6 +290,13 @@ class TestConditionCheckers:
         rep = check_theorem_3_2_conditions(flat, np.ones(1000), 1000)
         assert rep.verdict("rho_log_diverges") == "fail"
         assert not rep.passed and rep.ell is None
+        # slow growth still diverges, also on a grid ending at n = 100,
+        # where rho_n log n only doubles from n = 10 for a constant rho
+        for rho in (lambda n: 0.1, lambda n: 1e-12,
+                    lambda n: 1.0 / math.log(math.log(n))):
+            rep = check_theorem_3_2_conditions(replace(flat, rho=rho),
+                                               np.ones(100), 100)
+            assert rep.verdict("rho_log_diverges") == "pass"
 
     def test_n_max_validation(self):
         with pytest.raises(DomainError):
