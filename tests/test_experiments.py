@@ -101,6 +101,21 @@ class TestConfig:
                 small_config(**bad)
         assert small_config(n_grid=(np.int64(50), 200)).n_grid == (50, 200)
 
+    @pytest.mark.parametrize("field", ["replications", "n_grid"])
+    def test_array_size_bound_is_exact(self, field):
+        # the largest count whose doubles fit numpy's index range is
+        # accepted (nothing is allocated here), one more is refused
+        most = np.iinfo(np.intp).max // 8
+
+        def config(size):
+            if field == "replications":
+                return small_config(replications=size)
+            return small_config(n_grid=(50, size))
+
+        assert getattr(config(most), field) in (most, (50, most))
+        with pytest.raises(DomainError, match=f", {most + 1}, is too large"):
+            config(most + 1)
+
     @pytest.mark.parametrize("bad, name", [
         (dict(n_grid=100), "n_grid"), (dict(n_grid="50"), "n_grid"),
         (dict(t_grid=1.0), "t_grid"), (dict(t_grid="12"), "t_grid"),

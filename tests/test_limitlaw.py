@@ -435,6 +435,10 @@ class TestSampling:
         xs = sample_many(law, rng, 300_000)
         assert ks_distance(xs, law) < 0.004
 
+    def test_scalar_sample(self):
+        xs = sample_many(StableLimitLaw(1.0), np.random.default_rng(1), 1)
+        assert xs.shape == (1,) and np.isfinite(xs[0])
+
     def test_c_zero_rejected(self):
         with pytest.raises(DomainError):
             sample_many(StableLimitLaw(0.0), np.random.default_rng(1), 5)

@@ -7,6 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 from scipy.special import psi, sici
 
 from oppenheimlab.errors import AccuracyError, DomainError, PoleError
@@ -22,6 +23,58 @@ from oppenheimlab.specfun import (
 
 def test_euler_gamma_value():
     assert EULER_GAMMA == pytest.approx(-psi(1.0), abs=1e-15)
+
+
+def _ci(x):
+    """Ci(x) = -int_x^inf cos(t)/t dt, by quad's QAWO/QAWF split."""
+    return -quad(lambda t: 1.0 / t, x, math.inf, "Ci", 10, weight="cos")
+
+
+def _cin(x):
+    """Cin(x) = int_0^x (1 - cos t)/t dt, by quad on a finite interval."""
+    return quad(lambda t: 2.0 * math.sin(t / 2.0) ** 2 / t, 0.0, x, "Cin", 10)
+
+
+class TestCosineIntegrals:
+    """The cosine integrals through ``quad``: Ci is its only integrand that
+    peaks inside the first half-period QAWO takes, and Cin + Ci checks the
+    oscillatory route against the plain one."""
+
+    def test_ci_against_scipy(self):
+        # the grid reaches x = 1e-4, where 1/t peaks inside the first period
+        xs = (*np.geomspace(1e-4, 1e3, 30), 0.1, 0.5, 2.0, 5.0, 10.0, 40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in xs:
+                assert _ci(x) == pytest.approx(sici(x)[1], abs=1e-12)
+
+    def test_ci_at_one(self):
+        # classical tabulated value of Ci(1)
+        assert _ci(1.0) == pytest.approx(0.3374039229009681, abs=1e-12)
+
+    def test_cin_small_x_series(self):
+        # Cin(x) = x^2/4 - x^4/96 + x^6/4320 - ...
+        x = 1e-3
+        series = x**2 / 4 - x**4 / 96 + x**6 / 4320
+        assert _cin(x) == pytest.approx(series, rel=1e-12)
+
+    def test_cin_ci_log_identity(self):
+        for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
+            lhs = _cin(x) + _ci(x)
+            rhs = math.log(x) + EULER_GAMMA
+            assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_domain_errors(self):
+        # Ci diverges at 0 and its integral meets the pole for x < 0: quad
+        # refuses both rather than return a number
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            for x in (0.0, -1.0):
+                with pytest.raises(AccuracyError, match="^Ci quadrature"):
+                    _ci(x)
+
+    def test_cin_at_zero(self):
+        assert _cin(0.0) == 0.0
 
 
 class TestLemmaA1:
@@ -151,17 +204,6 @@ class TestC2Discrete:
 
 
 class TestQuad:
-    def test_ci_against_scipy(self):
-        # Ci(x) = -int_x^inf cos(t)/t dt; the grid reaches x = 1e-4, where
-        # 1/t peaks steeply inside the first half-period that QAWO takes
-        xs = (*np.geomspace(1e-4, 1e3, 30), 0.1, 0.5, 2.0, 5.0, 10.0, 40.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for x in xs:
-                ci = -quad(lambda t: 1.0 / t, x, math.inf, "Ci", 10,
-                           weight="cos")
-                assert ci == pytest.approx(sici(x)[1], abs=1e-12)
-
     def test_dirichlet(self):
         # int_pi^inf sin(t)/t dt = pi/2 - Si(pi), with an error estimate
         # within 1 x QUAD_TOL

@@ -25,7 +25,7 @@ from oppenheimlab.weights import (
 )
 
 
-def _weighted_means(x, alpha, r):
+def _iterated_mean(x, alpha, r):
     """r passes of the running means sum_{k<=m} w_k x_k / sum_{k<=m} w_k,
     w_k = k^(-alpha), over every m."""
     w = np.arange(1, x.size + 1, dtype=float) ** (-alpha)
@@ -111,10 +111,10 @@ class TestSchemes:
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(row > 0)
 
-    def test_iterated_row_gives_the_recursive_means(self):
+    def test_iterated_matches_iterated_mean(self):
         # applying the row to data reproduces r weighted means in a row
         xs = np.random.default_rng(0).normal(size=30)
-        direct = _weighted_means(xs, 0.4, 2)
+        direct = _iterated_mean(xs, 0.4, 2)
         sch = iterated_scheme(0.4, 2)
         for n in (5, 17, 30):
             assert float(weights_row(sch, n) @ xs[:n]) == pytest.approx(
@@ -125,7 +125,7 @@ class TestSchemes:
         xs = np.random.default_rng(1).normal(size=10**5)
         row = weights_row(iterated_scheme(0.4, 3), xs.size)
         assert float(row @ xs) == pytest.approx(
-            _weighted_means(xs, 0.4, 3)[-1], abs=1e-12)
+            _iterated_mean(xs, 0.4, 3)[-1], abs=1e-12)
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_iterated_row_at_very_negative_alpha(self, r):
@@ -147,7 +147,7 @@ class TestSchemes:
         row = weights_row(iterated_scheme(-2.0, 1), n)
         assert np.max(np.abs(row / reference - 1.0)) <= 1e-15
 
-    def test_iterated_row_gives_exact_means_at_very_negative_alpha(self):
+    def test_iterated_mean_at_very_negative_alpha(self):
         xs = np.linspace(1.0, 2.0, 200)
         sch = iterated_scheme(-150, 1)
         # exact means at a few m, in rational arithmetic
@@ -160,6 +160,25 @@ class TestSchemes:
             assert float(row @ xs[:m]) == pytest.approx(float(exact),
                                                         rel=1e-14)
 
+    def test_iterated_mean_unchanged_at_moderate_alpha(self):
+        # the row's means at every m against the unscaled weights k^2
+        xs = np.linspace(1.0, 2.0, 200)
+        w = np.arange(1, xs.size + 1, dtype=float) ** 2.0
+        reference = np.cumsum(w * xs) / np.cumsum(w)
+        sch = iterated_scheme(-2.0, 1)
+        out = np.array([weights_row(sch, m) @ xs[:m]
+                        for m in range(1, xs.size + 1)])
+        assert np.max(np.abs(out / reference - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_iterated_row_at_alpha_minus_1e6_is_the_last_unit_vector(self, r):
+        # every weight but the last underflows at each scale; the row
+        # neither warns nor raises, and puts all its mass on k = n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = weights_row(iterated_scheme(-1e6, r), 200)
+        assert np.array_equal(row, np.eye(200)[-1])
+
     def test_weights_row_validation(self):
         with pytest.raises(DomainError):
             weights_row(cesaro_scheme(), 0)
@@ -171,7 +190,7 @@ class TestProfiles:
         vals = [2.0 + 3.0 / math.log(n) for n in ns]
         assert richardson_log_limit(ns, vals) == pytest.approx(2.0, abs=1e-9)
 
-    def test_iterated_alpha0_is_cesaro(self):
+    def test_iterated_mean_alpha0_is_cesaro(self):
         xs = np.array([1.0, 2.0, 3.0, 4.0])
         out = [weights_row(iterated_scheme(0.0, 1), n) @ xs[:n]
                for n in range(1, 5)]
@@ -254,6 +273,19 @@ class TestConditionCheckers:
                         [inf, inf, inf], [-inf, -inf, -inf],
                         [1.0, nan, 1.0], [nan, nan, nan]):
             assert weights._trend_verdict(profile, target) != "pass"
+
+    @pytest.mark.parametrize("profile, verdict", [
+        ([1.0, 2.0, 3.0], "pass"), ([1.0, 3.0, 3.0], "inconclusive"),
+        ([1.0, 3.0, 2.0], "inconclusive"), ([2.0, 3.0, 2.0], "fail"),
+        ([3.0, 2.0, 1.0], "fail")],
+        ids=["rising", "level_at_the_end", "falling_at_the_end",
+             "back_at_the_start", "falling"])
+    def test_diverges_reads_only_the_shape(self, profile, verdict):
+        # fail unless the end is above the start, pass only if the last
+        # step still rises; no constant factor changes the verdict
+        for factor in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+            assert weights._trend_verdict(np.multiply(profile, factor),
+                                          "diverges") == verdict
 
     def test_condition_names_in_order(self):
         rep32 = check_theorem_3_2_conditions(cesaro_scheme(), np.ones(1000),
