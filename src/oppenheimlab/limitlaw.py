@@ -264,15 +264,23 @@ def _table() -> functools.partial:
 
 
 def _cdf_table(z) -> np.ndarray:
-    """F of S(1, 0): 0 below the table, the direct route above it."""
+    """F of S(1, 0): 0 below the table, the direct route above it.  The
+    table is read at every point clipped into its range, and the logistic
+    1/(1 + exp(-logit)) runs in place, so no gather, scatter or temporary
+    of the points' size outlives the spline's output."""
     z = np.asarray(z, dtype=float)
-    out = np.zeros(z.shape)
-    hi = z > _NODES[-1]
-    mid = (z >= _NODES[0]) & ~hi
-    out[mid] = 1.0 / (1.0 + np.exp(-_table()(np.arcsinh(z[mid]))))
+    flat = z.ravel()
+    out = np.clip(flat, _NODES[0], _NODES[-1])
+    out = _table()(np.arcsinh(out, out=out))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    out[flat < _NODES[0]] = 0.0
+    hi = flat > _NODES[-1]
     if hi.any():
-        out[hi] = _cdf_direct(z[hi])
-    return out
+        out[hi] = _cdf_direct(flat[hi])
+    return out.reshape(z.shape)
 
 
 def table_error() -> float:
@@ -331,20 +339,38 @@ def sample_many(law: StableLimitLaw, rng: np.random.Generator,
                 size: int) -> np.ndarray:
     """Index-1 totally skewed stable draws matching char_fn.
 
-    Chambers-Mallows-Stuck base draw X ~ exp(-|t|(1 + i(2/pi)sign(t)log|t|)),
-    then the index-1 scaling law: gamma_s X + (2/pi) gamma_s log(gamma_s) - delta
-    has the target characteristic function with gamma_s = c pi/2.
+    Chambers-Mallows-Stuck base draw X ~ exp(-|t|(1 + i(2/pi)sign(t)log|t|))
+    from theta uniform on (-pi/2, pi/2) and W standard exponential,
+    X = ((pi/2 + theta) t - log((pi/2) W / ((pi/2 + theta) sqrt(1 + t^2))))
+    / (pi/2) with t = tan theta: cos theta = 1/sqrt(1 + t^2) there, and
+    numpy's float64 tan is vectorised while its cos is not.  Then the
+    index-1 scaling law: gamma_s X + (2/pi) gamma_s log(gamma_s) - delta
+    has the target characteristic function with gamma_s = c pi/2.  Every
+    step after the draws runs in place, so a call holds four arrays of
+    ``size`` doubles.
     """
     if law.c <= 0.0:
         raise DomainError("sampling requires c > 0")
     half_pi = math.pi / 2.0
     theta = rng.uniform(-half_pi, half_pi, size)
     w = rng.exponential(1.0, size)
-    x = ((half_pi + theta) * np.tan(theta)
-         - np.log((half_pi * w * np.cos(theta)) / (half_pi + theta))) / half_pi
+    x = np.tan(theta)
+    theta += half_pi  # pi/2 + theta from here on
+    den = x * x  # becomes (pi/2 + theta) sqrt(1 + t^2)
+    den += 1.0
+    np.sqrt(den, out=den)
+    den *= theta
+    w *= half_pi
+    w /= den
+    np.log(w, out=w)
+    x *= theta
+    x -= w
+    x /= half_pi  # the base draw X
     gamma_s = law.c * half_pi
-    return gamma_s * x + (2.0 / math.pi) * gamma_s * math.log(gamma_s) \
-        - law.delta
+    x *= gamma_s
+    x += (2.0 / math.pi) * gamma_s * math.log(gamma_s)
+    x -= law.delta
+    return x
 
 
 def ks_distance(samples, law: StableLimitLaw) -> float:
@@ -357,6 +383,9 @@ def ks_distance(samples, law: StableLimitLaw) -> float:
         raise DomainError("samples must be finite")
     n = xs.size
     f = cdf_many(law, xs)
-    upper = np.arange(1, n + 1) / n - f
-    lower = f - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max()))
+    gap = np.arange(1, n + 1) / n
+    gap -= f
+    upper = gap.max()
+    np.divide(np.arange(0, n), n, out=gap)
+    np.subtract(f, gap, out=gap)
+    return float(max(upper, gap.max()))

@@ -220,14 +220,21 @@ def _condition_report(table, scheme: WeightScheme, values,
                       n_max: int) -> ConditionReport:
     """The (n, value) rows and verdict of every condition of ``table`` on
     the geometric n-grid up to n_max.  ``values`` is a per-index row (see
-    ``index_row``) covering k <= n_max."""
+    ``index_row``) covering k <= n_max.  A measure of finite values and
+    weights that is not finite in float has no profile to read: it raises
+    DomainError, naming the condition and n."""
     grid = _geometric_grid(n_max)
     v_all = index_row(values, grid[-1])
     rows = [[] for _ in table]
     for n in grid:
-        a = weights_row(scheme, n)
-        for profile, (_, _, measure) in zip(rows, table):
-            profile.append((n, measure(scheme, n, a, v_all[:n])))
+        a, v = weights_row(scheme, n), v_all[:n]
+        finite = np.isfinite(a).all() and np.isfinite(v).all()
+        for profile, (name, _, measure) in zip(rows, table):
+            value = measure(scheme, n, a, v)
+            if finite and not math.isfinite(value):
+                raise DomainError(f"the {name} measure at n = {n} is not "
+                                  f"finite in float ({value})")
+            profile.append((n, value))
     conds = {name: (tuple(profile),
                     _trend_verdict([value for _, value in profile], target))
              for profile, (name, target, _) in zip(rows, table)}

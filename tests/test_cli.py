@@ -789,6 +789,23 @@ def test_array_beyond_numpy_index_range_exit_2(capsys, tmp_path, lines,
     assert f"{field}, 4611686018427387904, is too large" in err
 
 
+
+def test_profile_beyond_float_range_exit_2(capsys, tmp_path):
+    # alpha_k = 1e300 and a = 1/n give finite x log x terms, but their sum
+    # over rho_n log n = 1e-12 log n is beyond the float range: the profile
+    # was -inf, and the check failed with exit 1
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text("experiment: weak_law\n"
+                   "family: {kind: mobius_clamped, c_n: 1.0e+300}\n"
+                   "weights: {kind: cesaro, rho: 1.0e-12}\n"
+                   "n_grid: [100, 1000]\nreplications: 20\n")
+    code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                             str(tmp_path / "results"))
+    assert code == 2 and out == ""
+    assert err == ("error: the limit_ell measure at n = 10 is not finite in "
+                   "float (-inf)\n")
+    assert not (tmp_path / "results").exists()
+
 class TestParser:
     def test_version_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--version")

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -419,6 +420,43 @@ class TestTableSpline:
         assert np.array_equal(cdf_many(law, draws[order]),
                               cdf_many(law, draws)[order])
 
+    @staticmethod
+    def out_of_place_cdf(law, x):
+        """cdf_many as the table was read before it ran in place: a gather
+        of the points inside the table, a scatter of the logistic of the
+        spline there, and the direct route above it."""
+        def table(z):
+            z = np.asarray(z, dtype=float)
+            out = np.zeros(z.shape)
+            hi = z > limitlaw._NODES[-1]
+            mid = (z >= limitlaw._NODES[0]) & ~hi
+            out[mid] = 1.0 / (1.0 + np.exp(-limitlaw._table()(
+                np.arcsinh(z[mid]))))
+            if hi.any():
+                out[hi] = limitlaw._cdf_direct(z[hi])
+            return out
+        return limitlaw._at_scale(law, x, table)
+
+    @pytest.mark.parametrize("law", [StableLimitLaw(1.0),
+                                     StableLimitLaw(1e-3, 0.2), levy_cf_law()],
+                             ids=["standard", "small_c", "levy"])
+    def test_in_place_read_is_the_out_of_place_read(self, law, draws):
+        # bit for bit, shape for shape: points below the table (z < -5),
+        # above it (z > 1e10), +-inf, a 0-d array, a scalar and a 2-D array
+        edges = np.array([-math.inf, -1e300, -7.0, -5.0, -4.999, 0.0, 2.0,
+                          1e10, 1.5e10, 1e12, 1e300, math.inf])
+        xs = law.c * (np.concatenate([draws, edges]) + math.log(law.c)) \
+            - law.delta  # z = draws and edges, up to rounding
+        for x in (xs, xs[::-1], xs[:24].reshape(4, 6), np.array(0.3),
+                  np.array([1.2e10]), np.empty(0)):
+            kept = x.copy()
+            new, old = cdf_many(law, x), self.out_of_place_cdf(law, x)
+            assert isinstance(new, np.ndarray) and new.shape == old.shape
+            assert np.array_equal(new, old)
+            assert np.array_equal(x, kept)  # the logistic ran on a copy
+        for x in (-math.inf, -1e3, 0.3, 1e11 * max(law.c, 1.0), math.inf):
+            assert cdf(law, x) == float(self.out_of_place_cdf(law, x))
+
 
 class TestSampling:
     def test_ecf_matches_char_fn(self):
@@ -435,6 +473,58 @@ class TestSampling:
         xs = sample_many(law, rng, 300_000)
         assert ks_distance(xs, law) < 0.004
 
+    class ChosenDraws:
+        """A generator stub whose uniform and exponential draws are chosen
+        arrays; each call returns a copy, as sample_many writes in place."""
+
+        def __init__(self, theta, w):
+            self.theta, self.w = theta, w
+
+        def uniform(self, low, high, size):
+            assert (low, high, size) == (-math.pi / 2, math.pi / 2,
+                                         self.theta.size)
+            return self.theta.copy()
+
+        def exponential(self, scale, size):
+            assert (scale, size) == (1.0, self.w.size)
+            return self.w.copy()
+
+    @staticmethod
+    def cos_route(law, theta, w):
+        """The Chambers-Mallows-Stuck draw as written with cos theta."""
+        half_pi = math.pi / 2.0
+        x = ((half_pi + theta) * np.tan(theta)
+             - np.log((half_pi * w * np.cos(theta)) / (half_pi + theta))) \
+            / half_pi
+        gamma_s = law.c * half_pi
+        return gamma_s * x + (2.0 / math.pi) * gamma_s * math.log(gamma_s) \
+            - law.delta
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e4, 1.0 / math.log(2.0)])
+    def test_tan_route_is_the_cos_formula(self, c):
+        # cos theta = 1/sqrt(1 + tan^2 theta): the draws may move by
+        # rounding only, also within 1e-15 of -pi/2 and pi/2, where
+        # tan theta is near 1e15 and the log term is large.  W stays above
+        # 1e-250: near -pi/2 the cos formula's (pi/2) W cos theta turns
+        # subnormal below W ~ 1e-292 and loses digits that the tan route
+        # keeps (at W = 1e-300 the cos formula is 4e-10 off mpmath)
+        half_pi = math.pi / 2.0
+        rng = np.random.default_rng(27)
+        near_ends = np.concatenate([
+            [-half_pi + 1e-15, half_pi - 1e-15, np.nextafter(half_pi, 0.0)],
+            -half_pi + np.arange(1, 9) * np.spacing(half_pi),
+            half_pi - np.arange(1, 9) * np.spacing(half_pi)])
+        theta = np.concatenate([near_ends, np.linspace(-1.5, 1.5, 7),
+                                rng.uniform(-half_pi, half_pi, 200_000)])
+        w = rng.exponential(1.0, theta.size)
+        w[:near_ends.size] = np.geomspace(1e-250, 700.0, near_ends.size)
+        law = StableLimitLaw(c, 0.25)
+        new = sample_many(law, self.ChosenDraws(theta, w), theta.size)
+        old = self.cos_route(law, theta, w)
+        assert np.all(np.isfinite(old))
+        assert np.all(np.abs(new - old)
+                      <= 1e-12 * c * np.maximum(1.0, np.abs(old) / c))
+
     def test_scalar_sample(self):
         xs = sample_many(StableLimitLaw(1.0), np.random.default_rng(1), 1)
         assert xs.shape == (1,) and np.isfinite(xs[0])
@@ -442,6 +532,36 @@ class TestSampling:
     def test_c_zero_rejected(self):
         with pytest.raises(DomainError):
             sample_many(StableLimitLaw(0.0), np.random.default_rng(1), 5)
+
+
+class TestMemory:
+    """The draw and the KS pass run in place: peaks of traced memory (numpy
+    reports its buffers to tracemalloc) in arrays of N doubles."""
+
+    N = 1_000_000
+    # the generator's and the calls' own bookkeeping, a few kB
+    SLACK = 65536
+
+    def peak_arrays(self, call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, (tracemalloc.get_traced_memory()[1]
+                             - self.SLACK) / (8 * self.N)
+        finally:
+            tracemalloc.stop()
+
+    def test_sample_many_and_ks_distance_peaks(self):
+        law = StableLimitLaw(1.0)
+        limitlaw._table()  # built outside the measured calls
+        xs, peak = self.peak_arrays(lambda: sample_many(
+            law, np.random.default_rng(7), self.N))
+        # theta, W, tan theta and sqrt(1 + tan^2): five arrays out of place
+        assert peak <= 4.0
+        # the input, its sorted copy, z, the clipped points and the
+        # spline's output, and a boolean mask: 6.32 arrays out of place
+        _, peak = self.peak_arrays(lambda: ks_distance(xs.copy(), law))
+        assert peak <= 5.25
 
 
 class TestKsDistance:

@@ -1,5 +1,6 @@
 """The repository's tools run from a checkout and print what they promise."""
 
+import ast
 import importlib.util
 import math
 import re
@@ -83,3 +84,18 @@ def test_within_bound_holds_exactly_at_the_bound(metric, at_bound, beyond):
     # a change worse by exactly bound x the base median is within it
     assert summarise(metric, [1.0] * 10, [at_bound] * 10)["within_bound"]
     assert not summarise(metric, [1.0] * 10, [beyond] * 10)["within_bound"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in (ROOT / "src" / "oppenheimlab").glob("*.py")
+    if p.name != "__init__.py"))  # __init__ imports to re-export
+def test_every_module_level_import_is_used(path):
+    # no linter is installed, so this is the check for dead imports
+    tree = ast.parse((ROOT / "src" / "oppenheimlab" / path).read_text())
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(bound - used) == []

@@ -265,6 +265,19 @@ class TestConditionCheckers:
             assert check_theorem_3_2_conditions(
                 replace(scheme, rho=lambda n: rho), alphas, n_max).passed
 
+    def test_measure_beyond_float_range_raises(self):
+        # finite alphas and weights whose measure overflows have no profile
+        # to read: DomainError, not a "fail" verdict
+        scheme = cesaro_scheme(rho=1e-12)
+        with pytest.raises(DomainError, match="limit_ell measure at n = 10 "
+                           "is not finite in float"):
+            check_theorem_3_2_conditions(scheme, np.full(1000, 1e300), 1000)
+        # a non-finite alpha is the input's, and its profile fails
+        alphas = np.ones(1000)
+        alphas[500] = math.inf
+        rep = check_theorem_3_2_conditions(scheme, alphas, 1000)
+        assert not rep.passed and rep.verdict("limit_ell") == "fail"
+
     @pytest.mark.parametrize("target", ["bounded", "zero", "limit",
                                         "no_growth", "diverges"])
     def test_non_finite_profiles_never_pass(self, target):
