@@ -335,6 +335,18 @@ def cdf_exact(law: StableLimitLaw, x: float) -> float:
 # Sampling
 # ---------------------------------------------------------------------------
 
+# Draws and KS passes run through chunks of this many points.  A full chunk
+# of sorted points is at least _SLICED_POINTS long, so the spline reads it
+# one interval slice at a time; at 2**16 every chunk took the per-point
+# gather path and the KS pass was slower than one whole-array pass
+_CHUNK = 2**17
+
+
+def _chunks(n: int):
+    """(lo, hi) bounds of the consecutive chunks of range(n)."""
+    return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+
+
 def sample_many(law: StableLimitLaw, rng: np.random.Generator,
                 size: int) -> np.ndarray:
     """Index-1 totally skewed stable draws matching char_fn.
@@ -345,47 +357,61 @@ def sample_many(law: StableLimitLaw, rng: np.random.Generator,
     / (pi/2) with t = tan theta: cos theta = 1/sqrt(1 + t^2) there, and
     numpy's float64 tan is vectorised while its cos is not.  Then the
     index-1 scaling law: gamma_s X + (2/pi) gamma_s log(gamma_s) - delta
-    has the target characteristic function with gamma_s = c pi/2.  Every
-    step after the draws runs in place, so a call holds four arrays of
-    ``size`` doubles.
+    has the target characteristic function with gamma_s = c pi/2.  theta
+    and W are drawn whole, then mapped one chunk at a time into W's
+    buffer, so a call holds two arrays of ``size`` doubles and three of
+    ``_CHUNK``.  DomainError unless ``size`` is an integer >= 0 (not a
+    bool).
     """
     if law.c <= 0.0:
         raise DomainError("sampling requires c > 0")
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) \
+            or size < 0:
+        raise DomainError(f"size must be an integer >= 0, not {size!r}")
     half_pi = math.pi / 2.0
     theta = rng.uniform(-half_pi, half_pi, size)
     w = rng.exponential(1.0, size)
-    x = np.tan(theta)
-    theta += half_pi  # pi/2 + theta from here on
-    den = x * x  # becomes (pi/2 + theta) sqrt(1 + t^2)
-    den += 1.0
-    np.sqrt(den, out=den)
-    den *= theta
-    w *= half_pi
-    w /= den
-    np.log(w, out=w)
-    x *= theta
-    x -= w
-    x /= half_pi  # the base draw X
     gamma_s = law.c * half_pi
-    x *= gamma_s
-    x += (2.0 / math.pi) * gamma_s * math.log(gamma_s)
-    x -= law.delta
-    return x
+    drift = (2.0 / math.pi) * gamma_s * math.log(gamma_s)
+    for lo, hi in _chunks(w.size):
+        th, out = theta[lo:hi], w[lo:hi]
+        x = np.tan(th)
+        th += half_pi  # pi/2 + theta from here on
+        den = x * x  # becomes (pi/2 + theta) sqrt(1 + t^2)
+        den += 1.0
+        np.sqrt(den, out=den)
+        den *= th
+        out *= half_pi
+        out /= den
+        np.log(out, out=out)
+        x *= th
+        np.subtract(x, out, out=out)
+        out /= half_pi  # the base draw X
+        out *= gamma_s
+        out += drift
+        out -= law.delta
+    return w
 
 
 def ks_distance(samples, law: StableLimitLaw) -> float:
-    """sup-gap between the empirical CDF of the samples and the law's CDF,
-    taking both one-sided gaps at each sample point."""
-    xs = np.sort(np.asarray(samples, dtype=float))
+    """sup-gap between the empirical CDF of the samples (all values of an
+    array of any shape) and the law's CDF, taking both one-sided gaps at
+    each sample point.  The samples are sorted once, then read one chunk at
+    a time, so a pass holds its input, the sorted copy and a few arrays of
+    ``_CHUNK`` doubles."""
+    xs = np.sort(np.asarray(samples, dtype=float), axis=None)
     if xs.size == 0:
         raise DomainError("samples must be nonempty")
     if not np.isfinite(xs[0]) or not np.isfinite(xs[-1]):  # nan sorts last
         raise DomainError("samples must be finite")
     n = xs.size
-    f = cdf_many(law, xs)
-    gap = np.arange(1, n + 1) / n
-    gap -= f
-    upper = gap.max()
-    np.divide(np.arange(0, n), n, out=gap)
-    np.subtract(f, gap, out=gap)
-    return float(max(upper, gap.max()))
+    worst = 0.0
+    for lo, hi in _chunks(n):
+        f = cdf_many(law, xs[lo:hi])
+        gap = np.arange(lo + 1, hi + 1) / n
+        gap -= f
+        worst = max(worst, gap.max())
+        np.divide(np.arange(lo, hi), n, out=gap)
+        np.subtract(f, gap, out=gap)
+        worst = max(worst, gap.max())
+    return float(worst)

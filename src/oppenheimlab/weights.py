@@ -222,7 +222,8 @@ def _condition_report(table, scheme: WeightScheme, values,
     the geometric n-grid up to n_max.  ``values`` is a per-index row (see
     ``index_row``) covering k <= n_max.  A measure of finite values and
     weights that is not finite in float has no profile to read: it raises
-    DomainError, naming the condition and n."""
+    DomainError, naming the condition and n, and numpy's overflow warnings
+    on the way there are silenced."""
     grid = _geometric_grid(n_max)
     v_all = index_row(values, grid[-1])
     rows = [[] for _ in table]
@@ -230,7 +231,8 @@ def _condition_report(table, scheme: WeightScheme, values,
         a, v = weights_row(scheme, n), v_all[:n]
         finite = np.isfinite(a).all() and np.isfinite(v).all()
         for profile, (name, _, measure) in zip(rows, table):
-            value = measure(scheme, n, a, v)
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = measure(scheme, n, a, v)  # checked below
             if finite and not math.isfinite(value):
                 raise DomainError(f"the {name} measure at n = {n} is not "
                                   f"finite in float ({value})")

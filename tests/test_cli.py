@@ -806,6 +806,23 @@ def test_profile_beyond_float_range_exit_2(capsys, tmp_path):
                    "float (-inf)\n")
     assert not (tmp_path / "results").exists()
 
+
+def test_measure_overflow_exit_2_without_warning(capsys, tmp_path):
+    # at c_n = 1e308 the x log x terms of the limit_ell measure overflow;
+    # stderr holds the DomainError's line and no numpy RuntimeWarning
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text("experiment: weak_law\n"
+                   "family: {kind: mobius_clamped, c_n: 1.0e+308}\n"
+                   "n_grid: [100, 1000]\nreplications: 20\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(tmp_path / "results"))
+    assert code == 2 and out == ""
+    assert err == ("error: the limit_ell measure at n = 10 is not finite in "
+                   "float (-inf)\n")
+    assert not (tmp_path / "results").exists()
+
 class TestParser:
     def test_version_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--version")

@@ -32,6 +32,14 @@ from oppenheimlab.specfun import EULER_GAMMA
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the scales of the benchmark's KS checks and the continued-fraction law
+LAWS = [StableLimitLaw(1e-3), StableLimitLaw(1.0, 0.3), StableLimitLaw(1e4),
+        levy_cf_law()]
+LAW_IDS = ["c=1e-3", "c=1", "c=1e4", "levy"]
+# sizes on both sides of one and two chunks
+CHUNK = limitlaw._CHUNK
+CHUNK_SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]
+
 
 def has_mallopt() -> bool:
     try:
@@ -525,6 +533,38 @@ class TestSampling:
         assert np.all(np.abs(new - old)
                       <= 1e-12 * c * np.maximum(1.0, np.abs(old) / c))
 
+    @staticmethod
+    def whole_array_draws(law, rng, size):
+        """The 0.25.0 draw: the chunked map's steps on whole arrays."""
+        half_pi = math.pi / 2.0
+        theta = rng.uniform(-half_pi, half_pi, size)
+        w = rng.exponential(1.0, size)
+        x = np.tan(theta)
+        theta += half_pi
+        den = x * x
+        den += 1.0
+        np.sqrt(den, out=den)
+        den *= theta
+        w *= half_pi
+        w /= den
+        np.log(w, out=w)
+        x *= theta
+        x -= w
+        x /= half_pi
+        gamma_s = law.c * half_pi
+        x *= gamma_s
+        x += (2.0 / math.pi) * gamma_s * math.log(gamma_s)
+        x -= law.delta
+        return x
+
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    def test_chunked_draws_are_the_whole_array_draws(self, law, size):
+        new = sample_many(law, np.random.default_rng(size), size)
+        old = self.whole_array_draws(law, np.random.default_rng(size), size)
+        assert new.shape == (size,) and new.dtype == np.float64
+        assert np.array_equal(new, old)
+
     def test_scalar_sample(self):
         xs = sample_many(StableLimitLaw(1.0), np.random.default_rng(1), 1)
         assert xs.shape == (1,) and np.isfinite(xs[0])
@@ -533,10 +573,23 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_many(StableLimitLaw(0.0), np.random.default_rng(1), 5)
 
+    @pytest.mark.parametrize("size", [-1, True, False, 5.0, 2.5, "5",
+                                      (2, 3), None])
+    def test_size_must_be_a_count(self, size):
+        with pytest.raises(DomainError, match="size must be an integer"):
+            sample_many(StableLimitLaw(1.0), np.random.default_rng(1), size)
+
+    def test_numpy_integer_size(self):
+        xs = sample_many(StableLimitLaw(1.0), np.random.default_rng(1),
+                         np.int64(3))
+        assert np.array_equal(xs, sample_many(
+            StableLimitLaw(1.0), np.random.default_rng(1), 3))
+
 
 class TestMemory:
-    """The draw and the KS pass run in place: peaks of traced memory (numpy
-    reports its buffers to tracemalloc) in arrays of N doubles."""
+    """The draw and the KS pass run in place and in chunks: peaks of traced
+    memory (numpy reports its buffers to tracemalloc) in arrays of N
+    doubles."""
 
     N = 1_000_000
     # the generator's and the calls' own bookkeeping, a few kB
@@ -556,12 +609,15 @@ class TestMemory:
         limitlaw._table()  # built outside the measured calls
         xs, peak = self.peak_arrays(lambda: sample_many(
             law, np.random.default_rng(7), self.N))
-        # theta, W, tan theta and sqrt(1 + tan^2): five arrays out of place
-        assert peak <= 4.0
-        # the input, its sorted copy, z, the clipped points and the
-        # spline's output, and a boolean mask: 6.32 arrays out of place
+        # theta and W, and per chunk tan theta and sqrt(1 + tan^2), with
+        # the last chunk's tangent alive while the next is drawn: 2.39
+        # arrays (4.0 for the whole-array map of 0.25.0)
+        assert peak <= 2.45
+        # the input and its sorted copy, and per chunk z, the spline's
+        # output, a boolean mask and the gaps: 2.91 arrays (5.07 for one
+        # cdf_many call on the whole sorted copy)
         _, peak = self.peak_arrays(lambda: ks_distance(xs.copy(), law))
-        assert peak <= 5.25
+        assert peak <= 3.0
 
 
 class TestKsDistance:
@@ -582,3 +638,44 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             ks_distance([], StableLimitLaw(1.0))
+
+    def test_a_full_chunk_is_read_by_slices(self):
+        # a chunk below _SLICED_POINTS would take the spline's per-point
+        # gather path, which at 2**16 made the pass slower than one
+        # whole-array pass
+        assert limitlaw._CHUNK >= limitlaw._SLICED_POINTS
+
+    @staticmethod
+    def whole_array_ks(samples, law):
+        """The 0.25.0 KS pass: one cdf_many call on the whole sorted copy."""
+        xs = np.sort(np.asarray(samples, dtype=float), axis=None)
+        n = xs.size
+        f = cdf_many(law, xs)
+        upper = np.arange(1, n + 1) / n - f
+        lower = f - np.arange(0, n) / n
+        return float(max(upper.max(), lower.max()))
+
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    @pytest.mark.parametrize("size", [n for n in CHUNK_SIZES if n > 0])
+    def test_chunked_pass_is_the_whole_array_pass(self, law, size):
+        xs = sample_many(law, np.random.default_rng(size), size)
+        kept = xs.copy()
+        assert ks_distance(xs, law) == self.whole_array_ks(xs, law)
+        assert np.array_equal(xs, kept)  # the input is not sorted in place
+        # a shuffled copy sorts to the same points
+        np.random.default_rng(1).shuffle(xs)
+        assert ks_distance(xs, law) == self.whole_array_ks(kept, law)
+
+    def test_any_shape_is_its_values(self):
+        law = StableLimitLaw(1.0)
+        xs = sample_many(law, np.random.default_rng(3), 600)
+        flat = ks_distance(xs, law)
+        assert ks_distance(xs.reshape(20, 30), law) == flat
+        assert ks_distance(xs.reshape(5, 4, 30).T, law) == flat
+        assert ks_distance(np.float64(0.25), law) == \
+            ks_distance([0.25], law)
+        assert ks_distance(0.25, law) == ks_distance([0.25], law)
+        with pytest.raises(DomainError):
+            ks_distance(np.empty((3, 0)), law)
+        with pytest.raises(DomainError):
+            ks_distance(np.array([[0.1, math.nan]]), law)

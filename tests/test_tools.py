@@ -23,7 +23,7 @@ def test_payload_digests_prints_one_line_per_payload():
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     assert [line[66:] for line in lines] == [
         "run engel-weak-law per_n", "limit-cdf --law levy", "verify",
-        "expand --count 12"]
+        "expand --count 12", "ks"]
 
 
 def _load_bench():

@@ -272,6 +272,12 @@ class TestConditionCheckers:
         with pytest.raises(DomainError, match="limit_ell measure at n = 10 "
                            "is not finite in float"):
             check_theorem_3_2_conditions(scheme, np.full(1000, 1e300), 1000)
+        # alpha a log(alpha a) overflows inside the measure: the DomainError
+        # comes without numpy's overflow warning (an error under pytest)
+        with pytest.raises(DomainError, match="limit_ell measure at n = 10 "
+                           "is not finite in float"):
+            check_theorem_3_2_conditions(cesaro_scheme(),
+                                         np.full(1000, 1e308), 1000)
         # a non-finite alpha is the input's, and its profile fails
         alphas = np.ones(1000)
         alphas[500] = math.inf

@@ -7,12 +7,16 @@
     <sha256>  verify               the identity suite's report
     <sha256>  expand --count 12    the digits of five rationals in every
                                    codec, each with --format json
+    <sha256>  ks                   2e6 Chambers-Mallows-Stuck draws and their
+                                   ks_distance at each of the scales
+                                   c = 1e-3, 1, 1e4 (fixed seeds), as in
+                                   perfbench's cdf-scales KS checks
 
 Two checkouts print the same lines exactly when they produce the same
 payloads, so comparing the output of two trees checks a "bit-identical"
 claim in one command.  The package is imported from this checkout's src/.
 
-Run from the repository root (about five seconds on one core):
+Run from the repository root (about six seconds on one core):
 
     python3 tools/payload_digests.py [config-name ...]
 """
@@ -27,10 +31,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from oppenheimlab import cli  # noqa: E402
+from oppenheimlab import cli, limitlaw  # noqa: E402
 
 
 def _output(*argv: str) -> str:
@@ -54,6 +60,21 @@ _EXPAND_CASES = [(kind, x) for kind in ("luroth", "engel", "sylvester",
                  for x in ("1/3", "7/16", "0.4", "113/355", "1")
                  if (kind, x) != ("continued_fraction", "1")]
 
+# the ks line: one law per scale, drawn with the scale's index as its seed
+_KS_SCALES = (1e-3, 1.0, 1e4)
+_KS_DRAWS = 2_000_000
+
+
+def _ks_digest() -> str:
+    digest = hashlib.sha256()
+    for seed, c in enumerate(_KS_SCALES):
+        law = limitlaw.StableLimitLaw(c)
+        draws = limitlaw.sample_many(law, np.random.default_rng(seed),
+                                     _KS_DRAWS)
+        digest.update(draws.tobytes())
+        digest.update(repr(limitlaw.ks_distance(draws, law)).encode())
+    return digest.hexdigest()
+
 
 def main(names) -> None:
     names = names or sorted(p.stem for p in
@@ -70,7 +91,8 @@ def main(names) -> None:
     expand = "".join(_output("expand", x, "--kind", kind, "--count", "12",
                              "--format", "json")
                      for kind, x in _EXPAND_CASES)
-    print(f"{_sha256(expand)}  expand --count 12")
+    print(f"{_sha256(expand)}  expand --count 12", flush=True)
+    print(f"{_ks_digest()}  ks")
 
 
 if __name__ == "__main__":
