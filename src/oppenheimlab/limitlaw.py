@@ -3,7 +3,9 @@
 StableLimitLaw(c, delta) is the law with characteristic function
 xi(t) = exp(-(pi/2) c |t| - i c t log|t| - i delta t), written S(c, delta)
 below.  Every law's CDF is read off one table of S(1, 0) through the
-index-1 scaling identity.  Its one direct route is Zolotarev's integral
+index-1 scaling identity; the table's logits at its nodes ship with the
+package as ``cdf_table.json``, written from the direct route by
+``tools/make_cdf_table.py``.  That one direct route is Zolotarev's integral
 (Zolotarev 1986, sec. 2.2; Nolan 1997, Thm 1) for S(1, 0) = Nolan's
 S(1, 1, pi/2, 0; 1): with pi x/2 = z - log(pi/2),
 
@@ -116,8 +118,9 @@ _RULE = _gauss_legendre(16)  # the value on each panel
 _CHECK = _gauss_legendre(12)  # its companion: |value - companion| bounds error
 
 
-def _cdf_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, 1 - F) of S(1, 0) at the finite points z, by a fixed panel rule.
+def _certified_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(F, 1 - F) of S(1, 0) at the finite points z, by a fixed panel rule,
+    and the worst error estimate, which certifies them.
 
     theta* comes from bisection in log(pi/2 - theta) for all points at once
     (-pi/2 in the far left tail).  Each side of theta* is integrated in s at
@@ -169,7 +172,15 @@ def _cdf_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not worst <= 1e-11:
         raise AccuracyError("Zolotarev quadrature missed tolerance", worst)
     cdf = e_star * cdf_lo + u_star * weight_hi * cdf_hi
-    return cdf / math.pi, (e_star * sf_lo + u_star * sf_hi) / math.pi
+    return (cdf / math.pi, (e_star * sf_lo + u_star * sf_hi) / math.pi,
+            worst)
+
+
+def _cdf_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, 1 - F) of S(1, 0) at the finite points z (see
+    ``_certified_pair``)."""
+    cdf, sf, _ = _certified_pair(z)
+    return cdf, sf
 
 
 def _cdf_direct(z) -> np.ndarray:
@@ -254,13 +265,17 @@ def _spline_eval(x: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _table() -> functools.partial:
-    """The one table, built on first use: logit F = log F - log(1 - F) of
-    S(1, 0) as a cubic spline in asinh z, so both tails stay relative.  It
-    is ``_spline_eval`` bound to the spline's knots and coefficients."""
-    cdf, sf = _cdf_pair(_NODES)
+    """The one table, read on first use: logit F = log F - log(1 - F) of
+    S(1, 0) at the nodes as a cubic spline in asinh z, so both tails stay
+    relative.  The logits come from ``cdf_table.json``, which
+    ``tools/make_cdf_table.py`` writes from the direct route with their
+    exact bits.  It is ``_spline_eval`` bound to the spline's knots and
+    coefficients."""
+    logit = json.loads(Path(__file__).with_name("cdf_table.json")
+                       .read_text())["logit"]
     knots = np.arcsinh(_NODES)
     return functools.partial(_spline_eval, knots,
-                             _spline(knots, np.log(cdf) - np.log(sf)))
+                             _spline(knots, np.array(logit)))
 
 
 def _cdf_table(z) -> np.ndarray:

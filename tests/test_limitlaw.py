@@ -311,19 +311,52 @@ class TestCdf:
                              capture_output=True, text=True).stdout
         assert out.strip() == "0"
 
+    def test_stored_logits_are_the_direct_route(self):
+        # the committed file holds exactly what the certified route gives
+        # at the nodes today, so a change of the nodes or of the route that
+        # leaves the file stale fails here
+        stored = json.loads(Path(limitlaw.__file__).with_name(
+            "cdf_table.json").read_text())["logit"]
+        cdf_, sf = limitlaw._cdf_pair(limitlaw._NODES)
+        assert np.array_equal(np.array(stored), np.log(cdf_) - np.log(sf))
+
+    def test_table_runs_no_quadrature(self):
+        # in a process whose direct route raises, every point inside the
+        # table still gets the table's value: the table is read, not built
+        zs = np.concatenate([limitlaw._NODES, np.linspace(-5.0, 1e10, 97),
+                             np.geomspace(1.0, 1e10, 50)])
+        src = str(Path(limitlaw.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r})\n"
+                "import json\n"
+                "from oppenheimlab import limitlaw\n"
+                "def refuse(z):\n"
+                "    raise AssertionError('quadrature on the table path')\n"
+                "limitlaw._cdf_pair = limitlaw._certified_pair = refuse\n"
+                "zs = json.loads(sys.stdin.read())\n"
+                "out = limitlaw.cdf_many(limitlaw.StableLimitLaw(1.0), zs)\n"
+                "print(json.dumps(out.tolist()))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              input=json.dumps(zs.tolist()),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert np.array_equal(np.array(json.loads(proc.stdout)),
+                              cdf_many(StableLimitLaw(1.0), zs))
+
     @pytest.mark.skipif(not has_mallopt(),
                         reason="the C library has no mallopt")
     def test_library_callers_reuse_freed_heap(self):
-        # a script that imports only the package and builds the table gets
-        # the malloc thresholds too: without them numpy's temporaries fault
-        # fresh pages in on every panel (1,500 to 2,000 minor faults)
+        # a script that imports only the package gets the malloc thresholds
+        # too: without them numpy's temporaries fault fresh pages in on
+        # every panel of the direct route (2,000 to 4,200 minor faults on
+        # the table's nodes, about 82 with them).  The table itself is read
+        # from a file and runs no panel, so it would fault little either way
         src = str(Path(limitlaw.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r})\n"
                 "import resource\n"
                 "import oppenheimlab\n"
                 "from oppenheimlab import limitlaw\n"
                 "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-                "limitlaw.cdf_many(limitlaw.StableLimitLaw(1.0), [0.0])\n"
+                "limitlaw._cdf_direct(limitlaw._NODES)\n"
                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
                 " - before)")
         out = subprocess.run([sys.executable, "-c", code], check=True,

@@ -4,8 +4,10 @@ import ast
 import importlib.util
 import math
 import re
+import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,37 @@ def test_payload_digests_prints_one_line_per_payload():
     assert [line[66:] for line in lines] == [
         "run engel-weak-law per_n", "limit-cdf --law levy", "verify",
         "expand --count 12", "ks"]
+
+
+def test_cdf_table_tool_rewrites_the_committed_file(tmp_path):
+    # a copy of the tools and the sources, without the table file: the tool
+    # writes it back byte for byte, with a certificate within tolerance
+    for name in ("tools", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    table = Path("src") / "oppenheimlab" / "cdf_table.json"
+    (tmp_path / table).unlink()
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "tools" / "make_cdf_table.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    worst = re.search(r"worst companion-rule estimate (\S+)", proc.stdout)
+    assert worst and float(worst.group(1)) <= 1e-11
+    assert (tmp_path / table).read_bytes() == (ROOT / table).read_bytes()
+
+
+def test_every_data_file_is_package_data():
+    # a file the package reads but setuptools does not install breaks an
+    # installed wheel, not a checkout
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    package = ROOT / "src" / "oppenheimlab"
+    globs = config["tool"]["setuptools"]["package-data"]["oppenheimlab"]
+    shipped = {path for glob in globs for path in package.glob(glob)}
+    data = {path for path in package.rglob("*")
+            if path.is_file() and path.suffix != ".py"
+            and "__pycache__" not in path.parts}
+    assert sorted(data - shipped) == []
+    assert {p.name for p in data} >= {"cdf_reference.json", "cdf_table.json"}
 
 
 def _load_bench():
