@@ -1,7 +1,7 @@
 """Numerical laboratory for series-expansion digit laws, exact weak laws,
 and index-1 stable limit laws."""
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"
 
 import ctypes
 

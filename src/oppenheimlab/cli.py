@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +40,10 @@ from .specfun import EULER_GAMMA, c2_discrete, c2_discrete_quad, \
 # libyaml's parser when it is installed: the same SafeConstructor, so the
 # same documents; a 1,000-entry beta list parses in 8 ms instead of 55 ms
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# argparse takes "-1e3" for an option unless the parser's negative-number
+# pattern, which has no exponent, matches it
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _emit(text: str, out):
@@ -175,10 +180,10 @@ def bundled_config_path(name: str) -> Path:
 
 def cmd_run(args) -> int:
     path = Path(args.config)
+    if not path.exists() and path.name == args.config:  # a bare name
+        path = bundled_config_path(args.config)
     if not path.exists():
-        path = bundled_config_path(path.stem)
-        if not path.exists():
-            raise DomainError(f"config not found: {args.config}")
+        raise DomainError(f"config not found: {args.config}")
     try:
         doc = yaml.load(path.read_text(), Loader=_YAML_LOADER)
         if not isinstance(doc, dict) or "experiment" not in doc:
@@ -192,7 +197,7 @@ def cmd_run(args) -> int:
         if args.seed is not None:
             settings["master_seed"] = args.seed
         config = ExperimentConfig(**settings)
-    except (DomainError, KeyError, TypeError, ValueError,
+    except (DomainError, KeyError, OSError, TypeError, ValueError,
             yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -285,6 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("samples", help="text file, one sample per line")
     pk.add_argument("--tolerance", type=float, default=1.0)
     pk.set_defaults(func=cmd_ks_test)
+    for parser in (pc, pk):
+        parser._negative_number_matcher = _NEGATIVE_NUMBER
     return p
 
 

@@ -3,11 +3,12 @@
 StableLimitLaw(c, delta) is the law with characteristic function
 xi(t) = exp(-(pi/2) c |t| - i c t log|t| - i delta t), written S(c, delta)
 below.  Every law's CDF is read off one table of S(1, 0) through the
-index-1 scaling identity; the table's logits at its nodes ship with the
-package as ``cdf_table.json``, written from the direct route by
-``tools/make_cdf_table.py``.  That one direct route is Zolotarev's integral
-(Zolotarev 1986, sec. 2.2; Nolan 1997, Thm 1) for S(1, 0) = Nolan's
-S(1, 1, pi/2, 0; 1): with pi x/2 = z - log(pi/2),
+index-1 scaling identity.  The table ships with the package as
+``cdf_table.json``: scipy's CubicSpline coefficients through the direct
+route's logits at its nodes, written by ``tools/make_cdf_table.py``.  That
+one direct route is Zolotarev's integral (Zolotarev 1986, sec. 2.2; Nolan
+1997, Thm 1) for S(1, 0) = Nolan's S(1, 1, pi/2, 0; 1): with
+pi x/2 = z - log(pi/2),
 
     F(z) = (1/pi) int_{-pi/2}^{pi/2} exp(-exp(-pi x/2) V(theta)) dtheta,
     V(theta) = (2/pi) ((pi/2 + theta)/cos theta) exp((pi/2 + theta) tan theta).
@@ -191,50 +192,6 @@ def _cdf_direct(z) -> np.ndarray:
     return np.where(cdf <= sf, cdf, 1.0 - sf).reshape(z.shape)
 
 
-def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """x with A x = rhs for the tridiagonal A with those three diagonals:
-    Gaussian elimination, then back substitution, in the order of LAPACK's
-    dgtsv for one right-hand side, so ``_spline`` reproduces scipy's
-    CubicSpline bit for bit.  dgtsv swaps rows where a subdiagonal entry
-    exceeds its pivot; on the table's system no pivot does (the tests
-    compare the coefficients with scipy's), so this swaps none."""
-    dl, d, du, b = (v.tolist() for v in (lower, diag, upper, rhs))
-    for i in range(len(d) - 1):
-        fact = dl[i] / d[i]
-        d[i + 1] = d[i + 1] - fact * du[i]
-        b[i + 1] = b[i + 1] - fact * b[i]
-    b[-1] = b[-1] / d[-1]
-    for i in range(len(d) - 2, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1]) / d[i]
-    return np.array(b)
-
-
-def _spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The (4, len(x) - 1) coefficients of the not-a-knot cubic spline
-    through (x, y), highest power first: on [x[i], x[i+1]] it is
-    sum_k c[k, i] (p - x[i])^(3-k).  The slopes s at the knots solve the
-    tridiagonal system that scipy's CubicSpline builds, and the coefficients
-    are those of the cubic Hermite interpolant with those slopes."""
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    diag, rhs = np.empty(x.size), np.empty(x.size)
-    upper, lower = np.empty(x.size - 1), np.empty(x.size - 1)
-    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-    upper[1:], lower[:-1] = dx[:-1], dx[1:]
-    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-    d = x[2] - x[0]
-    diag[0], upper[0] = dx[1], d
-    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    diag[-1], lower[-1] = dx[-2], d
-    rhs[-1] = (dx[-1] ** 2 * slope[-2]
-               + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = _solve_tridiagonal(lower, diag, upper, rhs)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-
-
 # From this many sorted points on, one search per knot and one slice per
 # interval beat one search and four gathers per point: on sorted stable
 # draws (2-core x86-64, numpy 2.4) the two cost the same near 1e5 points,
@@ -243,10 +200,11 @@ _SLICED_POINTS = 100_000
 
 
 def _spline_eval(x: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The spline with knots x and coefficients c (see ``_spline``) at the
-    points p in [x[0], x[-1]], as scipy's PPoly evaluates it: p in interval
-    i where x[i] <= p < x[i+1], the last knot in the last interval, and
-    c3 + c2 h + c1 h^2 + c0 h^3 with running powers of h = p - x[i]."""
+    """The cubic spline with knots x and (4, len(x) - 1) coefficients c,
+    highest power first, at the points p in [x[0], x[-1]], as scipy's PPoly
+    evaluates it: p in interval i where x[i] <= p < x[i+1], the last knot
+    in the last interval, and c3 + c2 h + c1 h^2 + c0 h^3 with running
+    powers of h = p - x[i]."""
     if p.size >= _SLICED_POINTS and np.all(p[1:] >= p[:-1]):
         out = np.empty(p.shape)
         bounds = [0, *np.searchsorted(p, x[1:-1]).tolist(), p.size]
@@ -266,16 +224,16 @@ def _spline_eval(x: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:
 @functools.cache
 def _table() -> functools.partial:
     """The one table, read on first use: logit F = log F - log(1 - F) of
-    S(1, 0) at the nodes as a cubic spline in asinh z, so both tails stay
-    relative.  The logits come from ``cdf_table.json``, which
-    ``tools/make_cdf_table.py`` writes from the direct route with their
-    exact bits.  It is ``_spline_eval`` bound to the spline's knots and
+    S(1, 0) as the not-a-knot cubic spline in asinh z through the nodes, so
+    both tails stay relative.  Its coefficients come from
+    ``cdf_table.json``, which ``tools/make_cdf_table.py`` writes with scipy's
+    CubicSpline from the direct route, with their exact bits.  It is
+    ``_spline_eval`` bound to the knots asinh(nodes) and those
     coefficients."""
-    logit = json.loads(Path(__file__).with_name("cdf_table.json")
-                       .read_text())["logit"]
-    knots = np.arcsinh(_NODES)
-    return functools.partial(_spline_eval, knots,
-                             _spline(knots, np.array(logit)))
+    coef = json.loads(Path(__file__).with_name("cdf_table.json")
+                      .read_text())["coefficients"]
+    return functools.partial(_spline_eval, np.arcsinh(_NODES),
+                             np.array(coef))
 
 
 def _cdf_table(z) -> np.ndarray:

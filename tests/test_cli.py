@@ -176,6 +176,33 @@ class TestRun:
         assert code == 2
         assert "not found" in err
 
+    def test_bare_bundled_name_runs(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # no file of that name here
+        code, out, _ = run_cli(capsys, "run", "luroth-weak-law", "--out",
+                               str(tmp_path / "results"))
+        assert code == 0
+        assert out.startswith("ell,exceedance,n,")
+
+    @pytest.mark.parametrize("config", [
+        "/nonexistent/dir/luroth-weak-law.yaml", "luroth-weak-law.txt"],
+        ids=["missing-path", "other-suffix"])
+    def test_missing_path_is_not_a_bundled_name_exit_2(self, capsys,
+                                                      monkeypatch, tmp_path,
+                                                      config):
+        # only a bare name falls back to the bundled configs, not a stem
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "run", config, "--out",
+                                 str(tmp_path / "results"))
+        assert code == 2
+        assert err == f"error: config not found: {config}\n"
+        assert out == ""
+
+    def test_directory_config_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", str(tmp_path))
+        assert code == 2
+        assert err.startswith("config error: ") and str(tmp_path) in err
+        assert out == ""
+
     def test_weak_law_csv_and_cache(self, capsys, tmp_path):
         cfg = tmp_path / "tiny.yaml"
         cfg.write_text(
@@ -728,6 +755,25 @@ class TestKsTest:
         assert code == 2
         assert "--tolerance" in err
         assert out == ""
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("limit-cdf", "--x-min", "-1e3"), ("limit-cdf", "--x-max", "-5E-1"),
+    ("limit-cdf", "--delta", "-1e-05"), ("limit-cdf", "--c", "-1e3"),
+    ("ks-test", "--delta", "-1e-05"), ("ks-test", "--c", "-5e-1")])
+def test_negative_number_with_an_exponent_is_a_value(capsys, tmp_path,
+                                                     command, option, value):
+    # argparse's own negative-number pattern has no exponent, so it took
+    # "-1e-05", the repr of -0.00001, for an option; a spaced value must
+    # read as the --option=value form does
+    samples = tmp_path / "samples.txt"
+    samples.write_text("-0.5\n1.5\n")
+    head = ([command, str(samples)] if command == "ks-test"
+            else [command, "--points", "3"])
+    spaced = run_cli(capsys, *head, option, value)
+    assert spaced == run_cli(capsys, *head, f"{option}={value}")
+    assert spaced[0] == (2 if option == "--c" else 0)
+    assert "expected one argument" not in spaced[2]
 
 
 @pytest.mark.parametrize("argv, out", [

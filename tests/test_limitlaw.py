@@ -311,15 +311,6 @@ class TestCdf:
                              capture_output=True, text=True).stdout
         assert out.strip() == "0"
 
-    def test_stored_logits_are_the_direct_route(self):
-        # the committed file holds exactly what the certified route gives
-        # at the nodes today, so a change of the nodes or of the route that
-        # leaves the file stale fails here
-        stored = json.loads(Path(limitlaw.__file__).with_name(
-            "cdf_table.json").read_text())["logit"]
-        cdf_, sf = limitlaw._cdf_pair(limitlaw._NODES)
-        assert np.array_equal(np.array(stored), np.log(cdf_) - np.log(sf))
-
     def test_table_runs_no_quadrature(self):
         # in a process whose direct route raises, every point inside the
         # table still gets the table's value: the table is read, not built
@@ -412,8 +403,10 @@ class TestCdf:
 
 
 class TestTableSpline:
-    """The table is scipy's not-a-knot CubicSpline, built and evaluated in
-    numpy: its coefficients and values must match scipy's bit for bit."""
+    """The table is scipy's not-a-knot CubicSpline through a fresh direct
+    route's logits, fitted offline and evaluated in numpy: its coefficients
+    and values must match scipy's bit for bit, so a change of the nodes or
+    of the route that leaves ``cdf_table.json`` stale fails here."""
 
     @pytest.fixture(scope="class")
     def reference(self):

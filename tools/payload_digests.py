@@ -11,6 +11,8 @@
                                    ks_distance at each of the scales
                                    c = 1e-3, 1, 1e4 (fixed seeds), as in
                                    perfbench's cdf-scales KS checks
+    <sha256>  cdf table            the knots and coefficients of the S(1, 0)
+                                   table that limitlaw._table() reads
 
 Two checkouts print the same lines exactly when they produce the same
 payloads, so comparing the output of two trees checks a "bit-identical"
@@ -92,7 +94,9 @@ def main(names) -> None:
                              "--format", "json")
                      for kind, x in _EXPAND_CASES)
     print(f"{_sha256(expand)}  expand --count 12", flush=True)
-    print(f"{_ks_digest()}  ks")
+    print(f"{_ks_digest()}  ks", flush=True)
+    table = b"".join(array.tobytes() for array in limitlaw._table().args)
+    print(f"{hashlib.sha256(table).hexdigest()}  cdf table")
 
 
 if __name__ == "__main__":
