@@ -2,12 +2,12 @@
 
 StableLimitLaw(c, delta) is the law with characteristic function
 xi(t) = exp(-(pi/2) c |t| - i c t log|t| - i delta t), written S(c, delta)
-below.  Every law's CDF is read off one table of S(1, 0) through the
-index-1 scaling identity.  The table ships with the package as
-``cdf_table.json``: scipy's CubicSpline coefficients through the direct
-route's logits at its nodes, written by ``tools/make_cdf_table.py``.  That
-one direct route is Zolotarev's integral (Zolotarev 1986, sec. 2.2; Nolan
-1997, Thm 1) for S(1, 0) = Nolan's S(1, 1, pi/2, 0; 1): with
+below.  Every law's CDF is read off S(1, 0) through the index-1 scaling
+identity: one table, shipped as ``cdf_table.json`` (scipy's CubicSpline
+through the direct route's logits, from ``tools/make_cdf_table.py``), and a
+two-term closed form above it.  The direct route, a reference that no run
+calls, is Zolotarev's integral (Zolotarev 1986, sec. 2.2; Nolan 1997,
+Thm 1) for S(1, 0) = Nolan's S(1, 1, pi/2, 0; 1): with
 pi x/2 = z - log(pi/2),
 
     F(z) = (1/pi) int_{-pi/2}^{pi/2} exp(-exp(-pi x/2) V(theta)) dtheta,
@@ -177,18 +177,11 @@ def _certified_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
             worst)
 
 
-def _cdf_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, 1 - F) of S(1, 0) at the finite points z (see
-    ``_certified_pair``)."""
-    cdf, sf, _ = _certified_pair(z)
-    return cdf, sf
-
-
 def _cdf_direct(z) -> np.ndarray:
     """F of S(1, 0) from the smaller of F and 1 - F (z = +-1e300 stands in
     for +-inf, where F is already 1 or 0 in float)."""
     z = np.clip(np.asarray(z, dtype=float), -1e300, 1e300)
-    cdf, sf = _cdf_pair(z.ravel())
+    cdf, sf, _ = _certified_pair(z.ravel())
     return np.where(cdf <= sf, cdf, 1.0 - sf).reshape(z.shape)
 
 
@@ -225,19 +218,26 @@ def _spline_eval(x: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _table() -> functools.partial:
     """The one table, read on first use: logit F = log F - log(1 - F) of
     S(1, 0) as the not-a-knot cubic spline in asinh z through the nodes, so
-    both tails stay relative.  Its coefficients come from
-    ``cdf_table.json``, which ``tools/make_cdf_table.py`` writes with scipy's
-    CubicSpline from the direct route, with their exact bits.  It is
-    ``_spline_eval`` bound to the knots asinh(nodes) and those
-    coefficients."""
+    both tails stay relative.  ``cdf_table.json``, which
+    ``tools/make_cdf_table.py`` writes with scipy's CubicSpline from the
+    direct route, holds its (4, 559) coefficients as the hex of their
+    little-endian float64 bytes, so they keep their exact bits.  It is
+    ``_spline_eval`` bound to the knots asinh(nodes) and those coefficients."""
     coef = json.loads(Path(__file__).with_name("cdf_table.json")
                       .read_text())["coefficients"]
-    return functools.partial(_spline_eval, np.arcsinh(_NODES),
-                             np.array(coef))
+    return functools.partial(_spline_eval, np.arcsinh(_NODES), np.frombuffer(
+        bytes.fromhex(coef), "<f8").reshape(4, -1))
+
+
+def _cdf_tail(z) -> np.ndarray:
+    """F of S(1, 0) from 1 - F(z) = 1/z + (log z + gamma - 1)/z^2, whose
+    remainder O(log^2 z/z^3) is far below F's last bit from z = 1e10 on."""
+    z = np.minimum(z, 1e300)
+    return 1.0 - (1.0 + (np.log(z) + EULER_GAMMA - 1.0) / z) / z
 
 
 def _cdf_table(z) -> np.ndarray:
-    """F of S(1, 0): 0 below the table, the direct route above it.  The
+    """F of S(1, 0): 0 below the table, ``_cdf_tail`` above it.  The
     table is read at every point clipped into its range, and the logistic
     1/(1 + exp(-logit)) runs in place, so no gather, scatter or temporary
     of the points' size outlives the spline's output."""
@@ -251,8 +251,7 @@ def _cdf_table(z) -> np.ndarray:
     np.divide(1.0, out, out=out)
     out[flat < _NODES[0]] = 0.0
     hi = flat > _NODES[-1]
-    if hi.any():
-        out[hi] = _cdf_direct(flat[hi])
+    out[hi] = _cdf_tail(flat[hi])
     return out.reshape(z.shape)
 
 
@@ -268,7 +267,7 @@ def reference_error() -> tuple[float, float]:
     of the direct route against the committed mpmath reference."""
     ref = json.loads(Path(__file__).with_name("cdf_reference.json")
                      .read_text())
-    cdf, sf = _cdf_pair(np.array(ref["z"], dtype=float))
+    cdf, sf, _ = _certified_pair(np.array(ref["z"], dtype=float))
     left = np.array(ref["F"]) <= np.array(ref["sf"])
     mine, small = np.where(left, cdf, sf), np.where(left, ref["F"], ref["sf"])
     return (float(np.max(np.abs(cdf - ref["F"]))),

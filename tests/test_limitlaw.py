@@ -1,6 +1,8 @@
 """Stable limit laws: characteristic function, CDF inversion, sampling."""
 
+import contextlib
 import ctypes
+import io
 import json
 import math
 import subprocess
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.stats import levy_stable
 
-from oppenheimlab import limitlaw
+from oppenheimlab import cli, limitlaw
 from oppenheimlab.errors import AccuracyError, DomainError
 from oppenheimlab.limitlaw import (
     StableLimitLaw,
@@ -164,7 +166,7 @@ class TestCdf:
         # [-4.5, 1e4]: both tails relative, the body absolute
         ref = json.loads((Path(limitlaw.__file__).with_name(
             "cdf_reference.json")).read_text())
-        cdf, sf = limitlaw._cdf_pair(np.array(ref["z"]))
+        cdf, sf = limitlaw._certified_pair(np.array(ref["z"]))[:2]
         ref_cdf, ref_sf = np.array(ref["F"]), np.array(ref["sf"])
         assert np.max(np.abs(cdf - ref_cdf)) < 1e-12
         assert np.max(relative_small_side(cdf, sf, ref_cdf, ref_sf)) < 1e-9
@@ -187,7 +189,7 @@ class TestCdf:
 
     @pytest.mark.parametrize("z", [1e6, 1e8, 1e10])
     def test_direct_route_right_tail_relative(self, z):
-        cdf, sf = limitlaw._cdf_pair(np.array([z]))
+        cdf, sf = limitlaw._certified_pair(np.array([z]))[:2]
         ref_cdf, ref_sf = mp_zolotarev(z)
         assert sf[0] == pytest.approx(ref_sf, rel=1e-9)
         assert cdf[0] == pytest.approx(ref_cdf, abs=1e-15)
@@ -217,7 +219,7 @@ class TestCdf:
         if rule is not None:
             monkeypatch.setattr(limitlaw, "_RULE", rule)
         with pytest.raises(AccuracyError, match="Zolotarev"):
-            limitlaw._cdf_pair(limitlaw._NODES)
+            limitlaw._certified_pair(limitlaw._NODES)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8))
@@ -225,7 +227,7 @@ class TestCdf:
     @example([-745.0, -40.0, -3.5, 2.0, 1e5, 1.7e5, 1e10])
     def test_direct_route_is_a_distribution(self, zs):
         # any finite z: no error, F and 1 - F in [0, 1], summing to 1
-        cdf, sf = limitlaw._cdf_pair(np.array(zs))
+        cdf, sf = limitlaw._certified_pair(np.array(zs))[:2]
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
         assert np.all((sf >= 0.0) & (sf <= 1.0))
         assert np.max(np.abs(cdf + sf - 1.0)) <= 1e-12
@@ -235,11 +237,11 @@ class TestCdf:
         # every table-sized chunk of 5,600 points is its own call's result
         zs = np.concatenate([np.random.default_rng(3).uniform(-50, 50, 3000),
                              np.geomspace(50.0, 1e300, 2600)])
-        cdf, sf = limitlaw._cdf_pair(zs)
+        cdf, sf = limitlaw._certified_pair(zs)[:2]
         size = limitlaw._NODES.size
         for start in range(0, zs.size, size):
             block = slice(start, start + size)
-            cdf_b, sf_b = limitlaw._cdf_pair(zs[block])
+            cdf_b, sf_b = limitlaw._certified_pair(zs[block])[:2]
             assert cdf_b.tobytes() == cdf[block].tobytes()
             assert sf_b.tobytes() == sf[block].tobytes()
 
@@ -248,7 +250,7 @@ class TestCdf:
         zs = np.concatenate([np.linspace(-60.0, 60.0, 2401),
                              np.geomspace(60.0, 1e300, 3000),
                              -np.geomspace(60.0, 1e300, 300)])
-        cdf, sf = limitlaw._cdf_pair(zs)
+        cdf, sf = limitlaw._certified_pair(zs)[:2]
         assert np.all((cdf >= 0.0) & (sf >= 0.0))
         assert np.max(np.abs(cdf + sf - 1.0)) <= 1e-12
         assert np.all(np.diff(cdf[:2401 + 3000]) >= -1e-15)
@@ -258,7 +260,7 @@ class TestCdf:
         nodes = limitlaw._NODES
         grid = (nodes[:-1, None] + np.outer(np.diff(nodes),
                                             np.arange(10) / 10)).ravel()
-        cdf, sf = limitlaw._cdf_pair(grid)
+        cdf, sf = limitlaw._certified_pair(grid)[:2]
         logit = limitlaw._table()(np.arcsinh(grid))
         table = cdf_many(StableLimitLaw(1.0), grid)
         assert np.max(np.abs(table - cdf)) < 1e-8
@@ -312,26 +314,58 @@ class TestCdf:
         assert out.strip() == "0"
 
     def test_table_runs_no_quadrature(self):
-        # in a process whose direct route raises, every point inside the
-        # table still gets the table's value: the table is read, not built
+        # in a process whose direct route raises, every run-path call gets
+        # a normal process's value: the table is read, not built, and the
+        # closed-form tail above it integrates nothing
+        tail = [1.5e10, 1e12, 1e300, math.inf, -math.inf]
         zs = np.concatenate([limitlaw._NODES, np.linspace(-5.0, 1e10, 97),
-                             np.geomspace(1.0, 1e10, 50)])
+                             np.geomspace(1.0, 1e10, 50), tail])
+        samples = np.append(sample_many(StableLimitLaw(1.0),
+                                        np.random.default_rng(5), 1000), 1e12)
+        argv = ["limit-cdf", "--x-min", "1e11", "--x-max", "1e12"]
         src = str(Path(limitlaw.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r})\n"
-                "import json\n"
-                "from oppenheimlab import limitlaw\n"
+                "import contextlib, io, json\n"
+                "from oppenheimlab import cli, limitlaw\n"
                 "def refuse(z):\n"
-                "    raise AssertionError('quadrature on the table path')\n"
-                "limitlaw._cdf_pair = limitlaw._certified_pair = refuse\n"
-                "zs = json.loads(sys.stdin.read())\n"
-                "out = limitlaw.cdf_many(limitlaw.StableLimitLaw(1.0), zs)\n"
-                "print(json.dumps(out.tolist()))")
+                "    raise AssertionError('quadrature on the run path')\n"
+                "limitlaw._certified_pair = refuse\n"
+                "law = limitlaw.StableLimitLaw(1.0)\n"
+                "zs, tail, samples, argv = json.loads(sys.stdin.read())\n"
+                "csv = io.StringIO()\n"
+                "with contextlib.redirect_stdout(csv):\n"
+                "    status = cli.main(argv)\n"
+                "print(json.dumps([limitlaw.cdf_many(law, zs).tolist(),\n"
+                "                  [limitlaw.cdf(law, z) for z in tail],\n"
+                "                  limitlaw.ks_distance(samples, law),\n"
+                "                  [status, csv.getvalue()]]))")
         proc = subprocess.run([sys.executable, "-c", code],
-                              input=json.dumps(zs.tolist()),
+                              input=json.dumps([zs.tolist(), tail,
+                                                samples.tolist(), argv]),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert np.array_equal(np.array(json.loads(proc.stdout)),
-                              cdf_many(StableLimitLaw(1.0), zs))
+        many, one, ks, (status, out) = json.loads(proc.stdout)
+        law = StableLimitLaw(1.0)
+        assert np.array_equal(np.array(many), cdf_many(law, zs))
+        assert one == [cdf(law, z) for z in tail]
+        assert ks == ks_distance(samples, law)
+        csv = io.StringIO()
+        with contextlib.redirect_stdout(csv):
+            assert cli.main(argv) == 0
+        assert [status, out] == [0, csv.getvalue()]
+
+    def test_tail_is_the_direct_route(self):
+        # above the table the closed form gives the quadrature's bits
+        z = np.geomspace(1e10, 1e300, 2001)[1:]
+        assert np.array_equal(limitlaw._cdf_table(z), limitlaw._cdf_direct(z))
+
+    @pytest.mark.parametrize("z", [1e7, 1e8, 1e9])
+    def test_tail_second_coefficient(self, z):
+        # 1 - F(z) = 1/z + (log z + gamma - 1)/z^2 + O(log^2 z/z^3): the
+        # quadrature's (z (1 - F) - 1) z - log z tends to gamma - 1
+        sf = limitlaw._certified_pair(np.array([z]))[1]
+        second = (z * sf[0] - 1.0) * z - math.log(z)
+        assert second == pytest.approx(EULER_GAMMA - 1.0, abs=1e-4)
 
     @pytest.mark.skipif(not has_mallopt(),
                         reason="the C library has no mallopt")
@@ -410,7 +444,7 @@ class TestTableSpline:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        cdf_, sf = limitlaw._cdf_pair(limitlaw._NODES)
+        cdf_, sf = limitlaw._certified_pair(limitlaw._NODES)[:2]
         return CubicSpline(np.arcsinh(limitlaw._NODES),
                            np.log(cdf_) - np.log(sf))
 

@@ -42,7 +42,32 @@ def test_cdf_table_tool_rewrites_the_committed_file(tmp_path):
     assert proc.returncode == 0, proc.stderr
     worst = re.search(r"worst companion-rule estimate (\S+)", proc.stdout)
     assert worst and float(worst.group(1)) <= 1e-11
+    assert "worst |closed form - direct route| 0 at 200 points" in proc.stdout
     assert (tmp_path / table).read_bytes() == (ROOT / table).read_bytes()
+
+
+def test_cdf_table_tool_refuses_an_inexact_tail(tmp_path):
+    # with the last node moved down to 1e3, the two-term tail is no longer
+    # exact in float above it, so the tool writes no table
+    for name in ("tools", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    module = tmp_path / "src" / "oppenheimlab" / "limitlaw.py"
+    text = module.read_text()
+    assert "np.geomspace(2.0, 1e10, 361)" in text
+    module.write_text(text.replace("np.geomspace(2.0, 1e10, 361)",
+                                   "np.geomspace(2.0, 1e3, 361)"))
+    table = tmp_path / "src" / "oppenheimlab" / "cdf_table.json"
+    table.unlink()
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "tools" / "make_cdf_table.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    gap = re.search(r"worst \|closed form - direct route\| (\S+)",
+                    proc.stdout)
+    assert gap and float(gap.group(1)) > 0.0
+    assert "not written" in proc.stderr
+    assert not table.exists()
 
 
 def test_every_data_file_is_package_data():
