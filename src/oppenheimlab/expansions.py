@@ -30,7 +30,6 @@ class DigitSequence:
 
     kind: str
     digits: tuple
-    x: Optional[Fraction] = None
     remainder: Optional[Fraction] = None
     terminated: bool = False
 
@@ -137,7 +136,7 @@ def extract_digits(kind: str, x, count: int) -> DigitSequence:
                 f"than {limit} decimal digits, the most an int prints")
         digits.append(d)
         r = step(r, d)
-    return DigitSequence(kind, tuple(digits), x=x, remainder=r,
+    return DigitSequence(kind, tuple(digits), remainder=r,
                          terminated=len(digits) < count)
 
 

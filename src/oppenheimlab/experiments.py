@@ -63,7 +63,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_SEED = 20260823
 _WEIGHT_KINDS = {"cesaro": cesaro_scheme, "iterated": iterated_scheme,
                  "power_alpha": power_alpha_scheme}
-_BETA_UNREAD_BY = "all runs but distributional runs of mode 'cor_4_3'"
 WEAK_LAW_SCHEMES = ("direct", *OPPENHEIM_KINDS)
 # uniforms per block of replications mapped in one call (256 kB of doubles)
 _BLOCK = 2**15
@@ -175,14 +174,28 @@ def _plain(tag):
 _DEFAULTS = {f.name: f.default if f.default_factory is MISSING
              else f.default_factory() for f in fields(ExperimentConfig)}
 
+# The settings each run reads: a weak law, and a distributional run of each
+# mode.  V_n and the Theorem 4.1 check read neither epsilon nor rho_n.
+_SHARED = ("n_grid", "replications", "master_seed", "weights")
+_READS = {
+    "weak_law": (*_SHARED, "scheme", "family", "epsilon", "weights.rho"),
+    "classical_1_2": (*_SHARED, "mode", "t_grid"),
+    "cor_4_2": (*_SHARED, "mode", "family", "t_grid"),
+    "cor_4_3": (*_SHARED, "mode", "beta", "t_grid"),
+    "general_4_1": (*_SHARED, "mode", "family", "t_grid"),
+}
 
-def _reject_unread(config: ExperimentConfig, names, reader: str):
-    """DomainError if ``config`` sets any of ``names``, which ``reader``
-    never reads, away from its default."""
-    unread = [f"{name}={getattr(config, name)!r}" for name in names
-              if getattr(config, name) != _DEFAULTS[name]]
+
+def _reject_unread(config: ExperimentConfig, run: str):
+    """DomainError naming each setting that the ``_READS`` row of ``run``
+    does not list: a field away from its default, or a weights.rho."""
+    unread = [f"{name}={getattr(config, name)!r}"
+              for name, default in _DEFAULTS.items()
+              if name not in _READS[run] and getattr(config, name) != default]
+    if "rho" in config.weights and "weights.rho" not in _READS[run]:
+        unread.append(f"weights.rho={config.weights['rho']!r}")
     if unread:
-        raise DomainError(f"unread by {reader}: {', '.join(unread)}")
+        raise DomainError(f"unread by {run} runs: {', '.join(unread)}")
 
 
 @dataclass(frozen=True)
@@ -469,10 +482,9 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
     Y_k = 1/U_k or the ratio variables of a digit chain, U_k ~ F_k either
     way."""
     t_start = time.perf_counter()
+    _reject_unread(config, "weak_law")
     if config.scheme not in WEAK_LAW_SCHEMES:
         raise DomainError(f"unknown weak-law scheme {config.scheme!r}")
-    _reject_unread(config, ("beta",), _BETA_UNREAD_BY)
-    _reject_unread(config, ("mode", "t_grid"), "weak-law runs")
     family, scheme = config.reciprocal_family, config.weight_scheme
     ell = _passing_ell(check_theorem_3_2_conditions, config, family,
                        "weak-law")
@@ -502,15 +514,13 @@ def exact_weak_law_run(config: ExperimentConfig) -> RunRecord:
 # ---------------------------------------------------------------------------
 
 def _summand_family(config: ExperimentConfig) -> DistributionFamily:
-    """The family whose reciprocals are the summands of the mode: the
-    configured family for cor_4_2 and general_4_1, the discrete-beta family
-    for cor_4_3, and its beta = 0 member, the classical digit law, for
-    classical_1_2.  Only cor_4_3 reads ``beta``."""
+    """The family whose reciprocals the mode sums: the configured family
+    for cor_4_2 and general_4_1, the discrete-beta family for cor_4_3, and
+    its beta = 0 member, the classical digit law, for classical_1_2."""
+    if config.mode not in [run for run in _READS if run != "weak_law"]:
+        raise DomainError(f"unknown mode {config.mode!r}")
     if config.mode == "cor_4_3":
         return discrete_beta_family(config.beta)
-    if config.mode not in ("classical_1_2", "cor_4_2", "general_4_1"):
-        raise DomainError(f"unknown mode {config.mode!r}")
-    _reject_unread(config, ("beta",), _BETA_UNREAD_BY)
     if config.mode == "classical_1_2":
         return discrete_beta_family()
     return config.reciprocal_family
@@ -567,15 +577,7 @@ def limit_law_for(config: ExperimentConfig) -> StableLimitLaw:
 def distributional_run(config: ExperimentConfig) -> RunRecord:
     """KS distance and ECF error of V_n against the stable limit law."""
     t_start = time.perf_counter()
-    # the modes sum family reciprocals, not digit-chain ratios, and two of
-    # them sum discrete digits whatever the family
-    discrete = config.mode in ("classical_1_2", "cor_4_3")
-    reader = f"distributional runs of mode {config.mode!r}"
-    _reject_unread(config, ("scheme", "family") if discrete else ("scheme",),
-                   reader)
-    if "rho" in config.weights:  # V_n and Theorem 4.1 never read rho_n
-        raise DomainError(f"unread by {reader}: "
-                          f"weights.rho={config.weights['rho']!r}")
+    _reject_unread(config, config.mode)
     if config.replications < 100:
         raise DomainError("distributional runs need at least 100 replications")
     law = limit_law_for(config)
@@ -585,15 +587,13 @@ def distributional_run(config: ExperimentConfig) -> RunRecord:
     per_n = []
     for i, n in enumerate(config.n_grid):
         v = v_samples(config, n, i)
-        ks = ks_distance(v, law) if law.c > 0 else float(
-            np.mean(np.abs(v) > config.epsilon))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             ecf = np.exp(1j * np.multiply.outer(t, v)).mean(axis=1)
         if not np.isfinite(ecf).all():
             raise DomainError(f"t_grid {list(config.t_grid)} overflows the "
                               f"empirical characteristic function")
         per_n.append({
-            "n": int(n), "ks": float(ks),
+            "n": int(n), "ks": ks_distance(v, law),
             "ecf_error": float(np.max(np.abs(ecf - xi))),
             "ell": float(law.c),
         })

@@ -116,13 +116,11 @@ def index_row(values, n: int) -> np.ndarray:
 def richardson_log_limit(n_values: Sequence[int],
                          values: Sequence[float]) -> float:
     """Extrapolated limit of a profile converging like ell + poly(1/log n),
-    using the last three grid points (fewer points fall back gracefully)."""
+    using the last three grid points (or the last two of a two-point grid)."""
     ns = list(n_values)[-3:]
     vs = list(values)[-3:]
     x = np.array([1.0 / math.log(n) for n in ns])
     v = np.array(vs, dtype=float)
-    if len(ns) == 1:
-        return float(v[0])
     coef = np.polyfit(x, v, len(ns) - 1)
     return float(coef[-1])
 
@@ -274,6 +272,5 @@ def _geometric_grid(n_max: int) -> list:
     if n_max < MIN_CHECK_N:
         raise DomainError(f"n_max must be >= {MIN_CHECK_N}")
     lo, hi = math.log(10), math.log(n_max)
-    ns = sorted({int(round(math.exp(lo + (hi - lo) * i / 5)))
-                 for i in range(6)})
-    return [max(n, 10) for n in ns]
+    return sorted({int(round(math.exp(lo + (hi - lo) * i / 5)))
+                   for i in range(6)})

@@ -18,6 +18,29 @@ from oppenheimlab.limitlaw import StableLimitLaw, sample_many
 from oppenheimlab.weights import check_theorem_3_2_conditions, iterated_scheme
 
 
+# The settings each run reads, written out apart from the table in
+# experiments so that a change to either shows here.  Every run reads
+# n_grid, replications, master_seed and weights; only a weak law reads
+# epsilon and the rho of its weights.
+_SHARED = {"n_grid", "replications", "master_seed", "weights"}
+READS = {
+    "weak_law": _SHARED | {"scheme", "family", "epsilon", "weights.rho"},
+    "classical_1_2": _SHARED | {"mode", "t_grid"},
+    "cor_4_2": _SHARED | {"mode", "family", "t_grid"},
+    "cor_4_3": _SHARED | {"mode", "beta", "t_grid"},
+    "general_4_1": _SHARED | {"mode", "family", "t_grid"},
+}
+# a value away from the default of each ExperimentConfig field, and a rho,
+# that every run reading it accepts
+SETTING_VALUES = {
+    "n_grid": [50, 100], "replications": 120, "master_seed": 7,
+    "scheme": "engel", "mode": "cor_4_2",
+    "family": {"kind": "mobius_clamped", "c_n": 2},
+    "weights": {"kind": "power_alpha", "alpha": 0.5},
+    "beta": "constant:0.5", "epsilon": 0.01, "t_grid": [1.0],
+    "weights.rho": "constant:2"}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -614,8 +637,37 @@ class TestRun:
         assert code == 2
         assert f"{setting}=" in err and out == ""
         if setting == "beta":
-            assert "all runs but distributional runs of mode 'cor_4_3'" in err
+            run = experiment if experiment == "weak_law" else "cor_4_2"
+            assert f"unread by {run} runs: " in err
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("run, setting", [
+        (run, setting) for run in READS for setting in SETTING_VALUES
+        # a distributional run's mode is the run itself
+        if run == "weak_law" or setting != "mode"])
+    def test_each_run_reads_only_its_settings(self, capsys, tmp_path, run,
+                                              setting):
+        # every ExperimentConfig field and weights.rho, one at a time away
+        # from its default: a run rejects each that it would ignore
+        doc = {"experiment": "weak_law", "n_grid": [100],
+               "replications": 150, "weights": {"kind": "cesaro"}}
+        if run != "weak_law":
+            doc.update(experiment="distributional", mode=run)
+        if setting == "weights.rho":
+            doc["weights"] = {"kind": "cesaro",
+                              "rho": SETTING_VALUES[setting]}
+        else:
+            doc[setting] = SETTING_VALUES[setting]
+        cfg = tmp_path / "one.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        code, out, err = run_cli(capsys, "run", str(cfg), "--out",
+                                 str(tmp_path / "results"))
+        if setting in READS[run]:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert "unread by " in err and f" {setting}=" in err
+            assert out == "" and not (tmp_path / "results").exists()
 
     def test_bad_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.yaml"

@@ -147,7 +147,8 @@ class TestConfig:
 
     def test_beta_read_only_by_cor43(self):
         with pytest.raises(DomainError, match="beta"):
-            small_config(mode="cor_4_2", beta="constant:0.5")
+            distributional_run(small_config(mode="cor_4_2",
+                                            beta="constant:0.5"))
         assert small_config(beta="constant:0").beta == "constant:0"
 
     def test_digest_includes_version(self, monkeypatch, tmp_path):

@@ -145,11 +145,13 @@ def test_within_bound_holds_exactly_at_the_bound(metric, at_bound, beyond):
 
 
 @pytest.mark.parametrize("path", sorted(
-    p.name for p in (ROOT / "src" / "oppenheimlab").glob("*.py")
+    p.relative_to(ROOT).as_posix() for pattern in (
+        "src/oppenheimlab/*.py", "tools/*.py", "demos/*.py")
+    for p in ROOT.glob(pattern)
     if p.name != "__init__.py"))  # __init__ imports to re-export
 def test_every_module_level_import_is_used(path):
     # no linter is installed, so this is the check for dead imports
-    tree = ast.parse((ROOT / "src" / "oppenheimlab" / path).read_text())
+    tree = ast.parse((ROOT / path).read_text())
     bound = {alias.asname or alias.name.split(".")[0]
              for node in tree.body
              if isinstance(node, (ast.Import, ast.ImportFrom))
