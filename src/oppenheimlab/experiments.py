@@ -8,11 +8,12 @@ on numpy's own SeedSequence.  Every Monte Carlo sum, direct or along a digit
 chain, is one ``_replication_sums`` call: it draws (``_draw``) from the
 streams of a grid point, hashed in one numpy pass (``_stream_words``).
 
-The blocks of replications of a grid point run on the calling thread and,
-for long rows where the process may use a second CPU, one helper thread:
-each row has its own stream and is written to the sums by its own index,
-and each row's dot product is split into pieces that BLAS never threads
-(``_row_sum``), so a record depends on neither thread count.
+The blocks of replications of a grid point run through ``_blocks``' one
+loop, on the calling thread and, for long rows where the process may use a
+second CPU, one helper thread: each row has its own stream and is written
+to the sums by its own index, and each row's dot product is split into
+pieces that BLAS never threads (``_row_sum``), so a record depends on
+neither thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import logging
 import math
 import os
-import threading
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__ as _pkg_version
+from ._blocks import run_blocks
 from .distributions import (
     DistributionFamily,
     centering_b,
@@ -69,11 +70,6 @@ _BLOCK = 2**15
 # np.dot under OpenBLAS splits a dot product of more elements across its
 # threads, and the last bit of the sum then depends on their number
 _DOT_PIECE = 10_000
-# threads that take blocks of replications beside the caller: one when the
-# process may use a second CPU
-_HELPERS = min(1, (len(os.sched_getaffinity(0))
-                   if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1) - 1)
 # the helpers take blocks only of rows at least this long: on shorter rows
 # each numpy call is so short that the threads lose more time handing the
 # interpreter lock to each other than they gain (on a 2-CPU VM a helper made
@@ -151,7 +147,9 @@ class ExperimentConfig:
         """Cache key of the config run as ``experiment`` ("weak_law" or
         "distributional") under this package version, so the records of
         either experiment and of different versions sit side by side."""
-        payload = json.dumps({**asdict(self), "experiment": experiment,
+        payload = json.dumps({**{f.name: getattr(self, f.name)
+                                 for f in fields(self)},
+                              "experiment": experiment,
                               "version": _pkg_version},
                              sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
@@ -386,48 +384,30 @@ def _replication_sums(config: ExperimentConfig, n_index: int,
     call, and each row is reduced by ``_row_sum`` into its own index of the
     sums.
 
-    The calling thread and, for rows of at least ``_HELPER_WIDTH`` in more
-    than one block, ``_HELPERS`` helper threads run one loop: it takes the
-    next block and builds its streams in replication order under one lock,
-    and draws and maps the block outside it.
-
-    A loop ends when no block is left or a block it runs raises, and no
-    loop takes a block once one has raised: the caller, its loop ended,
-    waits only for the blocks the helpers hold, then re-raises.
+    The blocks run through ``run_blocks``, on the calling thread and, for
+    rows of at least ``_HELPER_WIDTH`` in more than one block, its helper
+    threads; a block's streams are built when the loop takes it, under its
+    lock and so in replication order, and the block is drawn and mapped
+    outside it.
     """
     sums = np.empty(config.replications)
     rows = max(1, _BLOCK // width)
     words = _stream_words(config.master_seed, n_index,
                           np.arange(config.replications))
-    starts = iter(range(0, config.replications, rows))
-    lock = threading.Lock()
-    errors = []  # what the blocks raised
 
-    def take_blocks():
-        try:
-            while True:
-                with lock:
-                    start = None if errors else next(starts, None)
-                    if start is None:
-                        return
-                    streams = [replication_rng(config.master_seed, n_index,
-                                               rep, words[rep]) for rep in
-                               range(start, min(start + rows, len(sums)))]
-                u = np.empty((len(streams), width))
-                for rep, x in enumerate(summands(_draw(streams, u)), start):
-                    sums[rep] = _row_sum(a, x)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
+    def blocks():
+        for start in range(0, len(sums), rows):
+            yield start, [replication_rng(config.master_seed, n_index, rep,
+                                          words[rep]) for rep in
+                          range(start, min(start + rows, len(sums)))]
 
-    helpers = [threading.Thread(target=take_blocks) for _ in range(
-        _HELPERS if width >= _HELPER_WIDTH and len(sums) > rows else 0)]
-    for thread in helpers:
-        thread.start()
-    take_blocks()
-    for thread in helpers:
-        thread.join()
-    if errors:
-        raise errors[0]
+    def run(block):
+        start, streams = block
+        u = np.empty((len(streams), width))
+        for rep, x in enumerate(summands(_draw(streams, u)), start):
+            sums[rep] = _row_sum(a, x)
+
+    run_blocks(run, blocks(), width >= _HELPER_WIDTH and len(sums) > rows)
     return sums
 
 

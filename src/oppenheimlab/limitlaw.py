@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blocks import run_blocks
 from .errors import AccuracyError, DomainError
 from .specfun import EULER_GAMMA
 
@@ -307,10 +308,11 @@ def cdf_exact(law: StableLimitLaw, x: float) -> float:
 # Sampling
 # ---------------------------------------------------------------------------
 
-# Draws and KS passes run through chunks of this many points.  A full chunk
-# of sorted points is at least _SLICED_POINTS long, so the spline reads it
-# one interval slice at a time; at 2**16 every chunk took the per-point
-# gather path and the KS pass was slower than one whole-array pass
+# Draws and KS passes run through chunks of this many points, through
+# ``run_blocks`` when there is more than one.  A full chunk of sorted points
+# is at least _SLICED_POINTS long, so the spline reads it one interval slice
+# at a time; at 2**16 every chunk took the per-point gather path and the KS
+# pass was slower than one whole-array pass
 _CHUNK = 2**17
 
 
@@ -330,10 +332,10 @@ def sample_many(law: StableLimitLaw, rng: np.random.Generator,
     numpy's float64 tan is vectorised while its cos is not.  Then the
     index-1 scaling law: gamma_s X + (2/pi) gamma_s log(gamma_s) - delta
     has the target characteristic function with gamma_s = c pi/2.  theta
-    and W are drawn whole, then mapped one chunk at a time into W's
-    buffer, so a call holds two arrays of ``size`` doubles and three of
-    ``_CHUNK``.  DomainError unless ``size`` is an integer >= 0 (not a
-    bool).
+    and W are drawn whole on the calling thread, then each chunk is mapped
+    into its own slice of W's buffer, on the threads of ``run_blocks``, so
+    a call holds two arrays of ``size`` doubles and two of ``_CHUNK`` per
+    thread.  DomainError unless ``size`` is an integer >= 0 (not a bool).
     """
     if law.c <= 0.0:
         raise DomainError("sampling requires c > 0")
@@ -345,7 +347,9 @@ def sample_many(law: StableLimitLaw, rng: np.random.Generator,
     w = rng.exponential(1.0, size)
     gamma_s = law.c * half_pi
     drift = (2.0 / math.pi) * gamma_s * math.log(gamma_s)
-    for lo, hi in _chunks(w.size):
+
+    def map_chunk(bounds):
+        lo, hi = bounds
         th, out = theta[lo:hi], w[lo:hi]
         x = np.tan(th)
         th += half_pi  # pi/2 + theta from here on
@@ -362,28 +366,33 @@ def sample_many(law: StableLimitLaw, rng: np.random.Generator,
         out *= gamma_s
         out += drift
         out -= law.delta
+
+    run_blocks(map_chunk, _chunks(w.size), w.size > _CHUNK)
     return w
 
 
 def ks_distance(samples, law: StableLimitLaw) -> float:
     """sup-gap between the empirical CDF of the samples (all values of an
     array of any shape) and the law's CDF, taking both one-sided gaps at
-    each sample point.  The samples are sorted once, then read one chunk at
-    a time, so a pass holds its input, the sorted copy and a few arrays of
-    ``_CHUNK`` doubles."""
+    each sample point.  The samples are sorted once, then each chunk's
+    largest gap is read on the threads of ``run_blocks``, so a pass holds
+    its input, the sorted copy and, per thread, a few arrays of ``_CHUNK``
+    doubles; the largest of those gaps is the same in any order."""
     xs = np.sort(np.asarray(samples, dtype=float), axis=None)
     if xs.size == 0:
         raise DomainError("samples must be nonempty")
     if not np.isfinite(xs[0]) or not np.isfinite(xs[-1]):  # nan sorts last
         raise DomainError("samples must be finite")
     n = xs.size
-    worst = 0.0
-    for lo, hi in _chunks(n):
+
+    def chunk_gap(bounds):
+        lo, hi = bounds
         f = cdf_many(law, xs[lo:hi])
         gap = np.arange(lo + 1, hi + 1) / n
         gap -= f
-        worst = max(worst, gap.max())
+        upper = gap.max()
         np.divide(np.arange(lo, hi), n, out=gap)
         np.subtract(f, gap, out=gap)
-        worst = max(worst, gap.max())
-    return float(worst)
+        return max(upper, gap.max())
+
+    return float(max(0.0, *run_blocks(chunk_gap, _chunks(n), n > _CHUNK)))

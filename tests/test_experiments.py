@@ -1,5 +1,6 @@
 """Monte Carlo harness: configs, records, reproducibility, and the runs."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oppenheimlab import __version__, cli, experiments
+from oppenheimlab import __version__, _blocks, cli, experiments
 from oppenheimlab.distributions import (
     centering_b_quad,
     discrete_beta_family,
@@ -178,6 +179,21 @@ class TestConfig:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert cfg.digest("distributional") == \
             hashlib.sha256(text.encode()).hexdigest()
+
+    def test_digest_is_the_asdict_digest(self):
+        # the digest reads the fields without deep-copying the tags, as
+        # dataclasses.asdict does, and hashes the same JSON
+        cfg = small_config(mode="cor_4_3",
+                           beta=np.linspace(0.0, 0.9, 1001).tolist(),
+                           family={"kind": "mobius_clamped", "c_n": 2},
+                           weights={"kind": "cesaro", "rho": [1.0, 1.0]})
+        for experiment in ("weak_law", "distributional"):
+            text = json.dumps({**dataclasses.asdict(cfg),
+                               "experiment": experiment,
+                               "version": __version__},
+                              sort_keys=True, separators=(",", ":"))
+            assert cfg.digest(experiment) == \
+                hashlib.sha256(text.encode()).hexdigest()
 
     def test_numpy_tags_are_plain(self):
         # arrays and numpy numbers in tags are kept as the lists and numbers
@@ -354,7 +370,7 @@ class TestReproducibility:
         default_block = experiments._BLOCK
         monkeypatch.setattr(experiments, "_HELPER_WIDTH", 1)
         for helpers in (0, 1):
-            monkeypatch.setattr(experiments, "_HELPERS", helpers)
+            monkeypatch.setattr(_blocks, "_HELPERS", helpers)
             monkeypatch.setattr(experiments, "_BLOCK", default_block)
             assert runner(cfg) == default
             for block in (1, 1000):  # one replication per block; ragged
@@ -395,7 +411,7 @@ def _helper_raises(monkeypatch):
     """Patches ``_draw`` so that the first block the helper thread takes
     raises DomainError, while the caller's first block waits for the helper
     to stop; returns the helper threads and the caller's blocks."""
-    monkeypatch.setattr(experiments, "_HELPERS", 1)
+    monkeypatch.setattr(_blocks, "_HELPERS", 1)
     monkeypatch.setattr(experiments, "_HELPER_WIDTH", 1)
     monkeypatch.setattr(experiments, "_BLOCK", 1)  # many blocks
     draw = experiments._draw
@@ -421,7 +437,7 @@ def _caller_raises(monkeypatch, exc_type):
     raises ``exc_type`` while the helper holds a block, which it finishes
     only once the exception has left the caller's block loop; returns the
     blocks the helper took, as its thread each, and the caller's."""
-    monkeypatch.setattr(experiments, "_HELPERS", 1)
+    monkeypatch.setattr(_blocks, "_HELPERS", 1)
     monkeypatch.setattr(experiments, "_HELPER_WIDTH", 1)
     monkeypatch.setattr(experiments, "_BLOCK", 1)  # many blocks
     draw = experiments._draw
@@ -463,7 +479,7 @@ class TestBlockScheduler:
         # switched every microsecond: each stream is still built once, in
         # replication order, and the record is the caller's alone
         cfg = small_config(replications=600, **kw)
-        monkeypatch.setattr(experiments, "_HELPERS", 0)
+        monkeypatch.setattr(_blocks, "_HELPERS", 0)
         alone = exact_weak_law_run(cfg)
         calls = []
         rng = experiments.replication_rng
@@ -473,7 +489,7 @@ class TestBlockScheduler:
             return rng(master_seed, n_index, rep, words)
 
         monkeypatch.setattr(experiments, "replication_rng", counted)
-        monkeypatch.setattr(experiments, "_HELPERS", 3)
+        monkeypatch.setattr(_blocks, "_HELPERS", 3)
         monkeypatch.setattr(experiments, "_HELPER_WIDTH", 1)
         monkeypatch.setattr(experiments, "_BLOCK", 1)
         interval = sys.getswitchinterval()
@@ -494,7 +510,7 @@ class TestBlockScheduler:
         (1, 2**15),  # every grid point in one block
     ], ids=["short-rows", "one-block"])
     def test_helper_left_out(self, monkeypatch, kw, width, block):
-        monkeypatch.setattr(experiments, "_HELPERS", 1)
+        monkeypatch.setattr(_blocks, "_HELPERS", 1)
         monkeypatch.setattr(experiments, "_HELPER_WIDTH", width)
         monkeypatch.setattr(experiments, "_BLOCK", block)
         threads = set()

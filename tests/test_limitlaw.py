@@ -7,6 +7,8 @@ import json
 import math
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -18,8 +20,9 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.stats import levy_stable
 
-from oppenheimlab import cli, limitlaw
+from oppenheimlab import _blocks, cli, limitlaw
 from oppenheimlab.errors import AccuracyError, DomainError
+from oppenheimlab.experiments import ExperimentConfig, distributional_run
 from oppenheimlab.limitlaw import (
     StableLimitLaw,
     cdf,
@@ -664,20 +667,36 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def test_sample_many_and_ks_distance_peaks(self):
+    def test_sample_many_and_ks_distance_peaks(self, monkeypatch):
+        monkeypatch.setattr(_blocks, "_HELPERS", 0)
         law = StableLimitLaw(1.0)
         limitlaw._table()  # built outside the measured calls
         xs, peak = self.peak_arrays(lambda: sample_many(
             law, np.random.default_rng(7), self.N))
-        # theta and W, and per chunk tan theta and sqrt(1 + tan^2), with
-        # the last chunk's tangent alive while the next is drawn: 2.39
+        # theta and W, and per chunk tan theta and sqrt(1 + tan^2): 2.25
         # arrays (4.0 for the whole-array map of 0.25.0)
         assert peak <= 2.45
-        # the input and its sorted copy, and per chunk z, the spline's
-        # output, a boolean mask and the gaps: 2.91 arrays (5.07 for one
-        # cdf_many call on the whole sorted copy)
+        # the input and its sorted copy, and the temporaries of the worst
+        # chunk, the last, whose 82,496 points are too few for the spline's
+        # sliced read: 2.65 arrays (5.07 for one cdf_many call on the whole
+        # sorted copy)
         _, peak = self.peak_arrays(lambda: ks_distance(xs.copy(), law))
         assert peak <= 3.0
+
+    def test_peaks_with_a_helper(self, monkeypatch):
+        # the inputs, and two chunks' temporaries at their worst, one on
+        # each thread, however the threads interleave
+        monkeypatch.setattr(_blocks, "_HELPERS", 1)
+        law = StableLimitLaw(1.0)
+        limitlaw._table()
+        xs, peak = self.peak_arrays(lambda: sample_many(
+            law, np.random.default_rng(7), self.N))
+        # theta and W, and two arrays of a full chunk each: 2.52 arrays
+        assert peak <= 2 + 2 * 2 * CHUNK / self.N + 0.05
+        # the input and its sorted copy, and at most the 0.65 arrays of
+        # the worst chunk each (measured 2.97 arrays)
+        _, peak = self.peak_arrays(lambda: ks_distance(xs.copy(), law))
+        assert peak <= 2 + 2 * 0.65 + 0.05
 
 
 class TestKsDistance:
@@ -739,3 +758,168 @@ class TestKsDistance:
             ks_distance(np.empty((3, 0)), law)
         with pytest.raises(DomainError):
             ks_distance(np.array([[0.1, math.nan]]), law)
+
+
+def _route_chunks(monkeypatch, entry, step):
+    """Runs the first step of each chunk of ``entry`` as step(call), where
+    call() is that step: the table read of a KS pass, the tangent of a
+    draw."""
+    if entry == "ks":
+        read = limitlaw.cdf_many
+        monkeypatch.setattr(limitlaw, "cdf_many",
+                            lambda law, x: step(lambda: read(law, x)))
+    else:
+        class Numpy:  # numpy, with tan routed through step
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def tan(x):
+                return step(lambda: np.tan(x))
+
+        monkeypatch.setattr(limitlaw, "np", Numpy())
+
+
+# a KS pass and a draw of four chunks, the last of five points
+SHARED = {"ks": lambda: ks_distance(np.linspace(-5.0, 50.0, 3 * CHUNK + 5),
+                                    levy_cf_law()),
+          "draw": lambda: sample_many(levy_cf_law(),
+                                      np.random.default_rng(3),
+                                      3 * CHUNK + 5)}
+
+
+def _helper_raises(monkeypatch, entry):
+    """Makes the first chunk the helper thread takes raise DomainError,
+    while the caller's first chunk waits for the helper to stop; returns
+    the helper threads and the caller's chunks."""
+    monkeypatch.setattr(_blocks, "_HELPERS", 1)
+    helpers, caller_chunks = [], []
+    entered = threading.Event()
+
+    def step(call):
+        if threading.current_thread() is threading.main_thread():
+            caller_chunks.append(call)
+            assert entered.wait(timeout=60)
+            helpers[0].join(timeout=60)
+            return call()
+        helpers.append(threading.current_thread())
+        entered.set()
+        raise DomainError("raised in a chunk on the helper")
+
+    _route_chunks(monkeypatch, entry, step)
+    return helpers, caller_chunks
+
+
+def _caller_raises(monkeypatch, entry, exc_type):
+    """Makes the first chunk the calling thread takes raise ``exc_type``
+    while the helper holds a chunk, which it finishes only once the
+    exception has left the caller's loop; returns the chunks the helper
+    took, as its thread each, and the caller's."""
+    monkeypatch.setattr(_blocks, "_HELPERS", 1)
+    helper_chunks, caller_chunks = [], []
+    entered, raised = threading.Event(), threading.Event()
+    main = threading.main_thread()
+
+    def caller_in_loop():
+        frame = sys._current_frames().get(main.ident)
+        while frame is not None and frame.f_code.co_name != "take_blocks":
+            frame = frame.f_back
+        return frame is not None
+
+    def step(call):
+        if threading.current_thread() is main:
+            caller_chunks.append(call)
+            assert entered.wait(timeout=60)
+            raised.set()
+            raise exc_type("raised in a chunk on the caller")
+        helper_chunks.append(threading.current_thread())
+        entered.set()
+        assert raised.wait(timeout=60)
+        deadline = time.monotonic() + 60
+        while caller_in_loop() and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        return call()
+
+    _route_chunks(monkeypatch, entry, step)
+    return helper_chunks, caller_chunks
+
+
+class TestChunkScheduler:
+    """The chunks of a draw and of a KS pass run through ``_blocks``' one
+    loop when there are more than one."""
+
+    @pytest.mark.parametrize("size", [0, 1, CHUNK, CHUNK + 1,
+                                      3 * CHUNK + 5])
+    def test_same_bits_at_any_helper_count(self, monkeypatch, size):
+        # the draws, the generator's end state and the KS distance, with
+        # threads switched every microsecond
+        law = levy_cf_law()
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for helpers in (0, 1, 3):
+                monkeypatch.setattr(_blocks, "_HELPERS", helpers)
+                rng = np.random.default_rng(size)
+                xs = sample_many(law, rng, size)
+                seen.append((xs.tobytes(), rng.bit_generator.state,
+                             ks_distance(xs, law).hex() if size else None))
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    @pytest.mark.parametrize("entry", ["ks", "draw"])
+    def test_helper_error_reaches_caller(self, monkeypatch, entry):
+        helpers, caller_chunks = _helper_raises(monkeypatch, entry)
+        with pytest.raises(DomainError, match="on the helper"):
+            SHARED[entry]()
+        assert len(helpers) == 1 and not helpers[0].is_alive()
+        # the caller took at most the chunk it had when the helper
+        # raised, and none after it
+        assert len(caller_chunks) <= 1
+
+    @pytest.mark.parametrize("exc_type", [DomainError, KeyboardInterrupt])
+    @pytest.mark.parametrize("entry", ["ks", "draw"])
+    def test_caller_error_stops_helper(self, monkeypatch, entry, exc_type):
+        # the helper finishes the chunk it holds and takes no other, and it
+        # has stopped when the exception reaches the caller
+        helper_chunks, caller_chunks = _caller_raises(monkeypatch, entry,
+                                                      exc_type)
+        with pytest.raises(exc_type, match="on the caller"):
+            SHARED[entry]()
+        assert len(helper_chunks) == 1 and not helper_chunks[0].is_alive()
+        assert len(caller_chunks) == 1
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The threads started while the test runs, with a helper
+        allowed whatever the machine's CPUs."""
+        monkeypatch.setattr(_blocks, "_HELPERS", 1)
+        threads, start = [], threading.Thread.start
+
+        def recorded(thread):
+            threads.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded)
+        return threads
+
+    @pytest.mark.parametrize("size", [1, 5000, CHUNK])
+    def test_no_helper_for_one_chunk(self, started, size):
+        law = levy_cf_law()
+        ks_distance(sample_many(law, np.random.default_rng(1), size), law)
+        assert started == []
+        ks_distance(sample_many(law, np.random.default_rng(1), CHUNK + 1),
+                    law)
+        assert len(started) == 2  # one for the draw, one for the KS pass
+
+    def test_distributional_run_and_cdf_grid_start_no_helper(self, started,
+                                                             capsys):
+        # a distributional run's KS of 5,000 samples, on rows too short for
+        # the block helper, and a limit-cdf grid longer than a chunk
+        distributional_run(ExperimentConfig(n_grid=(100, 400),
+                                            replications=5000))
+        assert cli.main(["limit-cdf", "--law", "levy",
+                         "--points", str(CHUNK + 1)]) == 0
+        capsys.readouterr()
+        assert started == []

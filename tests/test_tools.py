@@ -93,7 +93,8 @@ def _load_bench():
     return module
 
 
-summarise = _load_bench().summarise
+bench = _load_bench()
+summarise = bench.summarise
 RUN_S = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}
 SUCCESS = {"name": "success_rate", "unit": "ratio", "better": "higher",
            "bound": 0.25}
@@ -159,3 +160,34 @@ def test_every_module_level_import_is_used(path):
              for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(bound - used) == []
+
+
+# the stdout of one perfbench/run.py --trace 0 run, as 0.30.0 prints it
+RUN_STDOUT = """\
+# cdf-scales seed 3: 9 samples
+# uncalibrated wall time of the operations: median 0.301234 s; speed \
+timings dropped beside the program's own parallel work: 4
+run_s 0.312 s
+setup_s 0.121 s
+peak_rss_mb 80.01 MB
+success_rate 1 ratio
+{"correct": true, "attempted": 90, "failed": 0, "metrics": {\
+"run_s": {"value": 0.312, "unit": "s"}, \
+"setup_s": {"value": 0.121, "unit": "s"}, \
+"peak_rss_mb": {"value": 80.01, "unit": "MB"}, \
+"success_rate": {"value": 1.0, "unit": "ratio"}}}
+"""
+
+
+def test_parse_run_reads_the_uncalibrated_wall_time():
+    assert bench.parse_run(RUN_STDOUT) == {
+        "run_s": 0.312, "setup_s": 0.121, "peak_rss_mb": 80.01,
+        "success_rate": 1.0, "wall_s": 0.301234}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("median 0.301234 s", "median s"), "wall time"),
+    (('"correct": true', '"correct": false'), "differing outputs")])
+def test_parse_run_refuses_a_run_it_cannot_read(edit, message):
+    with pytest.raises(ValueError, match=message):
+        bench.parse_run(RUN_STDOUT.replace(*edit))

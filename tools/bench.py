@@ -18,7 +18,11 @@ the change won (ties count for neither side), whether the gain rule
 holds (the change wins at least nine tenths of the pairs and the medians
 differ by more than the distance between the base's quartiles), and whether
 the change's median is within the metric's bound: worse than the base's
-median by no more than that share of it.  A machine note (cores, the CPUs
+median by no more than that share of it.  Under ``wall_s`` it records, per
+workload, each side's median, quartiles and runs of the uncalibrated wall
+time that every run prints on a comment line; it is not gated, and a
+change that adds parallel work is judged by it too (see
+``perfbench/worker.py``).  A machine note (cores, the CPUs
 the process may use, OPENBLAS_NUM_THREADS as the runs inherit it, Python,
 NumPy, platform) says where the numbers were taken.
 
@@ -38,6 +42,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -72,8 +77,24 @@ def export(rev: str, into: Path) -> None:
             tar.extractall(into)
 
 
+def parse_run(stdout: str) -> dict:
+    """The metrics of one run's output, and as ``wall_s`` the median of
+    its comment line ``# uncalibrated wall time of the operations: median
+    X s;``; ValueError if the outputs differed or the line is missing."""
+    result = json.loads(stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise ValueError("the samples gave differing outputs")
+    wall = re.search(r"^# uncalibrated wall time of the operations: "
+                     r"median (\S+) s;", stdout, re.MULTILINE)
+    if wall is None:
+        raise ValueError("no uncalibrated wall time line")
+    return {**{name: m["value"] for name, m in result["metrics"].items()},
+            "wall_s": float(wall.group(1))}
+
+
 def measure(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics of one ``perfbench/run.py --trace 0`` run in ``tree``."""
+    """``parse_run`` of one ``perfbench/run.py --trace 0`` run in
+    ``tree``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -81,10 +102,10 @@ def measure(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         sys.exit(f"{tree}: {workload} seed {seed} exited "
                  f"{proc.returncode}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if not result["correct"]:
-        sys.exit(f"{tree}: {workload} seed {seed} gave differing outputs")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    try:
+        return parse_run(proc.stdout)
+    except ValueError as exc:
+        sys.exit(f"{tree}: {workload} seed {seed}: {exc}")
 
 
 def _spread(values: list) -> dict:
@@ -162,6 +183,11 @@ def main(argv=None) -> int:
             m, [r[m["name"]] for r in runs[w]["base"]],
             [r[m["name"]] for r in runs[w]["change"]])
             for m in spec["end_to_end"]} for w in workloads},
+        # neither gated nor part of the gain rule: the calibration cannot
+        # tell how much a run that fills both CPUs loses to its neighbours
+        "wall_s": {w: {"unit": "s", "base": _spread(
+            [r["wall_s"] for r in runs[w]["base"]]), "change": _spread(
+            [r["wall_s"] for r in runs[w]["change"]])} for w in workloads},
     }
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out.name}")
