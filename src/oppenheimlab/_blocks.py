@@ -2,10 +2,9 @@
 where the process may use a second CPU, one helper thread.
 
 ``experiments._replication_sums`` runs the blocks of replications of a grid
-point through it, and ``limitlaw.sample_many`` and ``limitlaw.ks_distance``
-their chunks of points.  Each block writes or returns only its own part of
-the result, so a result depends on neither the thread count nor which
-thread ran which block.
+point through it, and ``limitlaw.sample_many`` the chunks of its draw.
+Each block writes or returns only its own part of the result, so a result
+depends on neither the thread count nor which thread ran which block.
 """
 
 from __future__ import annotations

@@ -676,16 +676,18 @@ class TestMemory:
         # theta and W, and per chunk tan theta and sqrt(1 + tan^2): 2.25
         # arrays (4.0 for the whole-array map of 0.25.0)
         assert peak <= 2.45
-        # the input and its sorted copy, and the temporaries of the worst
-        # chunk, the last, whose 82,496 points are too few for the spline's
-        # sliced read: 2.65 arrays (5.07 for one cdf_many call on the whole
-        # sorted copy)
+        # the input and its sorted copy, and the read of F at the blocks'
+        # ends: the 15,625 first and last indices, F at the first ones, and
+        # the second read's gather and table temporaries, 9 arrays of its
+        # points: 2 + 13 x 15,625/N = 2.20 arrays (2.65 at 0.31.0, 5.07 for
+        # one cdf_many call on the whole sorted copy).  F inside the live
+        # blocks, a few thousand points here, adds nothing to that peak
         _, peak = self.peak_arrays(lambda: ks_distance(xs.copy(), law))
-        assert peak <= 3.0
+        assert peak <= 2.25
 
     def test_peaks_with_a_helper(self, monkeypatch):
-        # the inputs, and two chunks' temporaries at their worst, one on
-        # each thread, however the threads interleave
+        # the draw holds its inputs, and two chunks' temporaries at their
+        # worst, one on each thread, however the threads interleave
         monkeypatch.setattr(_blocks, "_HELPERS", 1)
         law = StableLimitLaw(1.0)
         limitlaw._table()
@@ -693,10 +695,10 @@ class TestMemory:
             law, np.random.default_rng(7), self.N))
         # theta and W, and two arrays of a full chunk each: 2.52 arrays
         assert peak <= 2 + 2 * 2 * CHUNK / self.N + 0.05
-        # the input and its sorted copy, and at most the 0.65 arrays of
-        # the worst chunk each (measured 2.97 arrays)
+        # a KS pass starts no helper, so it holds what it holds on one
+        # thread: 2.20 arrays (2.97 at 0.31.0)
         _, peak = self.peak_arrays(lambda: ks_distance(xs.copy(), law))
-        assert peak <= 2 + 2 * 0.65 + 0.05
+        assert peak <= 2.25
 
 
 class TestKsDistance:
@@ -745,6 +747,57 @@ class TestKsDistance:
         np.random.default_rng(1).shuffle(xs)
         assert ks_distance(xs, law) == self.whole_array_ks(kept, law)
 
+    @settings(max_examples=150, deadline=None)
+    @given(law=st.sampled_from([*LAWS, StableLimitLaw(0.0, 0.3)]),
+           seed=st.integers(0, 2**32 - 1),
+           size=st.integers(1, 6 * limitlaw._KS_BLOCK + 1),
+           decimals=st.sampled_from([None, 0, 1]),
+           shift=st.sampled_from([0.0, 2.5, -40.0]),
+           scale=st.sampled_from([1.0, 0.25, 8.0]),
+           far=st.lists(st.sampled_from([-1e300, -1e3, -7.0, -5.0, 1e10,
+                                         1.5e10, 1e12, 1e300]),
+                        max_size=6))
+    @example(law=StableLimitLaw(1.0), seed=0, size=limitlaw._KS_BLOCK,
+             decimals=0, shift=0.0, scale=1.0, far=[])
+    def test_pruned_pass_is_the_whole_array_pass(self, law, seed, size,
+                                                 decimals, shift, scale,
+                                                 far):
+        # draws from one to several blocks, shifted and scaled away from
+        # the law, rounded into runs of repeated values, and points whose
+        # z lies below the table (z < -5) and above it (z > 1e10)
+        xs = sample_many(law if law.c > 0.0 else StableLimitLaw(1.0),
+                         np.random.default_rng(seed), size) * scale + shift
+        if decimals is not None:
+            xs = np.round(xs, decimals)
+        z = np.array(far)
+        if law.c > 0.0:
+            z = law.c * (z + math.log(law.c)) - law.delta
+        xs = np.concatenate([xs, z])
+        assert ks_distance(xs, law) == self.whole_array_ks(xs, law)
+
+    def test_a_quantile_grid_prunes_no_block(self, monkeypatch):
+        # at the quantiles (i + 1/2)/n every gap is about 1/(2n), far below
+        # any block's bound of about 64/n: every point is read, in pieces
+        # of at most a chunk, and the full pieces by the sliced read
+        law = StableLimitLaw(1.0)
+        z = np.concatenate([np.linspace(-5.0, 2.0, 100_000),
+                            np.geomspace(2.0, 1e8, 300_001)[1:]])
+        n = 3 * CHUNK + 5
+        xs = np.interp((np.arange(n) + 0.5) / n, cdf_many(law, z), z)
+        assert np.all(xs[1:] > xs[:-1])
+        read, pieces = limitlaw.cdf_many, []
+
+        def recorded(law, x):
+            pieces.append(np.ravel(x))
+            return read(law, x)
+
+        monkeypatch.setattr(limitlaw, "cdf_many", recorded)
+        assert ks_distance(xs, law) == self.whole_array_ks(xs, law)
+        ends, live = pieces[:2], pieces[2:]  # F at the blocks' ends first
+        assert [p.size for p in ends] == [-(-n // limitlaw._KS_BLOCK)] * 2
+        assert [p.size for p in live] == [CHUNK] * 3 + [limitlaw._KS_BLOCK]
+        assert np.array_equal(np.unique(np.concatenate(live)), xs)
+
     def test_any_shape_is_its_values(self):
         law = StableLimitLaw(1.0)
         xs = sample_many(law, np.random.default_rng(3), 600)
@@ -760,35 +813,27 @@ class TestKsDistance:
             ks_distance(np.array([[0.1, math.nan]]), law)
 
 
-def _route_chunks(monkeypatch, entry, step):
-    """Runs the first step of each chunk of ``entry`` as step(call), where
-    call() is that step: the table read of a KS pass, the tangent of a
-    draw."""
-    if entry == "ks":
-        read = limitlaw.cdf_many
-        monkeypatch.setattr(limitlaw, "cdf_many",
-                            lambda law, x: step(lambda: read(law, x)))
-    else:
-        class Numpy:  # numpy, with tan routed through step
-            def __getattr__(self, name):
-                return getattr(np, name)
+def _route_tan(monkeypatch, step):
+    """Runs the first step of each chunk of a draw, its tangent, as
+    step(call), where call() is that step."""
+    class Numpy:  # numpy, with tan routed through step
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-            @staticmethod
-            def tan(x):
-                return step(lambda: np.tan(x))
+        @staticmethod
+        def tan(x):
+            return step(lambda: np.tan(x))
 
-        monkeypatch.setattr(limitlaw, "np", Numpy())
+    monkeypatch.setattr(limitlaw, "np", Numpy())
 
 
-# a KS pass and a draw of four chunks, the last of five points
-SHARED = {"ks": lambda: ks_distance(np.linspace(-5.0, 50.0, 3 * CHUNK + 5),
-                                    levy_cf_law()),
-          "draw": lambda: sample_many(levy_cf_law(),
-                                      np.random.default_rng(3),
-                                      3 * CHUNK + 5)}
+def _draw():
+    """A draw of four chunks, the last of five points."""
+    return sample_many(levy_cf_law(), np.random.default_rng(3),
+                       3 * CHUNK + 5)
 
 
-def _helper_raises(monkeypatch, entry):
+def _helper_raises(monkeypatch):
     """Makes the first chunk the helper thread takes raise DomainError,
     while the caller's first chunk waits for the helper to stop; returns
     the helper threads and the caller's chunks."""
@@ -806,11 +851,11 @@ def _helper_raises(monkeypatch, entry):
         entered.set()
         raise DomainError("raised in a chunk on the helper")
 
-    _route_chunks(monkeypatch, entry, step)
+    _route_tan(monkeypatch, step)
     return helpers, caller_chunks
 
 
-def _caller_raises(monkeypatch, entry, exc_type):
+def _caller_raises(monkeypatch, exc_type):
     """Makes the first chunk the calling thread takes raise ``exc_type``
     while the helper holds a chunk, which it finishes only once the
     exception has left the caller's loop; returns the chunks the helper
@@ -840,13 +885,13 @@ def _caller_raises(monkeypatch, entry, exc_type):
             time.sleep(1e-3)
         return call()
 
-    _route_chunks(monkeypatch, entry, step)
+    _route_tan(monkeypatch, step)
     return helper_chunks, caller_chunks
 
 
 class TestChunkScheduler:
-    """The chunks of a draw and of a KS pass run through ``_blocks``' one
-    loop when there are more than one."""
+    """The chunks of a draw run through ``_blocks``' one loop when there
+    are more than one; a KS pass runs on the calling thread."""
 
     @pytest.mark.parametrize("size", [0, 1, CHUNK, CHUNK + 1,
                                       3 * CHUNK + 5])
@@ -868,25 +913,22 @@ class TestChunkScheduler:
             sys.setswitchinterval(interval)
         assert seen[1] == seen[0] and seen[2] == seen[0]
 
-    @pytest.mark.parametrize("entry", ["ks", "draw"])
-    def test_helper_error_reaches_caller(self, monkeypatch, entry):
-        helpers, caller_chunks = _helper_raises(monkeypatch, entry)
+    def test_helper_error_reaches_caller(self, monkeypatch):
+        helpers, caller_chunks = _helper_raises(monkeypatch)
         with pytest.raises(DomainError, match="on the helper"):
-            SHARED[entry]()
+            _draw()
         assert len(helpers) == 1 and not helpers[0].is_alive()
         # the caller took at most the chunk it had when the helper
         # raised, and none after it
         assert len(caller_chunks) <= 1
 
     @pytest.mark.parametrize("exc_type", [DomainError, KeyboardInterrupt])
-    @pytest.mark.parametrize("entry", ["ks", "draw"])
-    def test_caller_error_stops_helper(self, monkeypatch, entry, exc_type):
+    def test_caller_error_stops_helper(self, monkeypatch, exc_type):
         # the helper finishes the chunk it holds and takes no other, and it
         # has stopped when the exception reaches the caller
-        helper_chunks, caller_chunks = _caller_raises(monkeypatch, entry,
-                                                      exc_type)
+        helper_chunks, caller_chunks = _caller_raises(monkeypatch, exc_type)
         with pytest.raises(exc_type, match="on the caller"):
-            SHARED[entry]()
+            _draw()
         assert len(helper_chunks) == 1 and not helper_chunks[0].is_alive()
         assert len(caller_chunks) == 1
 
@@ -911,7 +953,7 @@ class TestChunkScheduler:
         assert started == []
         ks_distance(sample_many(law, np.random.default_rng(1), CHUNK + 1),
                     law)
-        assert len(started) == 2  # one for the draw, one for the KS pass
+        assert len(started) == 1  # for the draw: the KS pass starts none
 
     def test_distributional_run_and_cdf_grid_start_no_helper(self, started,
                                                              capsys):

@@ -10,7 +10,10 @@ import sys
 import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from oppenheimlab import limitlaw
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,6 +46,8 @@ def test_cdf_table_tool_rewrites_the_committed_file(tmp_path):
     worst = re.search(r"worst companion-rule estimate (\S+)", proc.stdout)
     assert worst and float(worst.group(1)) <= 1e-11
     assert "worst |closed form - direct route| 0 at 200 points" in proc.stdout
+    slope = re.search(r"slopes: smallest (\S+) of 559 intervals", proc.stdout)
+    assert slope and float(slope.group(1)) > 0.0
     assert (tmp_path / table).read_bytes() == (ROOT / table).read_bytes()
 
 
@@ -70,6 +75,57 @@ def test_cdf_table_tool_refuses_an_inexact_tail(tmp_path):
     assert not table.exists()
 
 
+def _load_tool(name):
+    """tools/<name>.py as a module, loaded by path; nothing is run."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_committed_table_increases_on_every_interval():
+    # the KS pass bounds a block's gaps by F at its ends, which needs F,
+    # and so the logit spline, to increase: every cubic's smallest slope
+    # on its interval, in closed form, is positive, and no slope sampled
+    # at 1,001 points of an interval is below it
+    knots, coef = limitlaw._table().args
+    low = _load_tool("make_cdf_table").slope_minima(knots, coef)
+    assert low.shape == (559,) and np.all(low > 0.0)
+    h = np.linspace(0.0, 1.0, 1001)[:, None] * np.diff(knots)
+    sampled = ((3.0 * coef[0] * h + 2.0 * coef[1]) * h + coef[2]).min(axis=0)
+    assert np.all(sampled >= low * (1.0 - 1e-12))
+    # and the closed form finds the minimum the samples come near
+    step = np.diff(knots) / 1000.0
+    assert np.all(sampled - low <= 3.0 * np.abs(coef[0]) * step**2
+                  + 1e-12 * np.abs(low))
+
+
+def test_slope_minima_finds_an_inner_minimum():
+    # h^3 - 3 h^2 + 3.5 h on [0, 2] has slope 3 h^2 - 6 h + 3.5, whose
+    # minimum 0.5 lies at h = 1; -h^2 + h on [0, 1] ends at slope -1
+    coef = np.array([[1.0, 0.0], [-3.0, -1.0], [3.5, 1.0], [0.0, 0.0]])
+    low = _load_tool("make_cdf_table").slope_minima(
+        np.array([0.0, 2.0, 3.0]), coef)
+    assert np.array_equal(low, [0.5, -1.0])
+
+
+def test_cdf_table_tool_refuses_a_decreasing_spline(tmp_path, monkeypatch):
+    # one interval of the fitted spline made to fall: nothing is written
+    tool = _load_tool("make_cdf_table")
+    fit = tool.CubicSpline
+
+    def falling(x, y):
+        spline = fit(x, y)
+        spline.c[:, 300] = [0.0, 0.0, -1.0, spline.c[3, 300]]
+        return spline
+
+    monkeypatch.setattr(tool, "CubicSpline", falling)
+    monkeypatch.setattr(tool, "OUT", tmp_path / "cdf_table.json")
+    assert tool.main() == 1
+    assert not (tmp_path / "cdf_table.json").exists()
+
+
 def test_every_data_file_is_package_data():
     # a file the package reads but setuptools does not install breaks an
     # installed wheel, not a checkout
@@ -84,16 +140,7 @@ def test_every_data_file_is_package_data():
     assert {p.name for p in data} >= {"cdf_reference.json", "cdf_table.json"}
 
 
-def _load_bench():
-    """tools/bench.py as a module, loaded by path; nothing is run."""
-    spec = importlib.util.spec_from_file_location(
-        "bench", ROOT / "tools" / "bench.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench = _load_bench()
+bench = _load_tool("bench")
 summarise = bench.summarise
 RUN_S = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}
 SUCCESS = {"name": "success_rate", "unit": "ratio", "better": "higher",

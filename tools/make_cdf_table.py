@@ -19,6 +19,12 @@ Above the last node the package reads F from a two-term closed form
 prints the worst |difference|, and writes nothing unless it is 0, so
 moving the last node cannot hand the table's right edge to a tail that is
 not exact in float there.
+
+The KS pass (``limitlaw.ks_distance``) bounds the gaps of a block of sorted
+points from F at its ends, so F must not decrease: the tool takes the
+smallest slope of every cubic of the spline on its interval, in closed
+form (``slope_minima``), prints the smallest, and writes nothing unless
+every one is positive.
 Regenerate the file whenever the nodes or the route change.
 
 Run from the repository root (well under a second):
@@ -43,6 +49,22 @@ from oppenheimlab import limitlaw  # noqa: E402
 OUT = SRC / "oppenheimlab" / "cdf_table.json"
 
 
+def slope_minima(knots: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The smallest slope of each cubic c0 h^3 + c1 h^2 + c2 h + c3 of the
+    spline (coefficients highest power first) on its interval
+    0 <= h <= w = knots[i+1] - knots[i]: the slope 3 c0 h^2 + 2 c1 h + c2
+    at h = 0 and h = w and, where c0 > 0 puts the quadratic's vertex
+    h = -c1/(3 c0) inside the interval, c2 - c1^2/(3 c0) there."""
+    c0, c1, c2 = coef[:3]
+    w = np.diff(knots)
+    ends = np.minimum(c2, (3.0 * c0 * w + 2.0 * c1) * w + c2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = -c1 / (3.0 * c0)
+        inside = (c0 > 0.0) & (vertex > 0.0) & (vertex < w)
+        return np.where(inside, np.minimum(ends, c2 - c1 * c1 / (3.0 * c0)),
+                        ends)
+
+
 def main() -> int:
     cdf, sf, worst = limitlaw._certified_pair(limitlaw._NODES)
     print(f"certificate: worst companion-rule estimate {worst:.3g} "
@@ -56,8 +78,15 @@ def main() -> int:
         print("not written: the closed-form tail is not exact above the "
               "last node", file=sys.stderr)
         return 1
-    coef = CubicSpline(np.arcsinh(limitlaw._NODES),
-                       np.log(cdf) - np.log(sf)).c
+    knots = np.arcsinh(limitlaw._NODES)
+    coef = CubicSpline(knots, np.log(cdf) - np.log(sf)).c
+    low = slope_minima(knots, coef)
+    print(f"slopes: smallest {low.min():.3g} of {low.size} intervals "
+          "(must be > 0)")
+    if not np.all(low > 0.0):
+        print("not written: the spline decreases on an interval",
+              file=sys.stderr)
+        return 1
     doc = {"law": "S(1, 0): log-characteristic -(pi/2)|t| - i t log|t|",
            "nodes": "limitlaw._NODES: 200 linear on [-5, 2], "
                     "360 geometric on (2, 1e10]",
