@@ -371,10 +371,10 @@ def ks_distance(samples, law: StableLimitLaw) -> float:
     """sup-gap between the empirical CDF of the samples (all values of an
     array of any shape) and the law's CDF, taking both one-sided gaps at
     each sample point.  The samples are sorted once and cut into blocks of
-    ``_KS_BLOCK`` points a..b, and the gaps at the ends of every block give
-    a lower bound ``best``.  F does not decrease, so no gap in a block
+    ``_KS_BLOCK`` points a..b.  F does not decrease, so no gap in a block
     exceeds max((b + 1)/n - F(x_a), F(x_b) - a/n); F is read at every point
-    only of the blocks whose bound plus ``_KS_MARGIN`` reaches ``best``, up
+    only of the blocks whose bound plus ``_KS_MARGIN`` reaches ``best``, the
+    largest gap at the blocks' ends (0 for a lone block, always read), up
     to ``_CHUNK`` points at a time.  The table's logit spline increases on
     every interval (a test checks its slopes), so computed F falls only by
     its rounding, about 1e-16, and the table meets 0 at z = -5 (F ~ 1e-25)
@@ -389,17 +389,18 @@ def ks_distance(samples, law: StableLimitLaw) -> float:
         raise DomainError("samples must be finite")
     n = xs.size
 
-    def read(i):
-        """F at the sorted points i and the largest gap there."""
+    def read(i):  # F at the sorted points i and the largest gap there
         f = cdf_many(law, xs[i])
         return f, max(((i + 1) / n - f).max(), (f - i / n).max())
 
     first = np.arange(0, n, _KS_BLOCK)
-    last = np.minimum(first + _KS_BLOCK, n) - 1
-    (fa, gap_a), (fb, gap_b) = read(first), read(last)
-    best = max(gap_a, gap_b)
-    bound = np.maximum((last + 1) / n - fa, fb - first / n)
-    live = first[bound + _KS_MARGIN >= best]
+    live, best = first, 0.0
+    if first.size > 1:
+        last = np.minimum(first + _KS_BLOCK, n) - 1
+        (fa, gap_a), (fb, gap_b) = read(first), read(last)
+        best = max(gap_a, gap_b)
+        bound = np.maximum((last + 1) / n - fa, fb - first / n)
+        live = first[bound + _KS_MARGIN >= best]
     offsets = np.arange(_KS_BLOCK)
     for lo in range(0, live.size, _CHUNK // _KS_BLOCK):
         # the last block's indices past n - 1 repeat its last point

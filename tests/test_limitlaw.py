@@ -695,10 +695,6 @@ class TestMemory:
             law, np.random.default_rng(7), self.N))
         # theta and W, and two arrays of a full chunk each: 2.52 arrays
         assert peak <= 2 + 2 * 2 * CHUNK / self.N + 0.05
-        # a KS pass starts no helper, so it holds what it holds on one
-        # thread: 2.20 arrays (2.97 at 0.31.0)
-        _, peak = self.peak_arrays(lambda: ks_distance(xs.copy(), law))
-        assert peak <= 2.25
 
 
 class TestKsDistance:
